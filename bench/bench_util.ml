@@ -12,6 +12,16 @@ type opts = {
   smoke : bool; (* tiny sizes: exercise every harness path in seconds *)
 }
 
+(* The checkout's commit for BENCH_*.json stamps; "unknown" outside git. *)
+let git_rev () =
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic -> (
+      let line = In_channel.input_line ic in
+      match (Unix.close_process_in ic, line) with
+      | Unix.WEXITED 0, Some rev when rev <> "" -> rev
+      | _ -> "unknown")
+
 let time f =
   let t0 = Unix.gettimeofday () in
   let y = f () in

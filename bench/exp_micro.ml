@@ -136,8 +136,12 @@ let remote_frames_report ~accesses () =
    Measured with a plain timing loop rather than Bechamel so the report
    can also include per-operation allocation (minor words), and emitted
    as machine-readable BENCH_crypto.json so the perf trajectory is
-   tracked across PRs.  The acceptance bar for the T-table rewrite is
-   >= 4x AES-128 block throughput over [Aes128.Reference]. *)
+   tracked across PRs.  Each figure is the median, min and max of
+   [repeats] timed runs.  The AES block rows cover the live
+   implementation [Aes128.expand] picked (AES-NI where the CPU has it),
+   the T-table fallback and the byte-wise Reference; the acceptance bar
+   is >= 4x block throughput of the live implementation over
+   [Aes128.Reference]. *)
 
 let measure ~iters f =
   f ();
@@ -151,36 +155,61 @@ let measure ~iters f =
   ( dt /. float_of_int iters,
     (Gc.minor_words () -. w0) /. float_of_int iters )
 
+type sampled = { median : float; lo : float; hi : float; words : float }
+
+(* [repeats] runs of [measure]: ns/op as median, min and max, and the
+   largest minor words/op seen. *)
+let sample ~repeats ~iters f =
+  let runs = List.init repeats (fun _ -> measure ~iters f) in
+  let ns = List.sort compare (List.map (fun (s, _) -> s *. 1e9) runs) in
+  {
+    median = List.nth ns (repeats / 2);
+    lo = List.hd ns;
+    hi = List.nth ns (repeats - 1);
+    words = List.fold_left (fun acc (_, w) -> Float.max acc w) 0. runs;
+  }
+
 let mb_per_s ~bytes ns = float_of_int bytes /. (ns /. 1e9) /. 1048576.0
 
 let crypto_report (opts : Bench_util.opts) =
   (* Smoke mode shrinks every loop ~200x: same code paths, seconds total. *)
   let it n = if opts.Bench_util.smoke then max 100 (n / 200) else n in
+  let repeats = if opts.Bench_util.smoke then 3 else 7 in
   let raw_key = String.init 16 (fun i -> Char.chr (i * 11 land 0xff)) in
   let src = Bytes.init 16 (fun i -> Char.chr (i * 7 land 0xff)) in
   let dst = Bytes.create 16 in
-  (* AES block: T-table fast path vs byte-wise reference. *)
-  let k = Crypto.Aes128.expand raw_key in
-  let tt_ns, tt_words =
-    let f () = Crypto.Aes128.encrypt_block k ~src ~src_off:0 ~dst ~dst_off:0 in
-    let s, w = measure ~iters:(it 2_000_000) f in
-    (s *. 1e9, w)
+  let live = Crypto.Aes128.expand raw_key in
+  let implementation =
+    match live with Crypto.Aes128.Aesni _ -> "aesni" | Crypto.Aes128.Ttable _ -> "ttable"
   in
-  let kr = Crypto.Aes128.Reference.expand raw_key in
-  let ref_ns =
-    let f () = Crypto.Aes128.Reference.encrypt_block kr ~src ~src_off:0 ~dst ~dst_off:0 in
-    let s, _ = measure ~iters:(it 100_000) f in
-    s *. 1e9
+  let block key =
+    sample ~repeats ~iters:(it 2_000_000) (fun () ->
+        Crypto.Aes128.encrypt_block key ~src ~src_off:0 ~dst ~dst_off:0)
   in
-  let speedup = ref_ns /. tt_ns in
+  (* AES block: each implementation in turn.  The AES-NI row exists only
+     where [expand] picked it. *)
+  let aesni = if implementation = "aesni" then Some (block live) else None in
+  let tt = block (Crypto.Aes128.Table.expand raw_key) in
+  let reference =
+    let kr = Crypto.Aes128.Reference.expand raw_key in
+    sample ~repeats ~iters:(it 100_000) (fun () ->
+        Crypto.Aes128.Reference.encrypt_block kr ~src ~src_off:0 ~dst ~dst_off:0)
+  in
+  let live_row = Option.value aesni ~default:tt in
+  let speedup = reference.median /. live_row.median in
+  if speedup < 4.0 then begin
+    Printf.eprintf "crypto: %s speedup vs Reference %.2fx is below the 4x bar\n" implementation
+      speedup;
+    exit 1
+  end;
   (* CBC$ cell: encrypt+decrypt of one 24-byte cell (a Sort element /
      typical attribute value after encoding). *)
   let cell = Crypto.Cell_cipher.create raw_key in
   let cell_pt = String.init 24 (fun i -> Char.chr (i * 5 land 0xff)) in
-  let cell_ns, cell_words =
-    let f () = ignore (Crypto.Cell_cipher.decrypt cell (Crypto.Cell_cipher.encrypt cell cell_pt)) in
-    let s, w = measure ~iters:(it 200_000) f in
-    (s *. 1e9, w)
+  let cell_ct_bytes = Crypto.Cell_cipher.ciphertext_len ~plaintext_len:24 in
+  let cell_s =
+    sample ~repeats ~iters:(it 200_000) (fun () ->
+        ignore (Crypto.Cell_cipher.decrypt cell (Crypto.Cell_cipher.encrypt cell cell_pt)))
   in
   (* Bulk path: one PathORAM path at n = 256 is Z*(L+1) = 36 cells of 48
      ciphertext bytes; encrypt_many + decrypt_many of the whole batch. *)
@@ -188,44 +217,75 @@ let crypto_report (opts : Bench_util.opts) =
   let path_pt_len = 17 in
   (* 1 + 8 + 8, the ORAM block layout at key_len = payload_len = 8 *)
   let path_pts = List.init path_cells (fun i -> String.make path_pt_len (Char.chr (i land 0xff))) in
-  let path_ns =
-    let f () =
-      ignore (Crypto.Cell_cipher.decrypt_many cell (Crypto.Cell_cipher.encrypt_many cell path_pts))
-    in
-    let s, _ = measure ~iters:(it 20_000) f in
-    s *. 1e9
+  let path_s =
+    sample ~repeats ~iters:(it 20_000) (fun () ->
+        ignore (Crypto.Cell_cipher.decrypt_many cell (Crypto.Cell_cipher.encrypt_many cell path_pts)))
   in
+  let per_cell x = x /. float_of_int path_cells in
   let path_ct_bytes = path_cells * Crypto.Cell_cipher.ciphertext_len ~plaintext_len:path_pt_len in
-  Printf.printf "  %-42s %10.1f ns/block  %8.1f MB/s  %5.1f minor words/op\n"
-    "aes128-block/t-table" tt_ns (mb_per_s ~bytes:16 tt_ns) tt_words;
-  Printf.printf "  %-42s %10.1f ns/block  %8.1f MB/s\n" "aes128-block/reference" ref_ns
-    (mb_per_s ~bytes:16 ref_ns);
-  Printf.printf "  %-42s %10.2fx\n" "t-table speedup vs reference" speedup;
+  let print_block name r =
+    Printf.printf "  %-42s %10.1f ns/block  %8.1f MB/s  %5.1f minor words/op\n" name r.median
+      (mb_per_s ~bytes:16 r.median) r.words
+  in
+  Printf.printf "  live implementation: %s\n" implementation;
+  Option.iter (print_block "aes128-block/aes-ni") aesni;
+  print_block "aes128-block/t-table" tt;
+  print_block "aes128-block/reference" reference;
+  Printf.printf "  %-42s %10.2fx\n" (implementation ^ " speedup vs reference") speedup;
   Printf.printf "  %-42s %10.1f ns/cell   %8.1f MB/s  %5.1f minor words/op\n"
-    "cbc-cell/encrypt+decrypt (24 B)" cell_ns
-    (mb_per_s ~bytes:(2 * Crypto.Cell_cipher.ciphertext_len ~plaintext_len:24) cell_ns)
-    cell_words;
+    "cbc-cell/encrypt+decrypt (24 B)" cell_s.median
+    (mb_per_s ~bytes:(2 * cell_ct_bytes) cell_s.median)
+    cell_s.words;
   Printf.printf "  %-42s %10.1f ns/cell   %8.1f MB/s\n"
     (Printf.sprintf "bulk-path/%d-cell enc+dec" path_cells)
-    (path_ns /. float_of_int path_cells)
-    (mb_per_s ~bytes:(2 * path_ct_bytes) path_ns);
+    (per_cell path_s.median)
+    (mb_per_s ~bytes:(2 * path_ct_bytes) path_s.median);
   (* Machine-readable trajectory record (overwritten on every run). *)
   let oc = open_out "BENCH_crypto.json" in
+  let field name v = Printf.fprintf oc "    %S: %s,\n" name v in
+  let num x = Printf.sprintf "%.2f" x in
+  let ns_fields prefix r =
+    field (prefix ^ "_ns_per_block") (num r.median);
+    field (prefix ^ "_ns_per_block_min") (num r.lo);
+    field (prefix ^ "_ns_per_block_max") (num r.hi)
+  in
+  let block_fields prefix r =
+    ns_fields prefix r;
+    field (prefix ^ "_mb_per_s") (num (mb_per_s ~bytes:16 r.median));
+    field (prefix ^ "_minor_words_per_block") (Printf.sprintf "%.3f" r.words)
+  in
   Printf.fprintf oc
     "{\n\
-    \  \"schema\": \"sfdd-bench-crypto/1\",\n\
+    \  \"schema\": \"sfdd-bench-crypto/2\",\n\
     \  \"smoke\": %b,\n\
-    \  \"aes_block\": {\n\
-    \    \"ttable_ns_per_block\": %.2f,\n\
-    \    \"ttable_mb_per_s\": %.2f,\n\
-    \    \"ttable_minor_words_per_block\": %.3f,\n\
-    \    \"reference_ns_per_block\": %.2f,\n\
-    \    \"reference_mb_per_s\": %.2f,\n\
-    \    \"speedup_vs_reference\": %.2f\n\
+    \  \"git_rev\": %S,\n\
+    \  \"host_cores\": %d,\n\
+    \  \"ocaml_version\": %S,\n\
+    \  \"repeats\": %d,\n\
+    \  \"implementation\": %S,\n\
+    \  \"aes_block\": {\n"
+    opts.Bench_util.smoke (Bench_util.git_rev ())
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version repeats implementation;
+  (match aesni with
+  | Some r -> block_fields "aesni" r
+  | None ->
+      List.iter
+        (fun k -> field ("aesni_" ^ k) "null")
+        [ "ns_per_block"; "ns_per_block_min"; "ns_per_block_max"; "mb_per_s";
+          "minor_words_per_block" ]);
+  block_fields "ttable" tt;
+  ns_fields "reference" reference;
+  field "reference_mb_per_s" (num (mb_per_s ~bytes:16 reference.median));
+  field "ttable_speedup_vs_reference" (num (reference.median /. tt.median));
+  Printf.fprintf oc
+    "    \"speedup_vs_reference\": %.2f\n\
     \  },\n\
     \  \"cbc_cell\": {\n\
     \    \"plaintext_bytes\": 24,\n\
     \    \"encrypt_decrypt_ns_per_cell\": %.2f,\n\
+    \    \"encrypt_decrypt_ns_per_cell_min\": %.2f,\n\
+    \    \"encrypt_decrypt_ns_per_cell_max\": %.2f,\n\
     \    \"mb_per_s\": %.2f,\n\
     \    \"minor_words_per_op\": %.3f\n\
     \  },\n\
@@ -233,21 +293,21 @@ let crypto_report (opts : Bench_util.opts) =
     \    \"cells\": %d,\n\
     \    \"plaintext_bytes_per_cell\": %d,\n\
     \    \"encrypt_decrypt_ns_per_cell\": %.2f,\n\
+    \    \"encrypt_decrypt_ns_per_cell_min\": %.2f,\n\
+    \    \"encrypt_decrypt_ns_per_cell_max\": %.2f,\n\
     \    \"mb_per_s\": %.2f\n\
     \  }\n\
      }\n"
-    opts.Bench_util.smoke tt_ns (mb_per_s ~bytes:16 tt_ns) tt_words ref_ns
-    (mb_per_s ~bytes:16 ref_ns)
-    speedup cell_ns
-    (mb_per_s ~bytes:(2 * Crypto.Cell_cipher.ciphertext_len ~plaintext_len:24) cell_ns)
-    cell_words path_cells path_pt_len
-    (path_ns /. float_of_int path_cells)
-    (mb_per_s ~bytes:(2 * path_ct_bytes) path_ns);
+    speedup cell_s.median cell_s.lo cell_s.hi
+    (mb_per_s ~bytes:(2 * cell_ct_bytes) cell_s.median)
+    cell_s.words path_cells path_pt_len (per_cell path_s.median) (per_cell path_s.lo)
+    (per_cell path_s.hi)
+    (mb_per_s ~bytes:(2 * path_ct_bytes) path_s.median);
   close_out oc;
   Printf.printf "  (written to BENCH_crypto.json)\n%!"
 
 let run (opts : Bench_util.opts) =
-  Bench_util.header "Crypto fast path (T-table AES + allocation-free cells)";
+  Bench_util.header "Crypto fast path (AES-NI / T-table AES + allocation-free cells)";
   crypto_report opts;
   Bench_util.header "Bechamel micro-benchmarks (ns per run, OLS fit)";
   let quota = if opts.Bench_util.smoke then 0.05 else 0.5 in

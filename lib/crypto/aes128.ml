@@ -1,20 +1,25 @@
-(* AES-128 (FIPS-197), implemented from scratch.
+(* AES-128 (FIPS-197).
 
-   Two implementations live here:
+   Three implementations live here:
 
-   - the default 32-bit T-table implementation: the four round tables
-     Te0..Te3 (and Td0..Td3 for decryption) fuse SubBytes, ShiftRows and
-     MixColumns into four table lookups plus three xors per state word, so
-     one round is 16 loads and ~20 xors instead of ~60 GF(2^8) byte
-     operations.  The key schedule is word-based, the per-round state lives
-     in a small per-key scratch array, and all byte traffic goes through
+   - AES-NI ([Aesni], C stubs in aesni_stubs.c): the hardware rounds,
+     chosen by [expand] whenever CPUID reports the instructions.  It runs
+     in constant time — no secret-indexed table — and a whole CBC cell is
+     one C call (see [Cbc]);
+
+   - the 32-bit T-table implementation ([Table]), the only path on hosts
+     without AES-NI: the four round tables Te0..Te3 (and Td0..Td3 for
+     decryption) fuse SubBytes, ShiftRows and MixColumns into four table
+     lookups plus three xors per state word, so one round is 16 loads and
+     ~20 xors instead of ~60 GF(2^8) byte operations.  The key schedule is
+     word-based, the per-round state lives in a small per-key scratch
+     array, and all byte traffic goes through
      [Bytes.unsafe_get]/[Bytes.unsafe_set] after one bounds check per call
-     — encrypting or decrypting a block allocates nothing.  This is the hot
-     path under every ORAM path access and every bitonic exchange;
+     — encrypting or decrypting a block allocates nothing;
 
    - [Reference], the original byte-at-a-time FIPS-197 transcription, kept
-     as the differential-testing oracle (the test suite cross-checks the
-     two on random keys/blocks and on the NIST known-answer sets).
+     as the differential-testing oracle (the test suite cross-checks all
+     three on random keys/blocks and on the NIST known-answer sets).
 
    The S-box is still derived programmatically from the GF(2^8)
    multiplicative inverse and the Rijndael affine transform — no hand-typed
@@ -244,10 +249,11 @@ let () =
    InvMixColumns applied to the nine middle ones) so decryption runs the
    same fused-table round as encryption.  [st] is the per-key round-state
    scratch: 8 ints ping-ponged between rounds, preallocated so a block
-   operation allocates nothing.  A [key] is therefore not shareable between
-   domains; clone ciphers per worker (as Sort's [make_worker] does). *)
+   operation allocates nothing.  A table key is therefore not shareable
+   between domains; clone ciphers per worker (as Sort's [make_worker]
+   does). *)
 
-type key = { ek : int array; dk : int array; st : int array }
+type table_key = { ek : int array; dk : int array; st : int array }
 
 let inv_mix_word w =
   let b0 = w lsr 24
@@ -259,8 +265,7 @@ let inv_mix_word w =
   lor ((mul13.(b0) lxor mul9.(b1) lxor mul14.(b2) lxor mul11.(b3)) lsl 8)
   lor (mul11.(b0) lxor mul13.(b1) lxor mul9.(b2) lxor mul14.(b3))
 
-let expand raw =
-  if String.length raw <> 16 then invalid_arg "Aes128.expand: key must be 16 bytes";
+let table_expand raw =
   let raw =
     (raw
     [@lint.declassify
@@ -308,11 +313,7 @@ let expand raw =
   done;
   { ek; dk; st = Array.make 8 0 }
 
-(* ---- Block operations ---- *)
-
-let check_off name b off =
-  if off < 0 || off + 16 > Bytes.length b then
-    invalid_arg (Printf.sprintf "Aes128.%s: 16-byte block at offset %d out of range" name off)
+(* ---- T-table block operations (ranges checked by the dispatch below) ---- *)
 
 let get32 b off =
   (Char.code (Bytes.unsafe_get b off) lsl 24)
@@ -326,9 +327,7 @@ let put32 b off v =
   Bytes.unsafe_set b (off + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
   Bytes.unsafe_set b (off + 3) (Char.unsafe_chr (v land 0xff))
 
-let encrypt_block { ek; st; _ } ~src ~src_off ~dst ~dst_off =
-  check_off "encrypt_block" src src_off;
-  check_off "encrypt_block" dst dst_off;
+let table_encrypt_block { ek; st; _ } src src_off dst dst_off =
   st.(0) <- get32 src src_off lxor Array.unsafe_get ek 0;
   st.(1) <- get32 src (src_off + 4) lxor Array.unsafe_get ek 1;
   st.(2) <- get32 src (src_off + 8) lxor Array.unsafe_get ek 2;
@@ -399,9 +398,7 @@ let encrypt_block { ek; st; _ } ~src ~src_off ~dst ~dst_off =
      lor Array.unsafe_get sb (t2 land 0xff))
     lxor Array.unsafe_get ek 43)
 
-let decrypt_block { dk; st; _ } ~src ~src_off ~dst ~dst_off =
-  check_off "decrypt_block" src src_off;
-  check_off "decrypt_block" dst dst_off;
+let table_decrypt_block { dk; st; _ } src src_off dst dst_off =
   st.(0) <- get32 src src_off lxor Array.unsafe_get dk 0;
   st.(1) <- get32 src (src_off + 4) lxor Array.unsafe_get dk 1;
   st.(2) <- get32 src (src_off + 8) lxor Array.unsafe_get dk 2;
@@ -471,3 +468,41 @@ let decrypt_block { dk; st; _ } ~src ~src_off ~dst ~dst_off =
      lor (Array.unsafe_get sb ((t1 lsr 8) land 0xff) lsl 8)
      lor Array.unsafe_get sb (t0 land 0xff))
     lxor Array.unsafe_get dk 43)
+
+(* ---- Dispatch ----
+
+   The key records its implementation, fixed at [expand]: every block
+   operation is one match, then AES-NI or the T-table rounds. *)
+
+type key = Aesni of Aesni.schedule | Ttable of table_key
+
+let check_raw raw =
+  if String.length raw <> 16 then invalid_arg "Aes128.expand: key must be 16 bytes"
+
+let expand raw =
+  check_raw raw;
+  if Aesni.available then Aesni (Aesni.expand raw) else Ttable (table_expand raw)
+
+module Table = struct
+  let expand raw =
+    check_raw raw;
+    Ttable (table_expand raw)
+end
+
+let check_off name b off =
+  if off < 0 || off > Bytes.length b - 16 then
+    invalid_arg (Printf.sprintf "Aes128.%s: 16-byte block at offset %d out of range" name off)
+
+let encrypt_block key ~src ~src_off ~dst ~dst_off =
+  check_off "encrypt_block" src src_off;
+  check_off "encrypt_block" dst dst_off;
+  match key with
+  | Aesni s -> Aesni.encrypt_block s src src_off dst dst_off
+  | Ttable k -> table_encrypt_block k src src_off dst dst_off
+
+let decrypt_block key ~src ~src_off ~dst ~dst_off =
+  check_off "decrypt_block" src src_off;
+  check_off "decrypt_block" dst dst_off;
+  match key with
+  | Aesni s -> Aesni.decrypt_block s src src_off dst dst_off
+  | Ttable k -> table_decrypt_block k src src_off dst dst_off

@@ -33,7 +33,10 @@ let encrypt_to t plaintext dst dst_off =
   Bytes.blit_string plaintext 0 dst (dst_off + 16) n;
   Bytes.fill dst (dst_off + 16 + n) (padded - n) (Char.unsafe_chr (padded - n));
   Cbc.encrypt_blocks
-    (t.key [@lint.declassify "client-local AES; table timing is not in the server trace L(DB)"])
+    (t.key
+     [@lint.declassify
+       "client-local AES: constant-time AES-NI, or on hosts without it the T-table \
+        fallback, whose table timing is not in the server trace L(DB)"])
     (dst [@lint.declassify "plaintext enters client-local AES here by design; only the ciphertext leaves the client"])
     ~iv_off:dst_off ~off:(dst_off + 16) ~nblocks:(padded / 16);
   16 + padded
@@ -58,7 +61,10 @@ let encrypt_from t src ~off ~len dst dst_off =
   Bytes.blit src off dst (dst_off + 16) len;
   Bytes.fill dst (dst_off + 16 + len) (padded - len) (Char.unsafe_chr (padded - len));
   Cbc.encrypt_blocks
-    (t.key [@lint.declassify "client-local AES; table timing is not in the server trace L(DB)"])
+    (t.key
+     [@lint.declassify
+       "client-local AES: constant-time AES-NI, or on hosts without it the T-table \
+        fallback, whose table timing is not in the server trace L(DB)"])
     (dst [@lint.declassify "plaintext enters client-local AES here by design; only the ciphertext leaves the client"])
     ~iv_off:dst_off ~off:(dst_off + 16) ~nblocks:(padded / 16);
   16 + padded
@@ -76,7 +82,10 @@ let decrypt_to t ciphertext dst dst_off =
     invalid_arg "Cell_cipher.decrypt_to: output range out of bounds";
   let src = Bytes.unsafe_of_string ciphertext in
   Cbc.decrypt_blocks
-    (t.key [@lint.declassify "client-local AES; table timing is not in the server trace L(DB)"])
+    (t.key
+     [@lint.declassify
+       "client-local AES: constant-time AES-NI, or on hosts without it the T-table \
+        fallback, whose table timing is not in the server trace L(DB)"])
     ~src ~src_off:16 ~iv:src ~iv_off:0 ~dst ~dst_off ~nblocks:(body / 16);
   Cbc.unpad_len dst ~off:dst_off ~len:body
 

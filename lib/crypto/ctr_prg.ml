@@ -1,5 +1,5 @@
-(* Keystream is produced four AES blocks at a time through the T-table fast
-   path; counters are consumed in the same order as the old one-block
+(* Keystream is produced four AES blocks at a time through Aes128 (AES-NI
+   where the CPU has it); counters are consumed in the same order as the old one-block
    refill, so the byte stream is unchanged. *)
 let refill_len = 64
 
@@ -32,7 +32,10 @@ let refill t =
   for b = 0 to (refill_len / 16) - 1 do
     bump_counter t.ctr;
     Aes128.encrypt_block
-      (t.key [@lint.declassify "client-local AES; table timing is not in the server trace L(DB)"])
+      (t.key
+       [@lint.declassify
+         "client-local AES: constant-time AES-NI, or on hosts without it the T-table \
+          fallback, whose table timing is not in the server trace L(DB)"])
       ~src:t.ctr ~src_off:0 ~dst:t.block ~dst_off:(16 * b)
   done;
   t.used <- 0

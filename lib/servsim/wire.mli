@@ -1,4 +1,4 @@
-(** Wire protocol (v3) between the client and a remote server process.
+(** Wire protocol (v6) between the client and a remote server process.
 
     Binary, synchronous request/response over any pair of file
     descriptors (Unix socketpair, Unix-domain socket, TCP socket).  All
@@ -133,7 +133,7 @@ type response =
   | Error of string
 
 val protocol_version : int
-(** Current protocol version (5).  Exchanged once per connection:
+(** Current protocol version (6).  Exchanged once per connection:
     the client sends its version byte, the server always answers with its
     own, and each side rejects a mismatch — a v2 peer fails the handshake
     cleanly instead of misparsing the stream mid-session. *)

@@ -27,19 +27,27 @@ let test_fips197_appendix_c () =
   Aes128.decrypt_block k ~src:dst ~src_off:0 ~dst:back ~dst_off:0;
   Alcotest.(check string) "decrypt" (Hex.encode pt) (Hex.encode (Bytes.to_string back))
 
-(* Run one AESAVS entry through the fast path (encrypt + invert) and the
+(* The two fast-path key builders: the live one (AES-NI where the CPU has
+   it) and the T-table fallback. *)
+let fast_paths = [ ("live", Aes128.expand); ("table", Aes128.Table.expand) ]
+
+(* Run one AESAVS entry through both fast paths (encrypt + invert) and the
    byte-wise Reference oracle, so every known answer also cross-checks the
-   two implementations. *)
+   three implementations. *)
 let check_kat_entry ~key ~pt ~expect label =
-  let k = Aes128.expand key in
   let kr = Aes128.Reference.expand key in
   let src = Bytes.of_string pt in
   let ct = Bytes.create 16 and back = Bytes.create 16 in
-  Aes128.encrypt_block k ~src ~src_off:0 ~dst:ct ~dst_off:0;
-  Alcotest.(check string) label expect (Hex.encode (Bytes.to_string ct));
-  Aes128.decrypt_block k ~src:ct ~src_off:0 ~dst:back ~dst_off:0;
-  Alcotest.(check string) (label ^ " inverse") (Hex.encode pt)
-    (Hex.encode (Bytes.to_string back));
+  List.iter
+    (fun (path, expand) ->
+      let k = expand key in
+      let label = label ^ " " ^ path in
+      Aes128.encrypt_block k ~src ~src_off:0 ~dst:ct ~dst_off:0;
+      Alcotest.(check string) label expect (Hex.encode (Bytes.to_string ct));
+      Aes128.decrypt_block k ~src:ct ~src_off:0 ~dst:back ~dst_off:0;
+      Alcotest.(check string) (label ^ " inverse") (Hex.encode pt)
+        (Hex.encode (Bytes.to_string back)))
+    fast_paths;
   Aes128.Reference.encrypt_block kr ~src ~src_off:0 ~dst:ct ~dst_off:0;
   Alcotest.(check string) (label ^ " ref") expect (Hex.encode (Bytes.to_string ct));
   Aes128.Reference.decrypt_block kr ~src:ct ~src_off:0 ~dst:back ~dst_off:0;
@@ -67,18 +75,26 @@ let test_aesavs_vartxt () =
 
 (* CAVP-style Monte Carlo: 1000 chained encryptions; the expected final
    ciphertext was generated with an independent AES implementation
-   validated against FIPS-197 and SP 800-38A.  Run on both the fast path
-   and the Reference oracle. *)
+   validated against FIPS-197 and SP 800-38A.  Run on both fast paths and
+   the Reference oracle. *)
 let test_monte_carlo () =
   let key = Hex.decode "000102030405060708090a0b0c0d0e0f" in
   let seed = Hex.decode "00112233445566778899aabbccddeeff" in
   let expect = "b7449c8da15defeb78dbc57ea81db8ee" in
-  let k = Aes128.expand key in
-  let buf = Bytes.of_string seed in
-  for _ = 1 to 1000 do
-    Aes128.encrypt_block k ~src:buf ~src_off:0 ~dst:buf ~dst_off:0
-  done;
-  Alcotest.(check string) "MCT(1000)" expect (Hex.encode (Bytes.to_string buf));
+  List.iter
+    (fun (path, expand) ->
+      let k = expand key in
+      let buf = Bytes.of_string seed in
+      for _ = 1 to 1000 do
+        Aes128.encrypt_block k ~src:buf ~src_off:0 ~dst:buf ~dst_off:0
+      done;
+      Alcotest.(check string) ("MCT(1000) " ^ path) expect (Hex.encode (Bytes.to_string buf));
+      for _ = 1 to 1000 do
+        Aes128.decrypt_block k ~src:buf ~src_off:0 ~dst:buf ~dst_off:0
+      done;
+      Alcotest.(check string) ("MCT(1000) inverse " ^ path) (Hex.encode seed)
+        (Hex.encode (Bytes.to_string buf)))
+    fast_paths;
   let kr = Aes128.Reference.expand key in
   let buf = Bytes.of_string seed in
   for _ = 1 to 1000 do
@@ -100,7 +116,10 @@ let test_encrypt_decrypt_random_blocks () =
 
 let test_key_length_checked () =
   Alcotest.check_raises "short key" (Invalid_argument "Aes128.expand: key must be 16 bytes")
-    (fun () -> ignore (Aes128.expand "short"))
+    (fun () -> ignore (Aes128.expand "short"));
+  Alcotest.check_raises "short table key"
+    (Invalid_argument "Aes128.expand: key must be 16 bytes")
+    (fun () -> ignore (Aes128.Table.expand (String.make 17 'k')))
 
 let test_hex_roundtrip () =
   Alcotest.(check string) "decode-encode" "deadbeef" (Hex.encode (Hex.decode "DEADBEEF"));
@@ -287,7 +306,7 @@ let qcheck_ttable_vs_reference =
   QCheck.Test.make ~name:"T-table vs Reference (random key/block)" ~count:300
     QCheck.(pair (string_of_size (Gen.return 16)) (string_of_size (Gen.return 16)))
     (fun (key, pt) ->
-      let k = Aes128.expand key in
+      let k = Aes128.Table.expand key in
       let kr = Aes128.Reference.expand key in
       let src = Bytes.of_string pt in
       let a = Bytes.create 16 and b = Bytes.create 16 in
@@ -296,6 +315,171 @@ let qcheck_ttable_vs_reference =
       let enc_ok = Bytes.equal a b in
       Aes128.decrypt_block k ~src:a ~src_off:0 ~dst:b ~dst_off:0;
       enc_ok && Bytes.equal b src)
+
+(* {2 AES-NI against the T-table and the Reference oracle}
+
+   [Aes128.expand] picks AES-NI where the CPU has it; [Table.expand]
+   always builds a T-table key.  On a host without AES-NI both are the
+   T-table and these tests compare it with itself and the oracle. *)
+
+let test_table_key_is_table () =
+  match Aes128.Table.expand (String.make 16 'k') with
+  | Aes128.Ttable _ -> ()
+  | Aes128.Aesni _ -> Alcotest.fail "Table.expand built an AES-NI key"
+
+(* One block at arbitrary offsets inside larger buffers, through all
+   three implementations, both directions. *)
+let qcheck_live_vs_table_vs_reference =
+  QCheck.Test.make ~name:"live vs T-table vs Reference (random key/block/offsets)"
+    ~count:500
+    QCheck.(
+      quad (string_of_size (Gen.return 16)) (string_of_size (Gen.return 16))
+        (int_bound 40) (int_bound 40))
+    (fun (key, pt, src_off, dst_off) ->
+      let src = Bytes.make (src_off + 16 + 3) '\x5a' in
+      Bytes.blit_string pt 0 src src_off 16;
+      let run enc dec =
+        let ct = Bytes.make (dst_off + 16 + 5) '\xa5' in
+        enc ~src ~src_off ~dst:ct ~dst_off;
+        let back = Bytes.make (src_off + 16 + 3) '\x5a' in
+        dec ~src:ct ~src_off:dst_off ~dst:back ~dst_off:src_off;
+        (ct, back)
+      in
+      let live = Aes128.expand key and table = Aes128.Table.expand key in
+      let kr = Aes128.Reference.expand key in
+      let cl, bl = run (Aes128.encrypt_block live) (Aes128.decrypt_block live) in
+      let ct, bt = run (Aes128.encrypt_block table) (Aes128.decrypt_block table) in
+      let cr, br =
+        run (Aes128.Reference.encrypt_block kr) (Aes128.Reference.decrypt_block kr)
+      in
+      Bytes.equal cl ct && Bytes.equal ct cr && Bytes.equal bl src && Bytes.equal bt src
+      && Bytes.equal br src)
+
+(* CBC chains of 1..64 blocks through the live chain (one C call on an
+   AES-NI host) and the block-by-block OCaml chain of a T-table key:
+   in-place encryption after an IV, a separate-buffer decryption, and the
+   cell layout, where the IV aliases the ciphertext buffer just before
+   the body. *)
+let test_cbc_chains_live_vs_table () =
+  let rng = Rng.create 11 in
+  for nblocks = 1 to 64 do
+    let key = Bytes.to_string (Rng.bytes rng 16) in
+    let live = Aes128.expand key and table = Aes128.Table.expand key in
+    let lead = Rng.int rng 9 in
+    (* lead bytes ‖ IV ‖ body ‖ 3 trailing bytes *)
+    let layout = Bytes.cat (Rng.bytes rng (lead + 16 + (16 * nblocks))) (Bytes.make 3 't') in
+    let enc k =
+      let b = Bytes.copy layout in
+      Cbc.encrypt_blocks k b ~iv_off:lead ~off:(lead + 16) ~nblocks;
+      b
+    in
+    let el = enc live and et = enc table in
+    let label = Printf.sprintf "%d blocks" nblocks in
+    Alcotest.(check string) (label ^ " encrypt") (Hex.encode (Bytes.to_string et))
+      (Hex.encode (Bytes.to_string el));
+    (* Cell layout: iv = src, body right after it. *)
+    let dec_cell k =
+      let out = Bytes.make (16 * nblocks + 2) '\000' in
+      Cbc.decrypt_blocks k ~src:el ~src_off:(lead + 16) ~iv:el ~iv_off:lead ~dst:out
+        ~dst_off:1 ~nblocks;
+      Bytes.sub_string out 1 (16 * nblocks)
+    in
+    let body = Bytes.sub_string layout (lead + 16) (16 * nblocks) in
+    Alcotest.(check string) (label ^ " cell decrypt live") body (dec_cell live);
+    Alcotest.(check string) (label ^ " cell decrypt table") body (dec_cell table);
+    (* Separate IV buffer. *)
+    let iv = Bytes.sub el lead 16 and ct = Bytes.sub el (lead + 16) (16 * nblocks) in
+    let dec_sep k =
+      let out = Bytes.create (16 * nblocks) in
+      Cbc.decrypt_blocks k ~src:ct ~src_off:0 ~iv ~iv_off:0 ~dst:out ~dst_off:0 ~nblocks;
+      Bytes.to_string out
+    in
+    Alcotest.(check string) (label ^ " decrypt live") body (dec_sep live);
+    Alcotest.(check string) (label ^ " decrypt table") body (dec_sep table)
+  done
+
+(* Every range is checked in OCaml before any implementation runs: an
+   out-of-range offset or block count raises and writes nothing. *)
+let test_out_of_range_rejected () =
+  List.iter
+    (fun (path, expand) ->
+      let k = expand (String.make 16 'r') in
+      let buf = Bytes.make 64 'x' in
+      let untouched label f =
+        (match f () with
+        | () -> Alcotest.failf "%s %s: accepted" path label
+        | exception Invalid_argument _ -> ());
+        Alcotest.(check string) (path ^ " " ^ label ^ " untouched") (String.make 64 'x')
+          (Bytes.to_string buf)
+      in
+      List.iter
+        (fun off ->
+          let s = string_of_int off in
+          untouched ("encrypt_block src " ^ s) (fun () ->
+              Aes128.encrypt_block k ~src:buf ~src_off:off ~dst:buf ~dst_off:0);
+          untouched ("encrypt_block dst " ^ s) (fun () ->
+              Aes128.encrypt_block k ~src:buf ~src_off:0 ~dst:buf ~dst_off:off);
+          untouched ("decrypt_block " ^ s) (fun () ->
+              Aes128.decrypt_block k ~src:buf ~src_off:off ~dst:buf ~dst_off:0);
+          untouched ("encrypt_blocks iv " ^ s) (fun () ->
+              Cbc.encrypt_blocks k buf ~iv_off:off ~off:16 ~nblocks:1);
+          untouched ("encrypt_blocks off " ^ s) (fun () ->
+              Cbc.encrypt_blocks k buf ~iv_off:0 ~off ~nblocks:1);
+          untouched ("decrypt_blocks src " ^ s) (fun () ->
+              Cbc.decrypt_blocks k ~src:buf ~src_off:off ~iv:buf ~iv_off:0 ~dst:buf
+                ~dst_off:0 ~nblocks:1);
+          untouched ("decrypt_blocks iv " ^ s) (fun () ->
+              Cbc.decrypt_blocks k ~src:buf ~src_off:0 ~iv:buf ~iv_off:off ~dst:buf
+                ~dst_off:16 ~nblocks:1);
+          untouched ("decrypt_blocks dst " ^ s) (fun () ->
+              Cbc.decrypt_blocks k ~src:buf ~src_off:0 ~iv:buf ~iv_off:0 ~dst:buf
+                ~dst_off:off ~nblocks:1))
+        [ -1; 49; 64; max_int; max_int - 8; min_int ];
+      (* Block counts that overrun, are negative, or wrap 16 * nblocks
+         around to a small length. *)
+      List.iter
+        (fun nblocks ->
+          let s = string_of_int nblocks in
+          untouched ("encrypt_blocks nblocks " ^ s) (fun () ->
+              Cbc.encrypt_blocks k buf ~iv_off:0 ~off:16 ~nblocks);
+          untouched ("decrypt_blocks nblocks " ^ s) (fun () ->
+              Cbc.decrypt_blocks k ~src:buf ~src_off:16 ~iv:buf ~iv_off:0 ~dst:buf
+                ~dst_off:16 ~nblocks))
+        [ -1; 4; 5; (max_int / 16) + 2; (1 lsl 59) + 1; min_int ])
+    fast_paths
+
+(* Block and chain operations allocate nothing on either path: a loop of
+   1000 calls allocates exactly what an empty loop does. *)
+let test_zero_alloc () =
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  List.iter
+    (fun (path, expand) ->
+      let k = expand (String.make 16 'z') in
+      let buf = Bytes.make 160 'p' and out = Bytes.create 160 in
+      let loop body () =
+        for _ = 1 to 1000 do
+          body ()
+        done
+      in
+      let empty = words (loop ignore) in
+      let check label body =
+        body ();
+        Alcotest.(check (float 0.)) (path ^ " " ^ label) empty (words (loop body))
+      in
+      check "encrypt_block" (fun () ->
+          Aes128.encrypt_block k ~src:buf ~src_off:16 ~dst:buf ~dst_off:16);
+      check "decrypt_block" (fun () ->
+          Aes128.decrypt_block k ~src:buf ~src_off:16 ~dst:out ~dst_off:0);
+      check "encrypt_blocks" (fun () ->
+          Cbc.encrypt_blocks k buf ~iv_off:0 ~off:16 ~nblocks:9);
+      check "decrypt_blocks" (fun () ->
+          Cbc.decrypt_blocks k ~src:buf ~src_off:16 ~iv:buf ~iv_off:0 ~dst:out ~dst_off:0
+            ~nblocks:9))
+    fast_paths
 
 let qcheck_cbc_roundtrip =
   QCheck.Test.make ~name:"cbc roundtrip (arbitrary strings)" ~count:200
@@ -371,6 +555,13 @@ let suite =
     Alcotest.test_case "rng split independence" `Quick test_rng_split_independent;
     Alcotest.test_case "rng coarse uniformity" `Quick test_rng_uniformity_coarse;
     Alcotest.test_case "Ct.equal basics" `Quick test_ct_equal_basics;
+    Alcotest.test_case "Table.expand builds a T-table key" `Quick test_table_key_is_table;
+    Alcotest.test_case "CBC chains 1-64 blocks: live = T-table" `Quick
+      test_cbc_chains_live_vs_table;
+    Alcotest.test_case "out-of-range offsets and block counts rejected" `Quick
+      test_out_of_range_rejected;
+    Alcotest.test_case "block and chain ops allocate nothing" `Quick test_zero_alloc;
+    QCheck_alcotest.to_alcotest qcheck_live_vs_table_vs_reference;
     QCheck_alcotest.to_alcotest qcheck_ttable_vs_reference;
     QCheck_alcotest.to_alcotest qcheck_cbc_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_cell_roundtrip;
