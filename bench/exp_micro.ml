@@ -175,6 +175,9 @@ let crypto_report (opts : Bench_util.opts) =
   (* Smoke mode shrinks every loop ~200x: same code paths, seconds total. *)
   let it n = if opts.Bench_util.smoke then max 100 (n / 200) else n in
   let repeats = if opts.Bench_util.smoke then 3 else 7 in
+  (* Read before BENCH_crypto.json is rewritten, which would mark the
+     checkout dirty. *)
+  let git_rev = Bench_util.git_rev () in
   let raw_key = String.init 16 (fun i -> Char.chr (i * 11 land 0xff)) in
   let src = Bytes.init 16 (fun i -> Char.chr (i * 7 land 0xff)) in
   let dst = Bytes.create 16 in
@@ -264,7 +267,7 @@ let crypto_report (opts : Bench_util.opts) =
     \  \"repeats\": %d,\n\
     \  \"implementation\": %S,\n\
     \  \"aes_block\": {\n"
-    opts.Bench_util.smoke (Bench_util.git_rev ())
+    opts.Bench_util.smoke git_rev
     (Domain.recommended_domain_count ())
     Sys.ocaml_version repeats implementation;
   (match aesni with
