@@ -22,6 +22,18 @@ let git_rev () =
       | Unix.WEXITED 0, Some rev when rev <> "" -> rev
       | _ -> "unknown")
 
+(* Write a harness's BENCH_*.json through [emit].  A full run rewrites
+   [file] in the working directory; a --smoke run writes a fresh
+   temporary file instead, so a harness check never overwrites the
+   committed full-run data. *)
+let write_bench_json opts file emit =
+  let path =
+    if opts.smoke then Filename.temp_file (Filename.remove_extension file ^ "-smoke") ".json"
+    else file
+  in
+  Out_channel.with_open_text path emit;
+  Printf.printf "  (written to %s)\n%!" path
+
 let time f =
   let t0 = Unix.gettimeofday () in
   let y = f () in

@@ -330,29 +330,27 @@ let run (opts : Bench_util.opts) =
     (Bench_util.pretty_time full_s)
     (Bench_util.pretty_time update_s)
     ratio;
-  let oc = open_out "BENCH_dynamic.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"sfdd-bench-dynamic/1\",\n\
-    \  \"smoke\": %b,\n\
-    \  \"transport\": \"unix-domain socket\",\n\
-    \  \"tenants\": %d,\n\
-    \  \"ops_per_tenant\": %d,\n\
-    \  \"pipeline_depth\": %d,\n\
-    \  \"restart_mid_stream\": true,\n\
-    \  \"updates_total\": %d,\n\
-    \  \"updates_per_s\": %.0f,\n\
-    \  \"revalidate_p50_us\": %.0f,\n\
-    \  \"revalidate_p95_us\": %.0f,\n\
-    \  \"revalidate_p99_us\": %.0f,\n\
-    \  \"parity_vs_library\": %b,\n\
-    \  \"rediscovery_n\": %d,\n\
-    \  \"rediscovery_s\": %.6f,\n\
-    \  \"update_s\": %.6f,\n\
-    \  \"incremental_speedup\": %.1f\n\
-     }\n"
-    opts.smoke tenants ops_per_tenant depth total_updates
-    (float_of_int total_updates /. !wall)
-    (us p50) (us p95) (us p99) !parity reval_n full_s update_s ratio;
-  close_out oc;
-  Printf.printf "  (written to BENCH_dynamic.json)\n%!"
+  Bench_util.write_bench_json opts "BENCH_dynamic.json" (fun oc ->
+      Printf.fprintf oc
+        "{\n\
+        \  \"schema\": \"sfdd-bench-dynamic/1\",\n\
+        \  \"smoke\": %b,\n\
+        \  \"transport\": \"unix-domain socket\",\n\
+        \  \"tenants\": %d,\n\
+        \  \"ops_per_tenant\": %d,\n\
+        \  \"pipeline_depth\": %d,\n\
+        \  \"restart_mid_stream\": true,\n\
+        \  \"updates_total\": %d,\n\
+        \  \"updates_per_s\": %.0f,\n\
+        \  \"revalidate_p50_us\": %.0f,\n\
+        \  \"revalidate_p95_us\": %.0f,\n\
+        \  \"revalidate_p99_us\": %.0f,\n\
+        \  \"parity_vs_library\": %b,\n\
+        \  \"rediscovery_n\": %d,\n\
+        \  \"rediscovery_s\": %.6f,\n\
+        \  \"update_s\": %.6f,\n\
+        \  \"incremental_speedup\": %.1f\n\
+         }\n"
+        opts.smoke tenants ops_per_tenant depth total_updates
+        (float_of_int total_updates /. !wall)
+        (us p50) (us p95) (us p99) !parity reval_n full_s update_s ratio)

@@ -175,8 +175,8 @@ let crypto_report (opts : Bench_util.opts) =
   (* Smoke mode shrinks every loop ~200x: same code paths, seconds total. *)
   let it n = if opts.Bench_util.smoke then max 100 (n / 200) else n in
   let repeats = if opts.Bench_util.smoke then 3 else 7 in
-  (* Read before BENCH_crypto.json is rewritten, which would mark the
-     checkout dirty. *)
+  (* Read before a full run rewrites BENCH_crypto.json, which would mark
+     the checkout dirty. *)
   let git_rev = Bench_util.git_rev () in
   let raw_key = String.init 16 (fun i -> Char.chr (i * 11 land 0xff)) in
   let src = Bytes.init 16 (fun i -> Char.chr (i * 7 land 0xff)) in
@@ -243,71 +243,69 @@ let crypto_report (opts : Bench_util.opts) =
     (Printf.sprintf "bulk-path/%d-cell enc+dec" path_cells)
     (per_cell path_s.median)
     (mb_per_s ~bytes:(2 * path_ct_bytes) path_s.median);
-  (* Machine-readable trajectory record (overwritten on every run). *)
-  let oc = open_out "BENCH_crypto.json" in
-  let field name v = Printf.fprintf oc "    %S: %s,\n" name v in
-  let num x = Printf.sprintf "%.2f" x in
-  let ns_fields prefix r =
-    field (prefix ^ "_ns_per_block") (num r.median);
-    field (prefix ^ "_ns_per_block_min") (num r.lo);
-    field (prefix ^ "_ns_per_block_max") (num r.hi)
-  in
-  let block_fields prefix r =
-    ns_fields prefix r;
-    field (prefix ^ "_mb_per_s") (num (mb_per_s ~bytes:16 r.median));
-    field (prefix ^ "_minor_words_per_block") (Printf.sprintf "%.3f" r.words)
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"sfdd-bench-crypto/2\",\n\
-    \  \"smoke\": %b,\n\
-    \  \"git_rev\": %S,\n\
-    \  \"host_cores\": %d,\n\
-    \  \"ocaml_version\": %S,\n\
-    \  \"repeats\": %d,\n\
-    \  \"implementation\": %S,\n\
-    \  \"aes_block\": {\n"
-    opts.Bench_util.smoke git_rev
-    (Domain.recommended_domain_count ())
-    Sys.ocaml_version repeats implementation;
-  (match aesni with
-  | Some r -> block_fields "aesni" r
-  | None ->
-      List.iter
-        (fun k -> field ("aesni_" ^ k) "null")
-        [ "ns_per_block"; "ns_per_block_min"; "ns_per_block_max"; "mb_per_s";
-          "minor_words_per_block" ]);
-  block_fields "ttable" tt;
-  ns_fields "reference" reference;
-  field "reference_mb_per_s" (num (mb_per_s ~bytes:16 reference.median));
-  field "ttable_speedup_vs_reference" (num (reference.median /. tt.median));
-  Printf.fprintf oc
-    "    \"speedup_vs_reference\": %.2f\n\
-    \  },\n\
-    \  \"cbc_cell\": {\n\
-    \    \"plaintext_bytes\": 24,\n\
-    \    \"encrypt_decrypt_ns_per_cell\": %.2f,\n\
-    \    \"encrypt_decrypt_ns_per_cell_min\": %.2f,\n\
-    \    \"encrypt_decrypt_ns_per_cell_max\": %.2f,\n\
-    \    \"mb_per_s\": %.2f,\n\
-    \    \"minor_words_per_op\": %.3f\n\
-    \  },\n\
-    \  \"bulk_path\": {\n\
-    \    \"cells\": %d,\n\
-    \    \"plaintext_bytes_per_cell\": %d,\n\
-    \    \"encrypt_decrypt_ns_per_cell\": %.2f,\n\
-    \    \"encrypt_decrypt_ns_per_cell_min\": %.2f,\n\
-    \    \"encrypt_decrypt_ns_per_cell_max\": %.2f,\n\
-    \    \"mb_per_s\": %.2f\n\
-    \  }\n\
-     }\n"
-    speedup cell_s.median cell_s.lo cell_s.hi
-    (mb_per_s ~bytes:(2 * cell_ct_bytes) cell_s.median)
-    cell_s.words path_cells path_pt_len (per_cell path_s.median) (per_cell path_s.lo)
-    (per_cell path_s.hi)
-    (mb_per_s ~bytes:(2 * path_ct_bytes) path_s.median);
-  close_out oc;
-  Printf.printf "  (written to BENCH_crypto.json)\n%!"
+  (* Machine-readable trajectory record (a full run rewrites the file). *)
+  Bench_util.write_bench_json opts "BENCH_crypto.json" (fun oc ->
+      let field name v = Printf.fprintf oc "    %S: %s,\n" name v in
+      let num x = Printf.sprintf "%.2f" x in
+      let ns_fields prefix r =
+        field (prefix ^ "_ns_per_block") (num r.median);
+        field (prefix ^ "_ns_per_block_min") (num r.lo);
+        field (prefix ^ "_ns_per_block_max") (num r.hi)
+      in
+      let block_fields prefix r =
+        ns_fields prefix r;
+        field (prefix ^ "_mb_per_s") (num (mb_per_s ~bytes:16 r.median));
+        field (prefix ^ "_minor_words_per_block") (Printf.sprintf "%.3f" r.words)
+      in
+      Printf.fprintf oc
+        "{\n\
+        \  \"schema\": \"sfdd-bench-crypto/2\",\n\
+        \  \"smoke\": %b,\n\
+        \  \"git_rev\": %S,\n\
+        \  \"host_cores\": %d,\n\
+        \  \"ocaml_version\": %S,\n\
+        \  \"repeats\": %d,\n\
+        \  \"implementation\": %S,\n\
+        \  \"aes_block\": {\n"
+        opts.Bench_util.smoke git_rev
+        (Domain.recommended_domain_count ())
+        Sys.ocaml_version repeats implementation;
+      (match aesni with
+      | Some r -> block_fields "aesni" r
+      | None ->
+          List.iter
+            (fun k -> field ("aesni_" ^ k) "null")
+            [ "ns_per_block"; "ns_per_block_min"; "ns_per_block_max"; "mb_per_s";
+              "minor_words_per_block" ]);
+      block_fields "ttable" tt;
+      ns_fields "reference" reference;
+      field "reference_mb_per_s" (num (mb_per_s ~bytes:16 reference.median));
+      field "ttable_speedup_vs_reference" (num (reference.median /. tt.median));
+      Printf.fprintf oc
+        "    \"speedup_vs_reference\": %.2f\n\
+        \  },\n\
+        \  \"cbc_cell\": {\n\
+        \    \"plaintext_bytes\": 24,\n\
+        \    \"encrypt_decrypt_ns_per_cell\": %.2f,\n\
+        \    \"encrypt_decrypt_ns_per_cell_min\": %.2f,\n\
+        \    \"encrypt_decrypt_ns_per_cell_max\": %.2f,\n\
+        \    \"mb_per_s\": %.2f,\n\
+        \    \"minor_words_per_op\": %.3f\n\
+        \  },\n\
+        \  \"bulk_path\": {\n\
+        \    \"cells\": %d,\n\
+        \    \"plaintext_bytes_per_cell\": %d,\n\
+        \    \"encrypt_decrypt_ns_per_cell\": %.2f,\n\
+        \    \"encrypt_decrypt_ns_per_cell_min\": %.2f,\n\
+        \    \"encrypt_decrypt_ns_per_cell_max\": %.2f,\n\
+        \    \"mb_per_s\": %.2f\n\
+        \  }\n\
+         }\n"
+        speedup cell_s.median cell_s.lo cell_s.hi
+        (mb_per_s ~bytes:(2 * cell_ct_bytes) cell_s.median)
+        cell_s.words path_cells path_pt_len (per_cell path_s.median) (per_cell path_s.lo)
+        (per_cell path_s.hi)
+        (mb_per_s ~bytes:(2 * path_ct_bytes) path_s.median))
 
 let run (opts : Bench_util.opts) =
   Bench_util.header "Crypto fast path (AES-NI / T-table AES + allocation-free cells)";

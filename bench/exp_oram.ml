@@ -129,11 +129,11 @@ let run_recursive ~capacity ~cache_levels ~accesses =
             else Oram.Recursive_path_oram.write o ~key:k (Relation.Codec.encode_int i)
           done))
 
-let run_linear ~capacity ~cache_levels ~accesses =
+let run_linear ~capacity ~accesses =
   let server = Servsim.Server.create () in
   let rng = Crypto.Rng.create 7 in
   let o =
-    Oram.Linear_oram.setup ~name:"bench" ~cache_levels
+    Oram.Linear_oram.setup ~name:"bench"
       { capacity; key_len = 8; payload_len = 8 }
       server (Lazy.force cipher) (Crypto.Rng.int rng)
   in
@@ -141,7 +141,7 @@ let run_linear ~capacity ~cache_levels ~accesses =
   for i = 0 to (capacity / 2) - 1 do
     Oram.Linear_oram.write o ~key:(key i) (Relation.Codec.encode_int i)
   done;
-  measure ~variant:"linear" ~capacity ~cache_levels ~path_levels:capacity ~accesses
+  measure ~variant:"linear" ~capacity ~cache_levels:0 ~path_levels:capacity ~accesses
     ~client_bytes:(Oram.Linear_oram.client_state_bytes o)
     (fun () ->
       deltas server (fun () ->
@@ -192,13 +192,8 @@ let run (opts : Bench_util.opts) =
           (fun capacity ->
             List.map (fun k -> run_recursive ~capacity ~cache_levels:k ~accesses) cache_sweep)
           rec_caps;
-        (* The linear scan ignores the flag; two points prove that. *)
-        List.concat_map
-          (fun capacity ->
-            List.map
-              (fun k -> run_linear ~capacity ~cache_levels:k ~accesses:(accesses / 4))
-              [ 0; 2 ])
-          lin_caps;
+        (* The linear scan has no cache: one row per capacity. *)
+        List.map (fun capacity -> run_linear ~capacity ~accesses:(accesses / 4)) lin_caps;
       ]
   in
   List.iter print_row rows;
@@ -247,17 +242,16 @@ let run (opts : Bench_util.opts) =
     r2.capacity (100.0 *. reduction);
   assert (reduction >= 0.30);
 
-  let oc = open_out "BENCH_oram.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"sfdd-bench-oram/1\",\n\
-    \  \"smoke\": %b,\n\
-    \  \"workload\": \"2/3 writes, 1/3 reads, uniform keys, warm tree\",\n\
-    \  \"recursive_bytes_reduction_at_k2\": %.3f,\n\
-    \  \"path_codec_minor_words_per_block\": %.2f,\n\
-    \  \"rows\": [\n"
-    opts.Bench_util.smoke reduction words_per_block;
-  List.iteri (fun i r -> json_row oc r ~last:(i = List.length rows - 1)) rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "  (written to BENCH_oram.json)\n%!"
+  Bench_util.write_bench_json opts "BENCH_oram.json" (fun oc ->
+      Printf.fprintf oc
+        "{\n\
+        \  \"schema\": \"sfdd-bench-oram/2\",\n\
+        \  \"smoke\": %b,\n\
+        \  \"workload\": \"2/3 writes, 1/3 reads, uniform keys, warm tree\",\n\
+        \  \"recursive_bytes_reduction_at_k2\": %.3f,\n\
+        \  \"block_decode_minor_words_per_block\": %.3f,\n\
+        \  \"path_access_minor_words_per_block\": %.2f,\n\
+        \  \"rows\": [\n"
+        opts.Bench_util.smoke reduction decode_words words_per_block;
+      List.iteri (fun i r -> json_row oc r ~last:(i = List.length rows - 1)) rows;
+      Printf.fprintf oc "  ]\n}\n")

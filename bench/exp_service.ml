@@ -219,28 +219,26 @@ let run (opts : Bench_util.opts) =
   let series =
     List.concat_map (fun backend -> sweep_backend ~backend ~counts ~depths ~ops) backends
   in
-  let oc = open_out "BENCH_service.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"sfdd-bench-service/3\",\n\
-    \  \"smoke\": %b,\n\
-    \  \"transport\": \"unix-domain socket\",\n\
-    \  \"host_cores\": %d,\n\
-    \  \"domains\": 1,\n\
-    \  \"ops_per_client\": %d,\n\
-    \  \"series\": [\n"
-    opts.smoke
-    (Domain.recommended_domain_count ())
-    ops;
-  List.iteri
-    (fun i (backend, clients, depth, ops_s, p50, p95, p99, spo) ->
+  Bench_util.write_bench_json opts "BENCH_service.json" (fun oc ->
       Printf.fprintf oc
-        "    { \"backend\": \"%s\", \"clients\": %d, \"pipeline_depth\": %d, \
-         \"ops_per_s\": %.0f, \"p50_us\": %.0f, \"p95_us\": %.0f, \"p99_us\": %.0f, \
-         \"syscalls_per_op\": %.3f }%s\n"
-        backend clients depth ops_s p50 p95 p99 spo
-        (if i = List.length series - 1 then "" else ","))
-    series;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "  (written to BENCH_service.json)\n%!"
+        "{\n\
+        \  \"schema\": \"sfdd-bench-service/3\",\n\
+        \  \"smoke\": %b,\n\
+        \  \"transport\": \"unix-domain socket\",\n\
+        \  \"host_cores\": %d,\n\
+        \  \"domains\": 1,\n\
+        \  \"ops_per_client\": %d,\n\
+        \  \"series\": [\n"
+        opts.smoke
+        (Domain.recommended_domain_count ())
+        ops;
+      List.iteri
+        (fun i (backend, clients, depth, ops_s, p50, p95, p99, spo) ->
+          Printf.fprintf oc
+            "    { \"backend\": \"%s\", \"clients\": %d, \"pipeline_depth\": %d, \
+             \"ops_per_s\": %.0f, \"p50_us\": %.0f, \"p95_us\": %.0f, \"p99_us\": %.0f, \
+             \"syscalls_per_op\": %.3f }%s\n"
+            backend clients depth ops_s p50 p95 p99 spo
+            (if i = List.length series - 1 then "" else ","))
+        series;
+      Printf.fprintf oc "  ]\n}\n")

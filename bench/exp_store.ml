@@ -141,28 +141,26 @@ let run (opts : Bench_util.opts) =
         tenants max_resident rounds
         (float_of_int total_ops /. wall)
         (us p50) (us p99) (us a50) (us a99);
-      let oc = open_out "BENCH_store.json" in
-      Printf.fprintf oc
-        "{\n\
-        \  \"schema\": \"sfdd-bench-store/1\",\n\
-        \  \"smoke\": %b,\n\
-        \  \"transport\": \"unix-domain socket\",\n\
-        \  \"tenants\": %d,\n\
-        \  \"max_resident\": %d,\n\
-        \  \"blocks_per_tenant\": %d,\n\
-        \  \"block_bytes\": %d,\n\
-        \  \"rounds\": %d,\n\
-        \  \"ops_per_visit\": %d,\n\
-        \  \"ops_per_s\": %.0f,\n\
-        \  \"op_p50_us\": %.0f,\n\
-        \  \"op_p95_us\": %.0f,\n\
-        \  \"op_p99_us\": %.0f,\n\
-        \  \"cold_attach_p50_us\": %.0f,\n\
-        \  \"cold_attach_p95_us\": %.0f,\n\
-        \  \"cold_attach_p99_us\": %.0f\n\
-         }\n"
-        opts.smoke tenants max_resident blocks block_len rounds ops_per_visit
-        (float_of_int total_ops /. wall)
-        (us p50) (us p95) (us p99) (us a50) (us a95) (us a99);
-      close_out oc;
-      Printf.printf "  (written to BENCH_store.json)\n%!")
+      Bench_util.write_bench_json opts "BENCH_store.json" (fun oc ->
+          Printf.fprintf oc
+            "{\n\
+            \  \"schema\": \"sfdd-bench-store/1\",\n\
+            \  \"smoke\": %b,\n\
+            \  \"transport\": \"unix-domain socket\",\n\
+            \  \"tenants\": %d,\n\
+            \  \"max_resident\": %d,\n\
+            \  \"blocks_per_tenant\": %d,\n\
+            \  \"block_bytes\": %d,\n\
+            \  \"rounds\": %d,\n\
+            \  \"ops_per_visit\": %d,\n\
+            \  \"ops_per_s\": %.0f,\n\
+            \  \"op_p50_us\": %.0f,\n\
+            \  \"op_p95_us\": %.0f,\n\
+            \  \"op_p99_us\": %.0f,\n\
+            \  \"cold_attach_p50_us\": %.0f,\n\
+            \  \"cold_attach_p95_us\": %.0f,\n\
+            \  \"cold_attach_p99_us\": %.0f\n\
+             }\n"
+            opts.smoke tenants max_resident blocks block_len rounds ops_per_visit
+            (float_of_int total_ops /. wall)
+            (us p50) (us p95) (us p99) (us a50) (us a95) (us a99)))

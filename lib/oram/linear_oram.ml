@@ -23,10 +23,7 @@ let block_pt_len cfg = 1 + cfg.key_len + cfg.payload_len
    body, which is also plenty for encoding the plaintext on the way out. *)
 let slot_stride cfg = (block_pt_len cfg / 16 * 16) + 16
 
-(* [cache_levels] is accepted for interface parity with the tree ORAMs
-   and ignored: a linear scan has no tree top to cache, and its trace
-   (the full store, every access) is already canonical. *)
-let setup ~name ?cache_levels:_ cfg server cipher _rand =
+let setup ~name cfg server cipher _rand =
   if cfg.capacity < 1 then invalid_arg "Linear_oram.setup: capacity must be >= 1";
   let store = Servsim.Server.create_store server name in
   Servsim.Block_store.ensure store cfg.capacity;

@@ -14,12 +14,9 @@ type config = {
   payload_len : int;
 }
 
-val setup :
-  name:string ->
-  ?cache_levels:int ->
-  config -> Servsim.Server.t -> Crypto.Cell_cipher.t -> (int -> int) -> t
-(** The random source is accepted for interface parity and unused, as is
-    [cache_levels] (a linear scan has no tree top to cache). *)
+val setup : name:string -> config -> Servsim.Server.t -> Crypto.Cell_cipher.t -> (int -> int) -> t
+(** The random source is accepted for parity with the tree ORAMs'
+    [setup] and unused. *)
 
 val access : t -> key:string -> (string option -> string option) -> string option [@@lint.declassify "ORAM boundary: the server-visible trace is independent of key and payload (audited in the implementation); results are the trusted client's own plaintext"]
 val dummy_access : t -> unit

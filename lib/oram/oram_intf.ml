@@ -10,7 +10,9 @@
 
     {!Path_oram} and {!Linear_oram} satisfy this signature (checked
     below); {!Recursive_path_oram} and {!Omap} have integer- and
-    budgeted-value-keyed variants of the same shape. *)
+    budgeted-value-keyed variants of the same shape.  Construction is not
+    part of it: each [setup] takes the parameters its structure needs
+    (a treetop-cache depth for the trees, nothing for the linear scan). *)
 
 module type S = sig
   type t
@@ -20,18 +22,6 @@ module type S = sig
     key_len : int;  (** fixed byte width of keys *)
     payload_len : int;  (** fixed byte width of values *)
   }
-
-  val setup :
-    name:string ->
-    ?cache_levels:int ->
-    config -> Servsim.Server.t -> Crypto.Cell_cipher.t -> (int -> int) -> t
-  (** [setup ~name cfg server cipher rand_int] initialises the
-      server-side encrypted memory in a block store called [name] and the
-      client-side secret state.  [rand_int bound] must return a uniform
-      integer in [[0, bound)].  [cache_levels] (default 0) asks for
-      treetop caching: the top k tree levels are held decrypted
-      client-side and accesses touch only the path suffix below them.
-      Constructions without a tree top (the linear scan) ignore it. *)
 
   val access : t -> key:string -> (string option -> string option) -> string option
   (** One oblivious access: the previous value bound to [key] (or [None])

@@ -1,0 +1,68 @@
+(** One PathORAM tree: the bucket layout (Z = 4 slots per bucket, heap
+    order in one block store), the stash, the treetop cache, the reused
+    plaintext path buffer, path fetch and greedy eviction.  Private to
+    the [oram] library: {!Path_oram} is one tree plus a client position
+    map, {!Recursive_path_oram} an array of trees each holding the
+    position map of the one below.
+
+    The tree never looks inside a block body; the caller's codec lays it
+    out and says which leaf each resident is assigned to. *)
+
+type ('k, 'v) codec = {
+  body_len : int;  (** fixed body width; a slot's plaintext is [flag | body] *)
+  encode : Bytes.t -> int -> 'k -> 'v -> unit;  (** write a body at an offset *)
+  decode : Bytes.t -> int -> 'k * 'v;  (** read a body back *)
+  leaf : 'k -> 'v -> int;  (** a resident's assigned leaf, or -1 if it has none *)
+}
+
+type ('k, 'v) t
+
+val create :
+  Servsim.Server.t ->
+  Crypto.Cell_cipher.t ->
+  name:string ->
+  capacity:int ->
+  cache_levels:int ->
+  stash_size:int ->
+  ('k, 'v) codec ->
+  ('k, 'v) t
+(** [create server cipher ~name ~capacity ~cache_levels ~stash_size codec]
+    builds a tree of [max 1 ⌈log2 capacity⌉] levels in a fresh store
+    [name], every slot an encrypted dummy.  [cache_levels] is clamped to
+    the tree height, so the leaf level always stays on the server.
+
+    [stash_size] is the stash table's initial size.  Eviction visits the
+    stash in [Hashtbl] order, so this size decides which residents each
+    bucket takes and hence every ciphertext: each variant passes its own
+    constant. *)
+
+val levels : ('k, 'v) t -> int
+(** Tree height L; the tree has 2^L leaves and 2^(L+1)-1 buckets. *)
+
+val leaves : ('k, 'v) t -> int
+val cache_levels : ('k, 'v) t -> int
+val store : ('k, 'v) t -> Servsim.Block_store.t
+
+val stash : ('k, 'v) t -> ('k, 'v) Hashtbl.t [@@secret]
+(** Decrypted residents between fetch and evict (and overflow after it). *)
+
+val resident_bytes : ('k, 'v) t -> int
+(** Client bytes of the stash plus the treetop cache, charged at its
+    capacity: [body_len] per stash entry and per cached slot. *)
+
+val fetch : ('k, 'v) t -> int -> unit
+(** [fetch t leaf] moves every resident of the path to [leaf] into the
+    stash: the cached levels with no I/O, the suffix in one batched read.
+    Raises [Invalid_argument] on a block that does not decrypt to a
+    well-formed slot. *)
+
+val evict : ('k, 'v) t -> int -> (int * string) list
+(** [evict t leaf] refills the path to [leaf] greedily, deepest bucket
+    first, from the stash.  Cached levels are refilled client-side; the
+    suffix slots are returned as (slot, ciphertext) writes, leaf to root,
+    for the caller to send. *)
+
+val checkpoint : ('k, 'v) t -> (int * string) list
+(** The cached slots, encrypted, as (slot, ciphertext) writes: sending
+    them makes the server-side tree a complete checkpoint.  Empty when
+    the cache is off. *)

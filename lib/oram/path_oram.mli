@@ -75,5 +75,5 @@ val stash_overflows : t -> int
 (** Number of accesses after which the stash exceeded {!stash_limit}. *)
 
 val access_count : t -> int
-(** Total physical accesses (including dummy accesses and setup writes are
-    excluded; one per {!access}/{!dummy_access} call). *)
+(** Physical accesses so far: one per {!access} and per {!dummy_access}
+    call.  Setup writes are not counted. *)

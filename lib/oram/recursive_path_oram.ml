@@ -1,11 +1,10 @@
-(* Recursive PathORAM.  Tree 0 holds the data blocks; tree i >= 1 holds
-   the position map of tree i-1, [fanout] positions per block; the top
-   map (positions of the last tree) is a small client-side array.
-
-   Block plaintext layout (uniform within a tree):
-     flag (1) | id (8) | leaf (8) | payload (payload_len)
-   The assigned leaf rides inside the block so eviction can place stash
-   residents without consulting the maps.
+(* Recursive PathORAM: "store the position map in a smaller Path ORAM".
+   Tree 0 holds the data blocks; tree i >= 1 holds the position map of
+   tree i-1, [fanout] positions per block; the top map (positions of the
+   last tree) is a small client-side array.  Every tree is one
+   {!Oram_tree} of [id | leaf | payload] blocks: the assigned leaf rides
+   inside the block so eviction can place stash residents without
+   consulting the maps.
 
    Treetop caching: with [cache_levels] = k > 0 every tree (data and map
    trees alike) keeps its top min(k, levels) levels decrypted
@@ -19,8 +18,6 @@
    trace, IV stream and ciphertexts are bit-identical to the pre-cache
    implementation. *)
 
-let z = 4
-
 type config = {
   capacity : int;
   payload_len : int;
@@ -28,26 +25,12 @@ type config = {
   top_cutoff : int;
 }
 
-type tree = {
-  store : Servsim.Block_store.t;
-  name : string;
-  levels : int;
-  leaves : int;
-  payload_len : int; (* payload bytes for this tree's blocks *)
-  stash : (int, int * Bytes.t) Hashtbl.t; [@secret] (* id -> (leaf, payload) plaintext *)
-  cache_levels : int; (* effective k for this tree: min(requested, levels) *)
-  topcache : (int * int * Bytes.t) option array; [@secret]
-      (* (2^k - 1) * z slots: decrypted (id, leaf, payload) residents of
-         the cached buckets *)
-  pbuf : Bytes.t; [@secret] (* reused plaintext path buffer *)
-}
-
 type t = {
   cfg : config;
   server : Servsim.Server.t;
-  cipher : Crypto.Cell_cipher.t;
   rand_int : int -> int;
-  trees : tree array; (* trees.(0) = data; trees.(i) = map of tree i-1 *)
+  trees : (int, int * Bytes.t) Oram_tree.t array;
+      (* trees.(0) = data; trees.(i) = map of tree i-1; id -> (leaf, payload) *)
   top : int array; (* positions of the last tree's blocks *)
   session_name : string;
   defer : bool; (* cache on: defer evictions into one Scatter_put per access *)
@@ -58,52 +41,25 @@ type t = {
 
 let invalid_pos = -1
 
-let ceil_log2 n =
-  let rec go acc v = if v >= n then acc else go (acc + 1) (v * 2) in
-  go 0 1
-
-let block_pt_len tree = 1 + 8 + 8 + tree.payload_len
-let slot_stride tree = (block_pt_len tree / 16 * 16) + 16
-
-let node_at tree ~leaf ~lev = (1 lsl lev) - 1 + (leaf lsr (tree.levels - lev))
-
-let make_tree server cipher ~name ~capacity ~payload_len ~cache_levels =
-  let levels = max 1 (ceil_log2 capacity) in
-  let leaves = 1 lsl levels in
-  let buckets = (2 * leaves) - 1 in
-  let store = Servsim.Server.create_store server name in
-  Servsim.Block_store.ensure store (buckets * z);
-  (* Clamp per tree so the leaf level always stays on the server. *)
-  let cache_levels = min cache_levels levels in
-  let tree =
-    {
-      store;
-      name;
-      levels;
-      leaves;
-      payload_len;
-      stash = Hashtbl.create 32;
-      cache_levels;
-      topcache = Array.make (((1 lsl cache_levels) - 1) * z) None;
-      pbuf = Bytes.create ((levels + 1) * z * (((1 + 8 + 8 + payload_len) / 16 * 16) + 16));
-    }
-  in
-  let dummy = String.make (block_pt_len tree) '\000' in
-  let cts = Crypto.Cell_cipher.encrypt_many cipher (List.init (buckets * z) (fun _ -> dummy)) in
-  Servsim.Block_store.write_many store (List.mapi (fun slot ct -> (slot, ct)) cts);
-  tree
+let codec payload_len =
+  {
+    Oram_tree.body_len = 8 + 8 + payload_len;
+    encode =
+      (fun buf off id (l, payload) ->
+        Relation.Codec.put_int64 buf off (Int64.of_int id);
+        Relation.Codec.put_int64 buf (off + 8) (Int64.of_int l);
+        Bytes.blit payload 0 buf (off + 16) payload_len);
+    decode =
+      (fun buf off ->
+        ( Int64.to_int (Relation.Codec.get_int64_bytes buf off),
+          ( Int64.to_int (Relation.Codec.get_int64_bytes buf (off + 8)),
+            Bytes.sub buf (off + 16) payload_len ) ));
+    leaf = (fun _ (l, _) -> l);
+  }
 
 let client_state_bytes t =
-  let per_tree =
-    Array.fold_left
-      (fun acc tree ->
-        acc
-        + (Hashtbl.length tree.stash * (16 + tree.payload_len))
-        (* treetop cache charged at capacity, like the path ORAM's *)
-        + (Array.length tree.topcache * (16 + tree.payload_len)))
-      0 t.trees
-  in
-  (Array.length t.top * 8) + per_tree
+  Array.fold_left (fun acc tree -> acc + Oram_tree.resident_bytes tree) (Array.length t.top * 8)
+    t.trees
 
 let sync_client_cost t =
   Servsim.Cost.client_set (Servsim.Server.cost t.server) ~tag:t.session_name
@@ -127,19 +83,17 @@ let setup ~name ?(cache_levels = 0) cfg server cipher rand_int =
   let trees =
     Array.init ntrees (fun i ->
         let payload_len = if i = 0 then cfg.payload_len else cfg.fanout * 8 in
-        make_tree server cipher
+        Oram_tree.create server cipher
           ~name:(Printf.sprintf "%s-t%d" name i)
-          ~capacity:sizes.(i) ~payload_len ~cache_levels)
+          ~capacity:sizes.(i) ~cache_levels ~stash_size:32 (codec payload_len))
   in
-  let top_size = sizes.(ntrees - 1) in
   let t =
     {
       cfg;
       server;
-      cipher;
       rand_int;
       trees;
-      top = Array.make top_size invalid_pos;
+      top = Array.make sizes.(ntrees - 1) invalid_pos;
       session_name = name;
       defer = cache_levels > 0;
       pending = [];
@@ -149,136 +103,13 @@ let setup ~name ?(cache_levels = 0) cfg server cipher rand_int =
   if cache_levels > 0 then sync_client_cost t;
   t
 
-(* Slots of the path suffix (levels [tree.cache_levels]..L) to [leaf],
-   root to leaf — the whole path, in the per-slot loop order, with the
-   cache off. *)
-let path_slots tree leaf =
-  List.concat_map
-    (fun i ->
-      let lev = tree.cache_levels + i in
-      let bucket = node_at tree ~leaf ~lev in
-      List.init z (fun s -> (bucket * z) + s))
-    (List.init (tree.levels + 1 - tree.cache_levels) Fun.id)
-
-(* One batched round trip per path fetch (a single Multi_get frame),
-   decrypted into the tree's reused path buffer; cached levels move
-   their residents to the stash with no I/O. *)
-let fetch_path t tree leaf =
-  for lev = 0 to tree.cache_levels - 1 do
-    let bucket = node_at tree ~leaf ~lev in
-    for s = 0 to z - 1 do
-      let j = (bucket * z) + s in
-      (match
-         (tree.topcache.(j)
-         [@lint.declassify
-           "client-local treetop cache refill: every resident of the cached path \
-            buckets moves to the stash; no server I/O is involved"])
-       with
-      | None -> ()
-      | Some (id, l, payload) -> Hashtbl.replace tree.stash id (l, payload));
-      tree.topcache.(j) <- None
-    done
-  done;
-  let pt_len = block_pt_len tree in
-  let stride = slot_stride tree in
-  List.iteri
-    (fun j ct ->
-      let off = j * stride in
-      if
-        Crypto.Cell_cipher.decrypt_to t.cipher ct
-          (tree.pbuf
-          [@lint.declassify
-            "client-local CBC unpadding branches on decrypted plaintext inside the \
-             trusted client; the server-visible trace is the fixed path-slot schedule"])
-          off
-        <> pt_len
-      then invalid_arg "Recursive_path_oram: corrupt block";
-      if
-        ((Bytes.get tree.pbuf off = '\001')
-        [@lint.declassify
-          "client-local stash refill: every block of the fetched path is decoded; \
-           the trace is the fixed path-slot schedule"])
-      then begin
-        let id = Int64.to_int (Relation.Codec.get_int64_bytes tree.pbuf (off + 1)) in
-        let l = Int64.to_int (Relation.Codec.get_int64_bytes tree.pbuf (off + 9)) in
-        let payload = Bytes.sub tree.pbuf (off + 17) tree.payload_len in
-        Hashtbl.replace tree.stash id (l, payload)
-      end)
-    (Servsim.Block_store.read_many tree.store (path_slots tree leaf))
-
-(* Greedy eviction along the path to [leaf], deepest buckets first:
-   suffix blocks are encoded into the path buffer and encrypted out of it
-   in the same leaf-to-root slot order — and the same IV stream — the
-   per-slot loop used; cached levels are refilled client-side.  Returns
-   the suffix (slot, ciphertext) writes instead of performing them, so
-   the caller can either flush immediately (cache off: one Multi_put per
-   tree, the historical wire schedule) or defer the whole access into a
+(* The suffix writes go out at once with the cache off (one Multi_put per
+   tree, the historical wire schedule) or are deferred into the access's
    single cross-store Scatter_put. *)
-let evict_collect t tree leaf =
-  let pt_len = block_pt_len tree in
-  let stride = slot_stride tree in
-  let k = tree.cache_levels in
-  let nsuffix = (tree.levels + 1 - k) * z in
-  let slots = Array.make nsuffix 0 in
-  let idx = ref 0 in
-  for lev = tree.levels downto 0 do
-    let bucket = node_at tree ~leaf ~lev in
-    let chosen = ref [] in
-    let count = ref 0 in
-    (try
-       Hashtbl.iter
-         (fun id (l, payload) ->
-           if !count >= z then raise Exit;
-           if
-             ((node_at tree ~leaf:l ~lev = bucket)
-             [@lint.declassify
-               "greedy eviction fills the fetched path's fixed Z slots per bucket; the \
-                written slot set is the whole path regardless of the choice"])
-           then begin
-             chosen := (id, l, payload) :: !chosen;
-             incr count
-           end)
-         tree.stash
-     with Exit -> ());
-    List.iter (fun (id, _, _) -> Hashtbl.remove tree.stash id) !chosen;
-    let blocks = Array.make z None in
-    List.iteri (fun i b -> blocks.(i) <- Some b) !chosen;
-    if lev >= k then
-      for s = 0 to z - 1 do
-        let off = !idx * stride in
-        Bytes.fill tree.pbuf off pt_len '\000';
-        (match
-           (blocks.(s)
-           [@lint.declassify
-             "eviction writes all Z slots of every path bucket: dummy vs resident \
-              only changes the encrypted plaintext, never the slot schedule"])
-         with
-        | None -> ()
-        | Some (id, l, payload) ->
-            Bytes.set tree.pbuf off '\001';
-            Relation.Codec.put_int64 tree.pbuf (off + 1) (Int64.of_int id);
-            Relation.Codec.put_int64 tree.pbuf (off + 9) (Int64.of_int l);
-            Bytes.blit payload 0 tree.pbuf (off + 17) tree.payload_len);
-        slots.(!idx) <- (bucket * z) + s;
-        incr idx
-      done
-    else
-      for s = 0 to z - 1 do
-        tree.topcache.((bucket * z) + s) <- blocks.(s)
-      done
-  done;
-  let ct_len = Crypto.Cell_cipher.ciphertext_len ~plaintext_len:pt_len in
-  List.init nsuffix (fun j ->
-      let ct = Bytes.create ct_len in
-      let _ = Crypto.Cell_cipher.encrypt_from t.cipher tree.pbuf ~off:(j * stride) ~len:pt_len ct 0 in
-      (* [ct] is freshly allocated and never written again: freezing it
-         avoids one copy per block. *)
-      (slots.(j), (Bytes.unsafe_to_string ct [@lint.allow "R2:bytes-unsafe"])))
-
-let evict_path t tree leaf =
-  let items = evict_collect t tree leaf in
-  if t.defer then t.pending <- (tree.store, items) :: t.pending
-  else Servsim.Block_store.write_many tree.store items
+let evict t tree leaf =
+  let items = Oram_tree.evict tree leaf in
+  if t.defer then t.pending <- (Oram_tree.store tree, items) :: t.pending
+  else Servsim.Block_store.write_many (Oram_tree.store tree) items
 
 (* Flush the access's deferred evictions: all trees' path suffixes in one
    cross-store frame, groups in eviction order (deepest map tree first,
@@ -301,7 +132,7 @@ let rec update_position t ~lvl ~idx ~new_leaf =
   else begin
     let tree = t.trees.(lvl) in
     let blk = idx / t.cfg.fanout and slot = idx mod t.cfg.fanout in
-    let my_new = t.rand_int tree.leaves in
+    let my_new = t.rand_int (Oram_tree.leaves tree) in
     let my_old = update_position t ~lvl:(lvl + 1) ~idx:blk ~new_leaf:my_new in
     let my_old =
       if
@@ -309,17 +140,17 @@ let rec update_position t ~lvl ~idx ~new_leaf =
         [@lint.declassify
           "fresh map blocks get a uniformly random leaf, so the fetched leaf is \
            uniform either way; the trace is one path fetch"])
-      then t.rand_int tree.leaves
+      then t.rand_int (Oram_tree.leaves tree)
       else my_old
     in
-    fetch_path t tree
+    Oram_tree.fetch tree
       (my_old
       [@lint.declassify
         "Path ORAM invariant: the fetched leaf is uniformly random and independent \
          of the access sequence"]);
     let payload =
       match
-        (Hashtbl.find_opt tree.stash blk
+        (Hashtbl.find_opt (Oram_tree.stash tree) blk
         [@lint.declassify
           "client-local stash lookup; both branches produce the same single \
            fetch/evict of one path"])
@@ -327,7 +158,7 @@ let rec update_position t ~lvl ~idx ~new_leaf =
       | Some (_, payload) -> payload
       | None ->
           (* Fresh map block: all positions invalid. *)
-          let b = Bytes.create tree.payload_len in
+          let b = Bytes.create (t.cfg.fanout * 8) in
           for s = 0 to t.cfg.fanout - 1 do
             Relation.Codec.put_int64 b (s * 8) (Int64.of_int invalid_pos)
           done;
@@ -335,8 +166,8 @@ let rec update_position t ~lvl ~idx ~new_leaf =
     in
     let old = Int64.to_int (Relation.Codec.get_int64_bytes payload (slot * 8)) in
     Relation.Codec.put_int64 payload (slot * 8) (Int64.of_int new_leaf);
-    Hashtbl.replace tree.stash blk (my_new, payload);
-    evict_path t tree
+    Hashtbl.replace (Oram_tree.stash tree) blk (my_new, payload);
+    evict t tree
       (my_old
       [@lint.declassify
         "Path ORAM invariant: the fetched leaf is uniformly random and independent \
@@ -348,7 +179,8 @@ let access t ~key update =
   if key < 0 || key >= t.cfg.capacity then
     invalid_arg "Recursive_path_oram.access: key out of [0, capacity)";
   let data = t.trees.(0) in
-  let new_leaf = t.rand_int data.leaves in
+  let stash = Oram_tree.stash data in
+  let new_leaf = t.rand_int (Oram_tree.leaves data) in
   let old_leaf = update_position t ~lvl:1 ~idx:key ~new_leaf in
   let old_leaf =
     if
@@ -356,16 +188,16 @@ let access t ~key update =
       [@lint.declassify
         "fresh blocks get a uniformly random leaf, so the fetched leaf is uniform \
          either way; the trace is one path fetch"])
-    then t.rand_int data.leaves
+    then t.rand_int (Oram_tree.leaves data)
     else old_leaf
   in
-  fetch_path t data
+  Oram_tree.fetch data
     (old_leaf
     [@lint.declassify
       "Path ORAM invariant: the fetched leaf is uniformly random and independent \
        of the access sequence"]);
   let old =
-    (Option.map (fun (_, p) -> Bytes.to_string p) (Hashtbl.find_opt data.stash key)
+    (Option.map (fun (_, p) -> Bytes.to_string p) (Hashtbl.find_opt stash key)
     [@lint.declassify
       "client-local stash hit check; the surrounding fetch/evict trace is one full \
        path either way"])
@@ -375,11 +207,11 @@ let access t ~key update =
       if String.length v <> t.cfg.payload_len then
         invalid_arg "Recursive_path_oram.access: bad payload length";
       if old = None then t.live <- t.live + 1;
-      Hashtbl.replace data.stash key (new_leaf, Bytes.of_string v)
+      Hashtbl.replace stash key (new_leaf, Bytes.of_string v)
   | None ->
       if old <> None then t.live <- t.live - 1;
-      Hashtbl.remove data.stash key);
-  evict_path t data
+      Hashtbl.remove stash key);
+  evict t data
     (old_leaf
     [@lint.declassify
       "Path ORAM invariant: the fetched leaf is uniformly random and independent \
@@ -398,39 +230,16 @@ let remove t ~key = ignore (access t ~key (fun _ -> None))
    client-side).  The caches stay authoritative.  A no-op with the cache
    off. *)
 let flush t =
-  let groups =
-    Array.to_list t.trees
-    |> List.map (fun tree ->
-           let n = Array.length tree.topcache in
-           let pt_len = block_pt_len tree in
-           let ct_len = Crypto.Cell_cipher.ciphertext_len ~plaintext_len:pt_len in
-           ( tree.store,
-             List.init n (fun j ->
-                 Bytes.fill tree.pbuf 0 pt_len '\000';
-                 (match
-                    (tree.topcache.(j)
-                    [@lint.declassify
-                      "flush writes every cached slot, resident or dummy: the written \
-                       slot set is the fixed cache prefix regardless of contents"])
-                  with
-                 | None -> ()
-                 | Some (id, l, payload) ->
-                     Bytes.set tree.pbuf 0 '\001';
-                     Relation.Codec.put_int64 tree.pbuf 1 (Int64.of_int id);
-                     Relation.Codec.put_int64 tree.pbuf 9 (Int64.of_int l);
-                     Bytes.blit payload 0 tree.pbuf 17 tree.payload_len);
-                 let ct = Bytes.create ct_len in
-                 let _ = Crypto.Cell_cipher.encrypt_from t.cipher tree.pbuf ~off:0 ~len:pt_len ct 0 in
-                 (j, (Bytes.unsafe_to_string ct [@lint.allow "R2:bytes-unsafe"]))) ))
-  in
-  Servsim.Block_store.write_scatter groups
+  Servsim.Block_store.write_scatter
+    (Array.to_list t.trees
+    |> List.map (fun tree -> (Oram_tree.store tree, Oram_tree.checkpoint tree)))
 
 let recursion_depth t = Array.length t.trees
 
-let cache_levels t = Array.fold_left (fun acc tree -> max acc tree.cache_levels) 0 t.trees
+let cache_levels t = Array.fold_left (fun acc tree -> max acc (Oram_tree.cache_levels tree)) 0 t.trees
 
 let live_blocks t = t.live
 
 let destroy t =
-  Array.iter (fun tree -> Servsim.Server.drop_store t.server tree.name) t.trees;
+  Array.iter (fun tree -> Servsim.Server.drop_store t.server (Servsim.Block_store.name (Oram_tree.store tree))) t.trees;
   Servsim.Cost.client_set (Servsim.Server.cost t.server) ~tag:t.session_name 0

@@ -43,25 +43,48 @@ let test_truncated_ciphertext_rejected () =
         | _ -> false))
     [ ""; "short"; String.make 31 'x'; String.make 40 'y' ]
 
+(* Corrupt every slot of an ORAM's stores after one write: the next
+   access must fail loudly, for both tree variants. *)
 let test_oram_corruption_detected () =
-  let server = Servsim.Server.create () in
-  let cipher = Crypto.Cell_cipher.create (String.make 16 'K') in
-  let rng = Crypto.Rng.create 3 in
-  let o =
-    Oram.Path_oram.setup ~name:"o" { capacity = 16; key_len = 8; payload_len = 8 } server
-      cipher (Crypto.Rng.int rng)
+  let corrupt_all server =
+    List.iter
+      (fun name ->
+        let store = Servsim.Server.find_store server name in
+        for i = 0 to Servsim.Block_store.length store - 1 do
+          Servsim.Block_store.write store i (String.make 64 'Z')
+        done)
+      (Servsim.Server.store_names server)
   in
-  Oram.Path_oram.write o ~key:(Codec.encode_int 1) (Codec.encode_int 1);
-  let store = Servsim.Server.find_store server "o" in
-  (* Corrupt every slot: any subsequent access must fail loudly. *)
-  for i = 0 to Servsim.Block_store.length store - 1 do
-    Servsim.Block_store.write store i (String.make 64 'Z')
-  done;
-  Alcotest.(check bool) "detected" true
-    (match Oram.Path_oram.read o ~key:(Codec.encode_int 1) with
-    | exception Invalid_argument _ -> true
-    | exception Failure _ -> true
-    | _ -> false)
+  let path server cipher rand =
+    let o =
+      Oram.Path_oram.setup ~name:"o" { capacity = 16; key_len = 8; payload_len = 8 } server
+        cipher rand
+    in
+    Oram.Path_oram.write o ~key:(Codec.encode_int 1) (Codec.encode_int 1);
+    fun () -> Oram.Path_oram.read o ~key:(Codec.encode_int 1)
+  in
+  let recursive server cipher rand =
+    let o =
+      Oram.Recursive_path_oram.setup ~name:"o"
+        { capacity = 64; payload_len = 8; fanout = 4; top_cutoff = 4 }
+        server cipher rand
+    in
+    Oram.Recursive_path_oram.write o ~key:1 (Codec.encode_int 1);
+    fun () -> Oram.Recursive_path_oram.read o ~key:1
+  in
+  List.iter
+    (fun (variant, setup) ->
+      let server = Servsim.Server.create () in
+      let cipher = Crypto.Cell_cipher.create (String.make 16 'K') in
+      let rng = Crypto.Rng.create 3 in
+      let read = setup server cipher (Crypto.Rng.int rng) in
+      corrupt_all server;
+      Alcotest.(check bool) (variant ^ " detected") true
+        (match read () with
+        | exception Invalid_argument _ -> true
+        | exception Failure _ -> true
+        | _ -> false))
+    [ ("path", path); ("recursive", recursive) ]
 
 let test_csv_malformed () =
   List.iter
