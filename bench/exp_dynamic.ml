@@ -40,31 +40,9 @@ let tmp_dir prefix =
   path
 
 let with_daemon ~data_dir f =
-  let path = Filename.temp_file "dyn-bench" ".sock" in
-  Sys.remove path;
-  let daemon =
-    Service.Daemon.create
-      { Service.Daemon.default_config with
-        unix_path = Some path;
-        max_conns = 32;
-        domains = 1;
-        data_dir = Some data_dir }
-  in
-  let th = Thread.create Service.Daemon.run daemon in
-  let rec await tries =
-    if not (Sys.file_exists path) then
-      if tries = 0 then failwith "dynamic bench daemon did not come up"
-      else begin
-        Unix.sleepf 0.02;
-        await (tries - 1)
-      end
-  in
-  await 200;
-  Fun.protect
-    ~finally:(fun () ->
-      Service.Daemon.stop daemon;
-      Thread.join th)
-    (fun () -> f path)
+  Service.Daemon.with_local
+    ~config:{ Service.Daemon.default_config with max_conns = 32; data_dir = Some data_dir }
+    (fun path _ -> f path)
 
 (* One operation of a tenant's stream.  [Del] carries a raw draw that
    both runners reduce mod the current live count, so the choice of

@@ -99,13 +99,13 @@ let tests =
             Core.Ex_oram_method.delete h ~row:id));
   ]
 
-(* Wire protocol v2: frames per PathORAM access over a real forked server
-   process.  v1 sent one synchronous frame per block — 2·(levels+1)·Z of
-   them per access; v2 batches the whole path into one Multi_get plus one
-   Multi_put. *)
+(* Wire protocol v2: frames per PathORAM access over a real Unix socket
+   to an in-process daemon.  v1 sent one synchronous frame per block —
+   2·(levels+1)·Z of them per access; v2 batches the whole path into one
+   Multi_get plus one Multi_put. *)
 let remote_frames_report ~accesses () =
-  let fd, pid = Servsim.Remote_server.fork_server () in
-  let conn = Servsim.Remote.connect_fd ~pid fd in
+  Service.Daemon.with_local @@ fun path _ ->
+  let conn = Servsim.Remote.connect_unix path in
   Fun.protect
     ~finally:(fun () -> Servsim.Remote.close conn)
     (fun () ->

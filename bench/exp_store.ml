@@ -30,34 +30,6 @@ let tmp_dir prefix =
   Unix.mkdir path 0o700;
   path
 
-let with_store_daemon ~max_resident ~data_dir f =
-  let path = Filename.temp_file "store-bench" ".sock" in
-  Sys.remove path;
-  let daemon =
-    Service.Daemon.create
-      { Service.Daemon.default_config with
-        unix_path = Some path;
-        max_conns = 16;
-        domains = 1;
-        data_dir = Some data_dir;
-        max_resident }
-  in
-  let th = Thread.create Service.Daemon.run daemon in
-  let rec await tries =
-    if not (Sys.file_exists path) then
-      if tries = 0 then failwith "store bench daemon did not come up"
-      else begin
-        Unix.sleepf 0.02;
-        await (tries - 1)
-      end
-  in
-  await 200;
-  Fun.protect
-    ~finally:(fun () ->
-      Service.Daemon.stop daemon;
-      Thread.join th)
-    (fun () -> f path)
-
 let ns_of i = Printf.sprintf "store-tenant-%03d" i
 
 let expect_ok = function
@@ -115,7 +87,13 @@ let run (opts : Bench_util.opts) =
     (fun () ->
       let attach_lats = ref [] and op_lats = ref [] in
       let wall =
-        with_store_daemon ~max_resident ~data_dir (fun path ->
+        Service.Daemon.with_local
+          ~config:
+            { Service.Daemon.default_config with
+              max_conns = 16;
+              data_dir = Some data_dir;
+              max_resident }
+          (fun path _ ->
             seed ~path ~tenants ~blocks;
             let t0 = Unix.gettimeofday () in
             for _round = 1 to rounds do

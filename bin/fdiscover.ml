@@ -71,15 +71,14 @@ let run dataset csv rows seed method_name max_lhs cache_levels enclave baseline 
       | None ->
           let discover_once () =
             if enclave then Core.Enclave.discover ~seed ?max_lhs table
-            else if remote then begin
-              let fd, pid = Servsim.Remote_server.fork_server () in
-              let conn = Servsim.Remote.connect_fd ~pid fd in
-              Fun.protect
-                ~finally:(fun () -> Servsim.Remote.close conn)
-                (fun () ->
-                  Core.Protocol.discover ~seed ?max_lhs ~remote:conn
-                    ~oram_cache_levels:cache_levels (method_of_string method_name) table)
-            end
+            else if remote then
+              Service.Daemon.with_local (fun path _ ->
+                  let conn = Servsim.Remote.connect_unix path in
+                  Fun.protect
+                    ~finally:(fun () -> Servsim.Remote.close conn)
+                    (fun () ->
+                      Core.Protocol.discover ~seed ?max_lhs ~remote:conn
+                        ~oram_cache_levels:cache_levels (method_of_string method_name) table))
             else
               Core.Protocol.discover ~seed ?max_lhs ~oram_cache_levels:cache_levels
                 (method_of_string method_name) table
@@ -87,7 +86,7 @@ let run dataset csv rows seed method_name max_lhs cache_levels enclave baseline 
           let report = discover_once () in
           Format.printf "Secure FD discovery (%s%s%s): %d minimal FDs.@."
             (if enclave then "enclave " else "")
-            (if remote && not enclave then "remote-process " else "")
+            (if remote && not enclave then "remote " else "")
             (if enclave then "Sort" else method_name)
             (List.length report.Core.Protocol.fds);
           print_fds report.Core.Protocol.fds;
@@ -153,7 +152,8 @@ let epsilon =
 let remote =
   Arg.(value & flag
        & info [ "remote" ]
-           ~doc:"Fork a real server process and run the protocol over a Unix socketpair.")
+           ~doc:"Serve the protocol from the block-service daemon on a temporary Unix \
+                 socket (in a background thread) and run every block access over it.")
 
 let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print cost accounting.")
 
@@ -167,6 +167,4 @@ let cmd =
     Term.(ret (const run $ dataset $ csv $ rows $ seed $ method_name $ max_lhs $ cache_levels
                $ enclave $ baseline $ det_baseline $ epsilon $ remote $ verbose $ debug))
 
-let () =
-  Servsim.Remote_server.maybe_serve_child ();
-  exit (Cmd.eval cmd)
+let () = exit (Cmd.eval cmd)

@@ -63,49 +63,59 @@ let serve unix_path tcp max_conns idle_timeout drain_grace domains backend data_
    worker domains so `dune runtest` exercises the sharded path.  Used
    from `dune runtest`. *)
 let selftest_with ~domains ~backend =
-  let path = Filename.temp_file "fdserved" ".sock" in
-  Sys.remove path;
-  let daemon =
-    Service.Daemon.create
-      { Service.Daemon.default_config with
-        unix_path = Some path;
-        drain_grace = 10.;
-        domains;
-        backend }
-  in
-  let th = Thread.create Service.Daemon.run daemon in
   let fail fmt = Printf.ksprintf (fun m -> failwith ("selftest: " ^ m)) fmt in
   let check name cond = if not cond then fail "%s" name in
-  Fun.protect
-    ~finally:(fun () ->
-      Service.Daemon.stop daemon;
-      Thread.join th)
-    (fun () ->
-      let open Servsim in
-      let a = Remote.connect_unix ~namespace:"alice" path in
-      let b = Remote.connect_unix ~namespace:"bob" path in
-      Remote.ping a;
-      Remote.ping b;
-      let setup conn fill =
-        check "create" (Remote.call conn (Wire.Create_store "blocks") = Wire.Ok);
-        check "ensure" (Remote.call conn (Wire.Ensure ("blocks", 8)) = Wire.Ok);
-        check "put" (Remote.call conn (Wire.Put ("blocks", 3, String.make 64 fill)) = Wire.Ok)
-      in
-      setup a 'A';
-      setup b 'B';
-      check "tenant isolation"
-        (Remote.call a (Wire.Get ("blocks", 3)) <> Remote.call b (Wire.Get ("blocks", 3)));
-      let stats = Remote.stats a in
-      check "stats frames" (stats.Wire.frames = Remote.frames a);
-      check "stats sessions" (stats.Wire.sessions = 2);
-      Remote.close b;
-      (* b is gone; a must still be served. *)
-      check "a alive after b closed"
-        (Remote.call a (Wire.Get ("blocks", 3)) = Wire.Value (String.make 64 'A'));
-      Remote.close a);
+  let daemon =
+    Service.Daemon.with_local
+      ~config:{ Service.Daemon.default_config with drain_grace = 10.; domains; backend }
+      (fun path daemon ->
+        let open Servsim in
+        let a = Remote.connect_unix ~namespace:"alice" path in
+        let b = Remote.connect_unix ~namespace:"bob" path in
+        Remote.ping a;
+        Remote.ping b;
+        let setup conn fill =
+          check "create" (Remote.call conn (Wire.Create_store "blocks") = Wire.Ok);
+          check "ensure" (Remote.call conn (Wire.Ensure ("blocks", 8)) = Wire.Ok);
+          check "put" (Remote.call conn (Wire.Put ("blocks", 3, String.make 64 fill)) = Wire.Ok)
+        in
+        setup a 'A';
+        setup b 'B';
+        check "tenant isolation"
+          (Remote.call a (Wire.Get ("blocks", 3)) <> Remote.call b (Wire.Get ("blocks", 3)));
+        let stats = Remote.stats a in
+        check "stats frames" (stats.Wire.frames = Remote.frames a);
+        check "stats sessions" (stats.Wire.sessions = 2);
+        Remote.close b;
+        (* b is gone; a must still be served. *)
+        check "a alive after b closed"
+          (Remote.call a (Wire.Get ("blocks", 3)) = Wire.Value (String.make 64 'A'));
+        Remote.close a;
+        daemon)
+  in
   check "drained" (Service.Daemon.live_conns daemon = 0);
   Printf.printf "fdserved selftest (domains=%d, backend=%s): OK\n%!" domains
     (Service.Evloop.to_string backend)
+
+(* A selftest daemon on a temporary socket, in memory or backed by
+   [data_dir]; [f] gets the socket path. *)
+let with_daemon ~data_dir f =
+  Service.Daemon.with_local
+    ~config:{ Service.Daemon.default_config with drain_grace = 10.; data_dir }
+    (fun path _ -> f path)
+
+let fresh_data_dir () =
+  let p = Filename.temp_file "fdserved" ".data" in
+  Sys.remove p;
+  p
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
 
 (* Persistence smoke test: the same op sequence served (a) by one
    uninterrupted in-memory daemon across a client reconnect and (b) by a
@@ -116,19 +126,6 @@ let selftest_persist () =
   let open Servsim in
   let fail fmt = Printf.ksprintf (fun m -> failwith ("selftest-persist: " ^ m)) fmt in
   let check name cond = if not cond then fail "%s" name in
-  let fresh_path suffix =
-    let p = Filename.temp_file "fdserved" suffix in
-    Sys.remove p;
-    p
-  in
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
   let batch_a conn =
     check "create" (Remote.call conn (Wire.Create_store "blocks") = Wire.Ok);
     check "ensure" (Remote.call conn (Wire.Ensure ("blocks", 16)) = Wire.Ok);
@@ -146,22 +143,6 @@ let selftest_persist () =
     let digests = Remote.server_digests conn in
     (digests, stats.Wire.frames)
   in
-  let with_daemon ~data_dir f =
-    let path = fresh_path ".sock" in
-    let daemon =
-      Service.Daemon.create
-        { Service.Daemon.default_config with
-          unix_path = Some path;
-          drain_grace = 10.;
-          data_dir }
-    in
-    let th = Thread.create Service.Daemon.run daemon in
-    Fun.protect
-      ~finally:(fun () ->
-        Service.Daemon.stop daemon;
-        Thread.join th)
-      (fun () -> f path)
-  in
   (* Reference: one daemon, two sequential connections. *)
   let reference =
     with_daemon ~data_dir:None (fun path ->
@@ -174,7 +155,7 @@ let selftest_persist () =
         r)
   in
   (* Disk-backed: same ops, but the daemon restarts between connections. *)
-  let data_dir = fresh_path ".data" in
+  let data_dir = fresh_data_dir () in
   Fun.protect
     ~finally:(fun () -> rm_rf data_dir)
     (fun () ->
@@ -202,19 +183,6 @@ let selftest_dynamic () =
   let open Servsim in
   let fail fmt = Printf.ksprintf (fun m -> failwith ("selftest-dynamic: " ^ m)) fmt in
   let check name cond = if not cond then fail "%s" name in
-  let fresh_path suffix =
-    let p = Filename.temp_file "fdserved" suffix in
-    Sys.remove p;
-    p
-  in
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
   let row ints =
     Dynserve.encode_row (Array.of_list (List.map (fun i -> Relation.Value.Int i) ints))
   in
@@ -234,22 +202,6 @@ let selftest_dynamic () =
     let st = Remote.stats conn in
     (r, st.Wire.inserts, st.Wire.deletes, st.Wire.revalidates)
   in
-  let with_daemon ~data_dir f =
-    let path = fresh_path ".sock" in
-    let daemon =
-      Service.Daemon.create
-        { Service.Daemon.default_config with
-          unix_path = Some path;
-          drain_grace = 10.;
-          data_dir }
-    in
-    let th = Thread.create Service.Daemon.run daemon in
-    Fun.protect
-      ~finally:(fun () ->
-        Service.Daemon.stop daemon;
-        Thread.join th)
-      (fun () -> f path)
-  in
   let reference =
     with_daemon ~data_dir:None (fun path ->
         let c1 = Remote.connect_unix ~namespace:"dyn" ~depth:8 path in
@@ -260,7 +212,7 @@ let selftest_dynamic () =
         Remote.close c2;
         r)
   in
-  let data_dir = fresh_path ".data" in
+  let data_dir = fresh_data_dir () in
   Fun.protect
     ~finally:(fun () -> rm_rf data_dir)
     (fun () ->

@@ -22,8 +22,8 @@ val create :
   ?oram_cache_levels:int -> n:int -> m:int -> unit -> t
 (** Fresh session with a fresh server.  [seed] drives all client
     randomness (key, IVs, ORAM leaves) so runs are reproducible.  With
-    [?remote] the server side lives in a separate process (see
-    {!Servsim.Remote_server}); every block access is a real wire round
+    [?remote] the server side is the connected daemon (see
+    {!Servsim.Remote}); every block access is a real wire round
     trip.  [oram_cache_levels] (default 0) turns on treetop caching in
     the ORAM-based methods: the top k levels of every ORAM tree are kept
     decrypted client-side, trading client memory for fewer and smaller

@@ -648,3 +648,14 @@ let run t =
   | Some path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | None -> ());
   logf t "stopped"
+
+let with_local ?(config = default_config) f =
+  let path = Filename.temp_file "sfdd-daemon" ".sock" in
+  Sys.remove path;
+  let t = create { config with unix_path = Some path } in
+  let th = Thread.create run t in
+  Fun.protect
+    ~finally:(fun () ->
+      stop t;
+      Thread.join th)
+    (fun () -> f path t)

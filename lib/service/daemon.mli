@@ -90,6 +90,15 @@ val run : t -> unit
     spawns the worker domains and joins them all before returning.
     Closes every descriptor and unlinks the Unix socket path. *)
 
+val with_local : ?config:config -> (string -> t -> 'a) -> 'a
+(** [with_local ?config f] serves [config] (default {!default_config})
+    on a fresh temporary Unix socket from a background thread for the
+    duration of [f path daemon], then {!stop}s the daemon and joins the
+    thread, also when [f] raises.  [config.unix_path] is replaced by
+    the temporary path; every other field, [tcp] included, is used as
+    given.  The socket is listening before [f] runs.  [f] must not call
+    {!stop} itself: use {!create}/{!run} directly to test a drain. *)
+
 val stop : t -> unit
 (** Request a graceful drain.  Async-signal-safe and thread-safe: it
     writes one byte to a self-pipe watched by the acceptor loop, which

@@ -15,8 +15,8 @@ external epoll_create_raw : unit -> int = "sfdd_ev_epoll_create"
 external epoll_ctl_raw : int -> int -> int -> int -> unit = "sfdd_ev_epoll_ctl"
 external epoll_wait_raw : int -> int array -> int array -> int -> int = "sfdd_ev_epoll_wait"
 
-(* On Unix a [file_descr] is the int itself; this is the same identity
-   view [Remote_server] uses for fd passing. *)
+(* On Unix a [file_descr] is the int itself; the readiness stubs speak
+   raw descriptor numbers, so this module views one as the other. *)
 external fd_int : Unix.file_descr -> int = "%identity"
 external int_fd : int -> Unix.file_descr = "%identity"
 

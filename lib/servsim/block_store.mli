@@ -63,6 +63,6 @@ val write_scatter : (t * (int * string) list) list -> unit
 
 val create :
   name:string -> trace:Trace.t -> on_resize:(int -> unit) -> ?remote:Remote.t -> Cost.t -> t
-(** With [?remote], blocks live in the connected server process and every
+(** With [?remote], blocks live in the connected daemon and every
     read/write (or batch) is a wire round trip; the client still records
     its own trace and cost view (block sizes are mirrored locally). *)

@@ -1,7 +1,5 @@
 type store = { mutable blocks : string array; mutable len : int }
 
-let reservoir_size = 1024
-
 (* A live dynamic FD session, behind closures so this module (which the
    discovery engine itself depends on for its block stores) needs no
    dependency on the engine.  The concrete implementation lives in
@@ -17,8 +15,6 @@ type state = {
   cost : Cost.t;
   started : float;
   mutable bytes : int;
-  lat : float array; (* ring of the most recent service latencies, seconds *)
-  mutable lat_n : int; (* total latencies ever recorded *)
   mutable dyn : dyn option;
   mutable dyn_history : Wire.request list; (* newest first; see [export_dyn] *)
   mutable inserts : int;
@@ -33,8 +29,6 @@ let create_state () =
     cost = Cost.create ();
     started = Unix.gettimeofday ();
     bytes = 0;
-    lat = Array.make reservoir_size 0.;
-    lat_n = 0;
     dyn = None;
     dyn_history = [];
     inserts = 0;
@@ -88,22 +82,6 @@ let account_response st ~bytes =
   Cost.sent_to_client st.cost bytes;
   Cost.set_server_bytes st.cost st.bytes
 
-let record_latency st s =
-  st.lat.(st.lat_n mod reservoir_size) <- s;
-  st.lat_n <- st.lat_n + 1
-
-(* Nearest-rank percentiles over the reservoir; (0, 0, 0) before any
-   latency has been recorded. *)
-let latency_percentiles st =
-  let n = min st.lat_n reservoir_size in
-  if n = 0 then (0., 0., 0.)
-  else begin
-    let a = Array.sub st.lat 0 n in
-    Array.sort compare a;
-    let pick q = a.(max 0 (min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1))) in
-    (pick 0.50, pick 0.95, pick 0.99)
-  end
-
 let find st name =
   match Hashtbl.find_opt st.stores name with
   | Some s -> s
@@ -121,14 +99,13 @@ let ensure s n =
   end;
   if n > s.len then s.len <- n
 
-(* [Stats] answer for serving modes without daemon-side metrics (the
-   legacy one-client fork server): the session ledger is exact and the
-   percentiles come from the session's own latency reservoir — real
-   numbers as long as the serving loop calls {!record_latency}. *)
+(* [Stats] answer from the session alone, for dispatch without a serving
+   loop (journal replay): the ledger is exact; latency and event-loop
+   counters are the daemon's to measure, so they are zero here.  The
+   reply is fixed-width, so replay charges the same bytes whatever the
+   daemon answered on the wire. *)
 let basic_stats st =
   let c = Cost.snapshot st.cost in
-  let p50, p95, p99 = latency_percentiles st in
-  let us s = min 0xFFFFFFFF (int_of_float (s *. 1e6)) in
   Wire.Stats_reply
     {
       uptime_us = Int64.of_float ((Unix.gettimeofday () -. st.started) *. 1e6);
@@ -136,10 +113,9 @@ let basic_stats st =
       frames = c.Cost.round_trips;
       bytes_in = c.Cost.bytes_to_server;
       bytes_out = c.Cost.bytes_to_client;
-      p50_us = us p50;
-      p95_us = us p95;
-      p99_us = us p99;
-      (* No event loop in this serving mode; the daemon fills these. *)
+      p50_us = 0;
+      p95_us = 0;
+      p99_us = 0;
       loop_reads = 0;
       loop_writes = 0;
       loop_wakeups = 0;

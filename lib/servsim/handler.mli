@@ -3,8 +3,7 @@
     One [state] is one tenant session: the ciphertext stores of a single
     namespace, the access-pattern {!Trace} recorded where the adversary
     sits, and a per-session {!Cost} ledger (round trips and bytes on the
-    wire).  The legacy one-client fork server ({!Remote_server}) owns
-    exactly one; the multi-tenant daemon ([Service.Daemon]) keeps one per
+    wire).  The multi-tenant daemon ([Service.Daemon]) keeps one per
     namespace, so no accounting or trace state is ever shared across
     tenants. *)
 
@@ -68,9 +67,9 @@ val handle : state -> Wire.request -> Wire.response
     [Digest] and [Total_bytes] are served from the session state;
     [Ping] answers [Pong]; [Hello] and [Bye] answer [Ok] (connection
     lifecycle is the serving loop's job); [Stats] answers the session
-    ledger plus the percentiles of this session's latency reservoir
-    (see {!record_latency}) — the daemon intercepts [Stats] and answers
-    from its per-namespace metrics instead.
+    ledger with zero latency percentiles and loop counters — the daemon
+    intercepts [Stats] and answers from its per-namespace metrics
+    instead, so only {!replay} sees this answer.
     @raise Wire.Protocol_error e.g. on access to a store that does not
     exist (serving loops turn this into an [Error] response). *)
 
@@ -88,17 +87,6 @@ val account_request : state -> bytes:int -> unit
 
 val account_response : state -> bytes:int -> unit
 (** Charge the response bytes and refresh the server-storage gauge. *)
-
-val record_latency : state -> float -> unit
-(** Push one service latency (seconds, request fully parsed → response
-    written) into the session's bounded reservoir.  Serving loops that
-    dispatch through {!handle} directly (the fork server) call this so
-    [Stats] reports real percentiles; the daemon samples into its own
-    per-namespace {i Metrics} instead. *)
-
-val latency_percentiles : state -> float * float * float
-(** Nearest-rank (p50, p95, p99) in seconds over the reservoir;
-    [(0., 0., 0.)] before any sample. *)
 
 val replay : state -> Wire.request -> unit
 (** Re-dispatch one journaled request exactly as the daemon's serving

@@ -1,7 +1,6 @@
 type t = {
   ic : in_channel;
   oc : out_channel;
-  pid : int option;
   depth : int; (* max in-flight frames; 1 = strict request/response *)
   mutable frames : int;
   mutable closed : bool;
@@ -23,13 +22,13 @@ let default_depth = 1
 let rec retry_intr f =
   match f () with v -> v | exception Unix.Unix_error (Unix.EINTR, _, _) -> retry_intr f
 
-let connect_fd ?pid ?(namespace = default_namespace) ?(depth = default_depth) fd =
+let connect_fd ?(namespace = default_namespace) ?(depth = default_depth) fd =
   if depth < 1 then invalid_arg "Remote.connect: depth must be >= 1";
   (* A dead peer must surface as an exception on the next call, not as a
      process-killing SIGPIPE. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let t =
-    { ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd; pid; depth;
+    { ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd; depth;
       frames = 0; closed = false; puts = Queue.create (); manual = 0; unflushed = false }
   in
   (* Version handshake: both sides announce; a stale client against a new
@@ -98,9 +97,13 @@ let send_nf t req =
   t.frames <- t.frames + 1;
   t.unflushed <- true
 
+let closed_by_server = Wire.Protocol_error "server closed the connection"
+
+(* SIGPIPE is ignored (see [connect_fd]), so writing to a vanished
+   server raises [Sys_error] here rather than killing the process. *)
 let flush_out t =
   if t.unflushed then begin
-    flush t.oc;
+    (try flush t.oc with Sys_error _ -> raise closed_by_server);
     t.unflushed <- false
   end
 
@@ -138,6 +141,7 @@ let call t req =
   match Wire.read_response t.ic with
   | Wire.Error msg -> raise (Wire.Protocol_error msg)
   | resp -> resp
+  | exception (End_of_file | Sys_error _) -> raise closed_by_server
 
 let send t req =
   if t.closed then raise (Wire.Protocol_error "connection closed");
@@ -288,10 +292,6 @@ let close t =
     ((try ignore (call t Wire.Bye) with _ -> ())
     [@lint.allow "exception-hygiene"] (* best-effort goodbye: server may be gone *));
     t.closed <- true;
-    close_out_noerr t.oc;
-    (* ic shares the fd; closing oc closed it. *)
-    match t.pid with
-    | Some pid ->
-        ignore (try retry_intr (fun () -> Unix.waitpid [] pid) with Unix.Unix_error _ -> (0, Unix.WEXITED 0))
-    | None -> ()
+    (* ic shares the fd; closing oc closes it. *)
+    close_out_noerr t.oc
   end

@@ -1,10 +1,11 @@
-(** Client-side connection to a remote server process. *)
+(** Client-side connection to a server over a stream socket — in
+    practice the multi-tenant daemon ([Service.Daemon]), in this process
+    or another. *)
 
 type t
 
-val connect_fd : ?pid:int -> ?namespace:string -> ?depth:int -> Unix.file_descr -> t
-(** Wrap a connected descriptor (e.g. from {!Remote_server.fork_server});
-    [pid] is reaped on {!close}.  Performs the one-byte version handshake
+val connect_fd : ?namespace:string -> ?depth:int -> Unix.file_descr -> t
+(** Wrap a connected descriptor.  Performs the one-byte version handshake
     and then binds the connection to [namespace] (default ["default"])
     with a [Hello] frame — an isolated store namespace with its own
     server-side trace and cost ledgers when the peer is the multi-tenant
@@ -35,7 +36,8 @@ val connect_tcp : ?namespace:string -> ?depth:int -> host:string -> port:int -> 
 val call : t -> Wire.request -> Wire.response
 (** Synchronous request/response; first collects every outstanding
     {!multi_put_async} acknowledgement (ordered matching).
-    @raise Wire.Protocol_error on an [Error] response. *)
+    @raise Wire.Protocol_error on an [Error] response, or when the
+    server has closed the connection. *)
 
 val depth : t -> int
 (** The connection's pipelining depth (>= 1). *)
@@ -140,4 +142,4 @@ val server_digests : t -> int64 * int64 * int
 (** The server's own (full, shape, count). *)
 
 val close : t -> unit
-(** Send [Bye], close the channel, reap the child if any. *)
+(** Send [Bye] (best effort) and close the descriptor. *)

@@ -9,8 +9,8 @@
 type t
 
 val create : ?keep_events:bool -> ?remote:Remote.t -> unit -> t
-(** With [?remote], all stores live in the connected server process (see
-    {!Remote_server}); the in-process structures then only mirror the
+(** With [?remote], all stores live in the connected daemon (see
+    {!Remote}); the in-process structures then only mirror the
     adversary's view for cost/trace accounting. *)
 
 val remote : t -> Remote.t option

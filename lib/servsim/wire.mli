@@ -1,7 +1,7 @@
-(** Wire protocol (v6) between the client and a remote server process.
+(** Wire protocol (v6) between the client and the block-service daemon.
 
-    Binary, synchronous request/response over any pair of file
-    descriptors (Unix socketpair, Unix-domain socket, TCP socket).  All
+    Binary, synchronous request/response over any stream socket
+    (Unix-domain or TCP).  All
     integers are little-endian fixed width; strings are length-prefixed.
     The protocol carries only what the honest-but-curious server
     legitimately sees: opaque ciphertext blocks and store bookkeeping.
@@ -89,13 +89,13 @@ type stats = {
       (** response bytes sent in this session, excluding the in-flight
           [Stats_reply] itself *)
   p50_us : int;  (** service-latency percentiles for this session's *)
-  p95_us : int;  (** namespace, microseconds; 0 when the serving mode *)
-  p99_us : int;  (** does not sample latencies (legacy fork server) *)
+  p95_us : int;  (** namespace, microseconds; 0 when answered without *)
+  p99_us : int;  (** a serving loop (journal replay) *)
   loop_reads : int;
       (** [read(2)] calls issued by the event loop serving this
           session's worker, daemon-lifetime; with {!loop_writes},
           divides into frames served to give syscalls-per-op.  0 when
-          the serving mode has no event loop (legacy fork server) *)
+          answered without a serving loop (journal replay) *)
   loop_writes : int;  (** [write(2)] calls issued by the same loop *)
   loop_wakeups : int;  (** readiness wakeups with at least one event *)
   loop_rounds : int;  (** event-loop iterations (wait calls) *)

@@ -145,17 +145,22 @@ let test_schema_mismatch_rejected () =
     | _ -> false)
 
 let test_dead_server_process () =
-  (* Kill the server child mid-session: the next call must raise, not
-     hang. *)
-  let fd, pid = Servsim.Remote_server.fork_server () in
-  let conn = Servsim.Remote.connect_fd fd in
-  ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
-  Unix.kill pid Sys.sigkill;
-  ignore (Unix.waitpid [] pid);
-  Alcotest.(check bool) "raises after server death" true
+  (* Take the server away mid-session (no drain grace, so the live
+     connection is cut): the next call must fail with the typed wire
+     error, not hang or leak a raw I/O exception. *)
+  let conn =
+    Service.Daemon.with_local
+      ~config:{ Service.Daemon.default_config with drain_grace = 0. }
+      (fun path _ ->
+        let conn = Servsim.Remote.connect_unix path in
+        ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
+        conn)
+  in
+  Alcotest.(check bool) "typed error after server death" true
     (match Servsim.Remote.call conn (Servsim.Wire.Get ("s", 0)) with
-    | exception _ -> true
-    | _ -> false)
+    | exception Servsim.Wire.Protocol_error _ -> true
+    | _ -> false);
+  Servsim.Remote.close conn
 
 let suite =
   [

@@ -454,13 +454,7 @@ let test_remote_scatter_parity () =
     (reads, Servsim.Trace.full_digest tr, c.Servsim.Cost.round_trips)
   in
   let local = run (Servsim.Server.create ()) in
-  let fd, pid = Servsim.Remote_server.fork_server () in
-  let conn = Servsim.Remote.connect_fd ~pid fd in
-  let remote =
-    Fun.protect
-      ~finally:(fun () -> Servsim.Remote.close conn)
-      (fun () -> run (Servsim.Server.create ~remote:conn ()))
-  in
+  let remote = Suite_remote.with_remote (fun conn -> run (Servsim.Server.create ~remote:conn ())) in
   let reads_l, full_l, trips_l = local and reads_r, full_r, trips_r = remote in
   Alcotest.(check (list (option string))) "same values" reads_l reads_r;
   Alcotest.(check int64) "same digest" full_l full_r;

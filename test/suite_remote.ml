@@ -1,16 +1,17 @@
-(* Networked mode: the server S runs in a forked child process; every
-   block access crosses a Unix socketpair.  Checks protocol correctness
-   end-to-end and that the *server-side* trace (recorded where the
-   adversary actually sits) matches the client's mirror and stays
-   oblivious. *)
+(* Networked mode: the server S is a [Service.Daemon] serving a fresh
+   Unix socket from a background thread; every block access crosses the
+   socket.  Checks protocol correctness end-to-end and that the
+   *server-side* trace (recorded where the adversary actually sits)
+   matches the client's mirror and stays oblivious. *)
 
 open Relation
 open Core
 
+(* One fresh daemon per call, so every run starts from an empty server. *)
 let with_remote f =
-  let fd, pid = Servsim.Remote_server.fork_server () in
-  let conn = Servsim.Remote.connect_fd ~pid fd in
-  Fun.protect ~finally:(fun () -> Servsim.Remote.close conn) (fun () -> f conn)
+  Service.Daemon.with_local (fun path _ ->
+      let conn = Servsim.Remote.connect_unix path in
+      Fun.protect ~finally:(fun () -> Servsim.Remote.close conn) (fun () -> f conn))
 
 let test_wire_roundtrip () =
   with_remote (fun conn ->
@@ -96,7 +97,7 @@ let test_full_protocol_over_wire () =
 
 let test_remote_obliviousness_server_side () =
   (* Run the Sort partition on two different same-size DBs against two
-     fresh server processes; the digests recorded *by the servers* must
+     fresh daemons; the digests recorded *by the servers* must
      be identical. *)
   let run table =
     with_remote (fun conn ->
@@ -129,36 +130,14 @@ let test_ex_oram_dynamic_over_wire () =
       Ex_oram_method.delete h ~row:2;
       Alcotest.(check int) "card after second delete" 1 (Ex_oram_method.cardinality h))
 
-(* The fork server answers [Stats] with percentiles from its own latency
-   reservoir — real measurements, not the zeros it used to report. *)
-let test_fork_server_latency_percentiles () =
-  with_remote (fun conn ->
-      ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
-      ignore (Servsim.Remote.call conn (Servsim.Wire.Ensure ("s", 8)));
-      (* Large payloads so every dispatch is reliably >= 1 us once
-         rounded to the wire's microsecond resolution. *)
-      let big = String.make 65536 'p' in
-      for i = 0 to 99 do
-        ignore (Servsim.Remote.call conn (Servsim.Wire.Put ("s", i mod 8, big)))
-      done;
-      let stats = Servsim.Remote.stats conn in
-      Alcotest.(check bool) "percentiles ordered" true
-        (stats.Servsim.Wire.p50_us <= stats.Servsim.Wire.p95_us
-        && stats.Servsim.Wire.p95_us <= stats.Servsim.Wire.p99_us);
-      Alcotest.(check bool) "p99 is a real measurement" true
-        (stats.Servsim.Wire.p99_us > 0))
-
-(* The reservoir itself, deterministically: nearest-rank percentiles
-   over a known sample set, and ring-buffer overwrite past capacity. *)
+(* The percentile definition behind every [Stats] reply the daemon
+   sends, deterministically: nearest-rank over a known sample set. *)
 let test_latency_reservoir_nearest_rank () =
-  let st = Servsim.Handler.create_state () in
-  let z50, z95, z99 = Servsim.Handler.latency_percentiles st in
   Alcotest.(check (triple (float 0.) (float 0.) (float 0.)))
-    "empty reservoir reports zeros" (0., 0., 0.) (z50, z95, z99);
+    "empty sample reports zeros" (0., 0., 0.) (Service.Metrics.percentiles []);
   (* 1..100 in shuffled order: nearest-rank pk = k for n = 100. *)
-  let xs = Array.init 100 (fun i -> float_of_int (((i * 37) mod 100) + 1)) in
-  Array.iter (fun x -> Servsim.Handler.record_latency st x) xs;
-  let p50, p95, p99 = Servsim.Handler.latency_percentiles st in
+  let xs = List.init 100 (fun i -> float_of_int (((i * 37) mod 100) + 1)) in
+  let p50, p95, p99 = Service.Metrics.percentiles xs in
   Alcotest.(check (float 1e-9)) "p50 of 1..100" 50. p50;
   Alcotest.(check (float 1e-9)) "p95 of 1..100" 95. p95;
   Alcotest.(check (float 1e-9)) "p99 of 1..100" 99. p99
@@ -235,8 +214,6 @@ let suite =
     Alcotest.test_case "full protocol over wire" `Quick test_full_protocol_over_wire;
     Alcotest.test_case "server-side obliviousness" `Quick test_remote_obliviousness_server_side;
     Alcotest.test_case "ex-oram dynamic over wire" `Quick test_ex_oram_dynamic_over_wire;
-    Alcotest.test_case "fork server reports latency percentiles" `Quick
-      test_fork_server_latency_percentiles;
     Alcotest.test_case "latency reservoir nearest-rank" `Quick
       test_latency_reservoir_nearest_rank;
   ]

@@ -8,23 +8,9 @@
 
 let with_daemon ?(max_conns = 64) ?(idle_timeout = 0.) ?(domains = 1)
     ?(backend = Service.Evloop.Select) f =
-  let path = Filename.temp_file "svc-test" ".sock" in
-  Sys.remove path;
-  let daemon =
-    Service.Daemon.create
-      { Service.Daemon.default_config with
-        unix_path = Some path;
-        max_conns;
-        idle_timeout;
-        domains;
-        backend }
-  in
-  let th = Thread.create Service.Daemon.run daemon in
-  Fun.protect
-    ~finally:(fun () ->
-      Service.Daemon.stop daemon;
-      Thread.join th)
-    (fun () -> f path daemon)
+  Service.Daemon.with_local
+    ~config:{ Service.Daemon.default_config with max_conns; idle_timeout; domains; backend }
+    f
 
 let with_client ?namespace ?depth path f =
   let conn = Servsim.Remote.connect_unix ?namespace ?depth path in
@@ -244,19 +230,12 @@ let test_graceful_drain backend () =
   Alcotest.(check int) "no live connections" 0 (Service.Daemon.live_conns daemon)
 
 let test_tcp_listener () =
-  let daemon =
-    Service.Daemon.create
-      { Service.Daemon.default_config with tcp = Some ("127.0.0.1", 0) }
-  in
-  let port =
-    match Service.Daemon.tcp_port daemon with Some p -> p | None -> Alcotest.fail "no port"
-  in
-  let th = Thread.create Service.Daemon.run daemon in
-  Fun.protect
-    ~finally:(fun () ->
-      Service.Daemon.stop daemon;
-      Thread.join th)
-    (fun () ->
+  Service.Daemon.with_local
+    ~config:{ Service.Daemon.default_config with tcp = Some ("127.0.0.1", 0) }
+    (fun _ daemon ->
+      let port =
+        match Service.Daemon.tcp_port daemon with Some p -> p | None -> Alcotest.fail "no port"
+      in
       let conn = Servsim.Remote.connect_tcp ~namespace:"tcp" ~host:"127.0.0.1" ~port () in
       Servsim.Remote.ping conn;
       ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));

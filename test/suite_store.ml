@@ -353,22 +353,9 @@ let test_session_evict_rehydrate () =
 (* {2 Daemon: restart and eviction end-to-end} *)
 
 let with_daemon ?data_dir ?(max_resident = 0) ?(domains = 1) f =
-  let path = Filename.temp_file "store-test" ".sock" in
-  Sys.remove path;
-  let daemon =
-    Service.Daemon.create
-      { Service.Daemon.default_config with
-        unix_path = Some path;
-        domains;
-        data_dir;
-        max_resident }
-  in
-  let th = Thread.create Service.Daemon.run daemon in
-  Fun.protect
-    ~finally:(fun () ->
-      Service.Daemon.stop daemon;
-      Thread.join th)
-    (fun () -> f path)
+  Service.Daemon.with_local
+    ~config:{ Service.Daemon.default_config with domains; data_dir; max_resident }
+    (fun path _ -> f path)
 
 let with_client ?namespace path f =
   let conn = Servsim.Remote.connect_unix ?namespace path in

@@ -6,10 +6,7 @@
 
 open Relation
 
-let with_remote f =
-  let fd, pid = Servsim.Remote_server.fork_server () in
-  let conn = Servsim.Remote.connect_fd ~pid fd in
-  Fun.protect ~finally:(fun () -> Servsim.Remote.close conn) (fun () -> f conn)
+let with_remote = Suite_remote.with_remote
 
 (* Codec tests leave half-written frames in [oc]'s buffer; closing the
    write end while the read end is still open (and SIGPIPE ignored below)
@@ -307,23 +304,6 @@ let test_client_rejects_version_mismatch () =
   close_out_noerr oc_b;
   (try Unix.close a with Unix.Unix_error _ -> ())
 
-let test_server_rejects_version_mismatch () =
-  (* A stale client against a new server: the server answers with its own
-     version byte (so the client can diagnose) and hangs up instead of
-     misreading the stream as requests. *)
-  let fd, pid = Servsim.Remote_server.fork_server () in
-  let oc = Unix.out_channel_of_descr fd and ic = Unix.in_channel_of_descr fd in
-  output_char oc '\077';
-  flush oc;
-  Alcotest.(check int) "server announces its version" Servsim.Wire.protocol_version
-    (Servsim.Wire.read_hello ic);
-  Alcotest.(check bool) "server hangs up after mismatch" true
-    (match input_char ic with
-    | _ -> false
-    | exception End_of_file -> true);
-  close_out_noerr oc;
-  ignore (try Unix.waitpid [] pid with Unix.Unix_error _ -> (0, Unix.WEXITED 0))
-
 (* {2 Batch frames end-to-end} *)
 
 let test_multi_roundtrip_server () =
@@ -504,8 +484,6 @@ let suite =
     Alcotest.test_case "hello roundtrip" `Quick test_hello_roundtrip;
     Alcotest.test_case "client rejects version mismatch" `Quick
       test_client_rejects_version_mismatch;
-    Alcotest.test_case "server rejects version mismatch" `Quick
-      test_server_rejects_version_mismatch;
     Alcotest.test_case "multi get/put end-to-end" `Quick test_multi_roundtrip_server;
     Alcotest.test_case "remote-local equivalence" `Quick test_remote_local_equivalence;
     Alcotest.test_case "frames match ledger" `Quick test_frames_match_ledger;

@@ -1,6 +1,4 @@
 let () =
-  (* If this process is a re-exec'd remote-server child, serve and exit. *)
-  Servsim.Remote_server.maybe_serve_child ();
   (* Link the dynamic-FD engine into the handler, as the daemon does. *)
   Dynserve.install ();
   Alcotest.run "sfdd"
