@@ -1,6 +1,6 @@
 (* Service load harness: throughput and latency of the multi-tenant
-   daemon under concurrent clients, across readiness backends and client
-   pipelining depths.
+   daemon under concurrent clients and client pipelining depths, plus
+   one client beside a crowd of idle connections.
 
    The daemon and every load client run as separate OS processes so the
    measurement crosses real Unix-domain sockets and the daemon's event
@@ -10,9 +10,12 @@
    ([service-daemon] / [service-client]) dispatched in [main] before
    normal argument parsing.
 
-   Emits BENCH_service.json (schema v3): ops/s, service-latency
-   percentiles and daemon-side syscalls-per-op for each (backend x
-   client count x pipeline depth) point.  Syscalls-per-op comes from a
+   Emits BENCH_service.json (schema v4): ops/s, service-latency
+   percentiles and daemon-side syscalls-per-op for each (client count x
+   pipeline depth) point, and for one client at depth 1 while the
+   harness holds [idle_conns] handshaken connections open and silent.
+   That last point prices poll(2)'s scan of every registered
+   descriptor on each wait (DESIGN.md §14).  Syscalls-per-op comes from a
    probe connection reading the daemon's loop counters (read(2) +
    write(2) attempts) before and after each round — the direct measure
    of what response coalescing and client pipelining batch away.  The
@@ -22,21 +25,18 @@
 
 let block = String.make 64 '\xAB'
 
+(* Idle connections held open for the idle point (16 in a smoke run). *)
+let idle_full = 1000
+
 (* {2 Child: daemon} *)
 
-let daemon_main path domains backend =
-  let backend =
-    match Service.Evloop.of_string backend with
-    | Ok b -> b
-    | Error msg -> failwith msg
-  in
+let daemon_main path domains =
   let daemon =
     Service.Daemon.create
       { Service.Daemon.default_config with
         unix_path = Some path;
-        max_conns = 64;
-        domains;
-        backend }
+        max_conns = idle_full + 64;
+        domains }
   in
   Service.Daemon.install_stop_signals daemon;
   Service.Daemon.run daemon;
@@ -136,7 +136,7 @@ let loop_syscalls probe =
   let s = Servsim.Remote.stats probe in
   s.Servsim.Wire.loop_reads + s.Servsim.Wire.loop_writes
 
-let run_round ~path ~probe ~backend ~clients ~depth ~ops =
+let run_round ~path ~probe ~clients ~depth ~idle ~ops =
   let outs =
     List.init clients (fun i -> Filename.temp_file (Printf.sprintf "svc%d" i) ".lat")
   in
@@ -144,15 +144,14 @@ let run_round ~path ~probe ~backend ~clients ~depth ~ops =
   (* One fresh namespace per (round, client): the server's cost ledger is
      per-tenant and outlives connections, and each client asserts it
      against its own per-connection frame counter — exact only on a
-     tenant's first connection.  (Each backend point gets a fresh daemon
-     process, so namespaces may repeat across the outer sweep.) *)
+     tenant's first connection. *)
   let pids =
     List.mapi
       (fun i out ->
         spawn
           [|
             "service-client"; path;
-            Printf.sprintf "%s-c%02d-d%02d-tenant-%02d" backend clients depth i;
+            Printf.sprintf "c%02d-d%02d-i%04d-tenant-%02d" clients depth idle i;
             string_of_int ops; string_of_int depth; out;
           |])
       outs
@@ -168,15 +167,47 @@ let run_round ~path ~probe ~backend ~clients ~depth ~ops =
   let syscalls_per_op = float_of_int (sys1 - sys0) /. float_of_int total_ops in
   (float_of_int total_ops /. wall, p50, p95, p99, syscalls_per_op)
 
-(* One daemon process per backend; the clients x depth sweep runs
-   against it, then SIGTERM — the graceful drain on every backend is
-   part of what the harness exercises.  The domains axis stays at 1
-   here: the backend/pipelining comparison is a single-core story, and
-   the loop counters of one worker are then the whole daemon's. *)
-let sweep_backend ~backend ~counts ~depths ~ops =
+(* Read exactly [len] bytes, or fail on end of file. *)
+let read_exact fd len =
+  let buf = Bytes.create len in
+  let rec go off =
+    if off < len then
+      match Unix.read fd buf off (len - off) with
+      | 0 -> failwith "idle connection closed during its handshake"
+      | n -> go (off + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+  in
+  go 0;
+  Bytes.to_string buf
+
+(* One idle connection: version byte and [Hello], checked against the
+   daemon's echoed version and [Ok], then silence.  Raw descriptors
+   rather than [Remote] connections, whose two 64 KiB channel buffers
+   each would cost the harness 128 MB at [idle_full]. *)
+let open_idle path =
+  let framed write msg =
+    let b = Buffer.create 32 in
+    Buffer.add_char b (Char.chr Servsim.Wire.protocol_version);
+    write (Servsim.Wire.buffer_sink b) msg;
+    Buffer.contents b
+  in
+  let hello = framed Servsim.Wire.write_request_sink (Servsim.Wire.Hello "idle") in
+  let reply = framed Servsim.Wire.write_response_sink Servsim.Wire.Ok in
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  ignore (Unix.write_substring fd hello 0 (String.length hello));
+  if read_exact fd (String.length reply) <> reply then failwith "idle connection refused";
+  fd
+
+(* One daemon process; the clients x depth sweep runs against it, then
+   the idle point, then SIGTERM — the graceful drain is part of what
+   the harness exercises.  The domains axis stays at 1 here: the
+   pipelining comparison is a single-core story, and the loop counters
+   of one worker are then the whole daemon's. *)
+let sweep ~counts ~depths ~idle ~ops =
   let path = Filename.temp_file "fdserved-bench" ".sock" in
   Sys.remove path;
-  let daemon_pid = spawn [| "service-daemon"; path; "1"; backend |] in
+  let daemon_pid = spawn [| "service-daemon"; path; "1" |] in
   let rec await tries =
     if not (Sys.file_exists path) then
       if tries = 0 then failwith "daemon did not come up"
@@ -195,34 +226,35 @@ let sweep_backend ~backend ~counts ~depths ~ops =
       Fun.protect
         ~finally:(fun () -> Servsim.Remote.close probe)
         (fun () ->
-          List.concat_map
-            (fun clients ->
-              List.map
-                (fun depth ->
-                  let ops_s, p50, p95, p99, spo =
-                    run_round ~path ~probe ~backend ~clients ~depth ~ops
-                  in
-                  Printf.printf
-                    "  %-6s x %2d client(s) x depth %2d x %d ops: %8.0f ops/s   \
-                     p50 %5.0f us   p99 %5.0f us   %5.2f syscalls/op\n%!"
-                    backend clients depth ops ops_s p50 p99 spo;
-                  (backend, clients, depth, ops_s, p50, p95, p99, spo))
-                depths)
-            counts))
+          let point ~clients ~depth ~idle =
+            let ops_s, p50, p95, p99, spo = run_round ~path ~probe ~clients ~depth ~idle ~ops in
+            Printf.printf
+              "  %2d client(s) x depth %2d + %4d idle x %d ops: %8.0f ops/s   \
+               p50 %5.0f us   p99 %5.0f us   %5.2f syscalls/op\n%!"
+              clients depth idle ops ops_s p50 p99 spo;
+            (clients, depth, idle, ops_s, p50, p95, p99, spo)
+          in
+          let busy =
+            List.concat_map
+              (fun clients -> List.map (fun depth -> point ~clients ~depth ~idle:0) depths)
+              counts
+          in
+          let idle_fds = List.init idle (fun _ -> open_idle path) in
+          Fun.protect
+            ~finally:(fun () -> List.iter Unix.close idle_fds)
+            (fun () -> busy @ [ point ~clients:1 ~depth:1 ~idle ])))
 
 let run (opts : Bench_util.opts) =
   Bench_util.header "SERVICE: multi-tenant daemon under concurrent load";
   let ops = if opts.smoke then 200 else 2000 in
   let counts = if opts.full then [ 1; 2; 4; 8; 16 ] else if opts.smoke then [ 1; 2 ] else [ 1; 4; 16 ] in
   let depths = [ 1; 8 ] in
-  let backends = List.map Service.Evloop.to_string (Service.Evloop.available ()) in
-  let series =
-    List.concat_map (fun backend -> sweep_backend ~backend ~counts ~depths ~ops) backends
-  in
+  let idle = if opts.smoke then 16 else idle_full in
+  let series = sweep ~counts ~depths ~idle ~ops in
   Bench_util.write_bench_json opts "BENCH_service.json" (fun oc ->
       Printf.fprintf oc
         "{\n\
-        \  \"schema\": \"sfdd-bench-service/3\",\n\
+        \  \"schema\": \"sfdd-bench-service/4\",\n\
         \  \"smoke\": %b,\n\
         \  \"transport\": \"unix-domain socket\",\n\
         \  \"host_cores\": %d,\n\
@@ -233,12 +265,12 @@ let run (opts : Bench_util.opts) =
         (Domain.recommended_domain_count ())
         ops;
       List.iteri
-        (fun i (backend, clients, depth, ops_s, p50, p95, p99, spo) ->
+        (fun i (clients, depth, idle, ops_s, p50, p95, p99, spo) ->
           Printf.fprintf oc
-            "    { \"backend\": \"%s\", \"clients\": %d, \"pipeline_depth\": %d, \
+            "    { \"clients\": %d, \"pipeline_depth\": %d, \"idle_conns\": %d, \
              \"ops_per_s\": %.0f, \"p50_us\": %.0f, \"p95_us\": %.0f, \"p99_us\": %.0f, \
              \"syscalls_per_op\": %.3f }%s\n"
-            backend clients depth ops_s p50 p95 p99 spo
+            clients depth idle ops_s p50 p95 p99 spo
             (if i = List.length series - 1 then "" else ","))
         series;
       Printf.fprintf oc "  ]\n}\n")

@@ -5,7 +5,7 @@
    with many clients: the server keeps hot sessions in memory and pages
    cold ciphertext stores to disk.
 
-   The daemon runs in-process (one worker domain, a background thread)
+   The daemon runs in-process (one worker loop, in a spawned domain)
    because the measured work — segment framing, snapshot writes,
    recovery replay — is server-side disk traffic; the socket hop is kept
    so the request path is the production one.

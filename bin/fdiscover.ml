@@ -153,7 +153,7 @@ let remote =
   Arg.(value & flag
        & info [ "remote" ]
            ~doc:"Serve the protocol from the block-service daemon on a temporary Unix \
-                 socket (in a background thread) and run every block access over it.")
+                 socket (served from a spawned domain) and run every block access over it.")
 
 let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print cost accounting.")
 

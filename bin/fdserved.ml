@@ -7,11 +7,6 @@
 
 open Cmdliner
 
-let parse_backend s =
-  match Service.Evloop.of_string s with
-  | Ok b -> b
-  | Error msg -> invalid_arg ("--backend " ^ s ^ ": " ^ msg)
-
 let parse_tcp s =
   match String.rindex_opt s ':' with
   | None -> invalid_arg (Printf.sprintf "--tcp %S: expected HOST:PORT" s)
@@ -20,18 +15,18 @@ let parse_tcp s =
       let port = int_of_string (String.sub s (i + 1) (String.length s - i - 1)) in
       (host, port)
 
-let serve unix_path tcp max_conns idle_timeout drain_grace domains backend data_dir
-    max_resident verbose =
+let serve unix_path tcp max_conns idle_timeout drain_grace domains data_dir max_resident
+    verbose =
   let log = if verbose then fun msg -> Printf.eprintf "fdserved: %s\n%!" msg else ignore in
   let cfg =
     {
-      Service.Daemon.unix_path;
+      Service.Daemon.default_config with
+      unix_path;
       tcp = Option.map parse_tcp tcp;
       max_conns;
       idle_timeout;
       drain_grace;
       domains = max 1 domains;
-      backend = parse_backend backend;
       data_dir;
       max_resident;
       log;
@@ -45,9 +40,7 @@ let serve unix_path tcp max_conns idle_timeout drain_grace domains backend data_
   (match unix_path with
   | Some path -> Printf.printf "fdserved: listening on unix socket %s\n%!" path
   | None -> ());
-  Printf.printf "fdserved: %d worker domain(s), %s backend\n%!"
-    (Service.Daemon.domains daemon)
-    (Service.Evloop.to_string (Service.Daemon.backend daemon));
+  Printf.printf "fdserved: %d worker domain(s)\n%!" (Service.Daemon.domains daemon);
   (match data_dir with
   | Some dir ->
       Printf.printf "fdserved: durable tenant state under %s%s\n%!" dir
@@ -57,17 +50,17 @@ let serve unix_path tcp max_conns idle_timeout drain_grace domains backend data_
   Service.Daemon.run daemon;
   `Ok ()
 
-(* Loopback smoke test: daemon in a background thread on a fresh Unix
+(* Loopback smoke test: daemon in its own domain on a fresh Unix
    socket, two clients in disjoint namespaces doing real block traffic,
    then a graceful drain.  Run once single-domain and once with two
    worker domains so `dune runtest` exercises the sharded path.  Used
    from `dune runtest`. *)
-let selftest_with ~domains ~backend =
+let selftest_with ~domains =
   let fail fmt = Printf.ksprintf (fun m -> failwith ("selftest: " ^ m)) fmt in
   let check name cond = if not cond then fail "%s" name in
   let daemon =
     Service.Daemon.with_local
-      ~config:{ Service.Daemon.default_config with drain_grace = 10.; domains; backend }
+      ~config:{ Service.Daemon.default_config with drain_grace = 10.; domains }
       (fun path daemon ->
         let open Servsim in
         let a = Remote.connect_unix ~namespace:"alice" path in
@@ -94,8 +87,7 @@ let selftest_with ~domains ~backend =
         daemon)
   in
   check "drained" (Service.Daemon.live_conns daemon = 0);
-  Printf.printf "fdserved selftest (domains=%d, backend=%s): OK\n%!" domains
-    (Service.Evloop.to_string backend)
+  Printf.printf "fdserved selftest (domains=%d): OK\n%!" domains
 
 (* A selftest daemon on a temporary socket, in memory or backed by
    [data_dir]; [f] gets the socket path. *)
@@ -231,19 +223,16 @@ let selftest_dynamic () =
   Printf.printf "fdserved selftest (dynamic sessions): OK\n%!"
 
 let selftest domains =
-  (* Every compiled-in readiness backend, single-domain and sharded:
-     acceptor + worker domains with fd handoff. *)
-  List.iter
-    (fun backend ->
-      selftest_with ~domains:1 ~backend;
-      selftest_with ~domains:(max 2 domains) ~backend)
-    (Service.Evloop.available ());
+  (* Single-domain, then sharded: acceptor + worker domains with fd
+     handoff. *)
+  selftest_with ~domains:1;
+  selftest_with ~domains:(max 2 domains);
   selftest_persist ();
   selftest_dynamic ();
   `Ok ()
 
-let run unix_path tcp max_conns idle_timeout drain_grace domains backend data_dir
-    max_resident oram_cache_levels verbose do_selftest =
+let run unix_path tcp max_conns idle_timeout drain_grace domains data_dir max_resident
+    oram_cache_levels verbose do_selftest =
   try
     (* Re-register the provider with the configured cache depth (the
        startup install covers only the pre-parse default). *)
@@ -252,8 +241,8 @@ let run unix_path tcp max_conns idle_timeout drain_grace domains backend data_di
     else if unix_path = None && tcp = None then
       `Error (true, "need at least one of --unix / --tcp (or --selftest)")
     else
-      serve unix_path tcp max_conns idle_timeout drain_grace domains backend data_dir
-        max_resident verbose
+      serve unix_path tcp max_conns idle_timeout drain_grace domains data_dir max_resident
+        verbose
   with
   | Failure msg | Invalid_argument msg -> `Error (false, msg)
   | Unix.Unix_error (e, fn, arg) ->
@@ -286,12 +275,6 @@ let cmd =
          ~doc:"Shard tenants over $(docv) worker domains (1 = single-domain \
                event loop, the default on single-core hosts).")
   in
-  let backend =
-    Arg.(value & opt string "auto" & info [ "backend" ] ~docv:"BACKEND"
-         ~doc:"Readiness backend: $(b,auto) (the most scalable compiled-in one), \
-               $(b,select) (portable, capped at 1024 descriptors), $(b,poll) or \
-               $(b,epoll).")
-  in
   let data_dir =
     Arg.(value & opt (some string) None & info [ "data-dir" ] ~docv:"PATH"
          ~doc:"Persist tenant state (snapshot + write-ahead journal per namespace) under \
@@ -321,7 +304,7 @@ let cmd =
   in
   Cmd.v info_
     Term.(ret (const run $ unix_path $ tcp $ max_conns $ idle_timeout $ drain_grace
-               $ domains $ backend $ data_dir $ max_resident $ oram_cache_levels
+               $ domains $ data_dir $ max_resident $ oram_cache_levels
                $ verbose $ do_selftest))
 
 let () =

@@ -306,7 +306,7 @@ let r10_check ctx =
           | Pexp_ident { txt; _ } when String.equal (norm (lid_str txt)) "Unix.select" ->
               ctx.Rule.report e.pexp_loc
                 "raw Unix.select outside Service.Evloop; use the Evloop readiness API so \
-                 backend choice stays in one place"
+                 readiness handling stays in one place"
           | _ -> ());
           default.expr self e);
       structure_item =
@@ -456,9 +456,9 @@ let all : Rule.t list =
       id = "R10";
       name = "event-loop-hygiene";
       doc =
-        "Raw Unix.select and the sfdd_ev_* poll/epoll externals are the readiness layer's \
-         private surface: every other module goes through Service.Evloop, so backend \
-         semantics — level-triggering, the select FD_SETSIZE wall, EINTR handling — are \
+        "Raw Unix.select and the sfdd_ev_poll external are the readiness layer's private \
+         surface: every other module goes through Service.Evloop, so readiness semantics — \
+         level-triggering, the scan over registered descriptors, EINTR handling — are \
          decided in exactly one audited place.  lib/service/evloop.ml is the sole allowed \
          site (via the checked-in .fdlint).";
       scope = [];

@@ -5,7 +5,7 @@ type config = {
   idle_timeout : float; (* seconds; <= 0 disables *)
   drain_grace : float; (* seconds to keep serving after a stop request *)
   domains : int; (* worker event loops; 1 = serve on the acceptor loop itself *)
-  backend : Evloop.backend; (* readiness backend shared by every loop *)
+  backend : Evloop.backend; (* only [Poll]; kept for e2ebench/daemon.ml *)
   data_dir : string option; (* root of per-tenant durable images; None = in-memory *)
   max_resident : int; (* LRU tenant cap per worker registry; <= 0 disables *)
   log : string -> unit;
@@ -19,7 +19,7 @@ let default_config =
     idle_timeout = 0.;
     drain_grace = 5.;
     domains = 1;
-    backend = Evloop.Select;
+    backend = Evloop.Poll;
     data_dir = None;
     max_resident = 0;
     log = ignore;
@@ -127,8 +127,8 @@ let make_worker cfg w_idx =
         }
       ()
   in
-  let ev = Evloop.create cfg.backend in
-  Evloop.add ev wake_r ~read:true ~write:false;
+  let ev = Evloop.create () in
+  Evloop.set ev wake_r ~read:true ~write:false;
   {
     w_idx;
     ev;
@@ -165,9 +165,9 @@ let create cfg =
   Unix.set_nonblock stop_r;
   Unix.set_nonblock stop_w;
   (match cfg.data_dir with Some dir -> Store.Fsio.mkdirs dir | None -> ());
-  let ev = Evloop.create cfg.backend in
-  Evloop.add ev stop_r ~read:true ~write:false;
-  List.iter (fun fd -> Evloop.add ev fd ~read:true ~write:false) !listeners;
+  let ev = Evloop.create () in
+  Evloop.set ev stop_r ~read:true ~write:false;
+  List.iter (fun fd -> Evloop.set ev fd ~read:true ~write:false) !listeners;
   {
     cfg;
     ev;
@@ -192,7 +192,6 @@ let create cfg =
 let inline t = Array.length t.workers = 1
 
 let domains t = Array.length t.workers
-let backend t = Evloop.backend t.ev
 let metrics t = t.accept_metrics
 let worker_metrics t = Array.to_list (Array.map (fun w -> w.metrics) t.workers)
 let registries t = Array.to_list (Array.map (fun w -> w.registry) t.workers)
@@ -208,10 +207,11 @@ let ns_summary t ns = Metrics.ns_summary t.workers.(shard_of t ns).metrics ns
 let stop_byte = Bytes.make 1 's'
 let wake_byte = Bytes.make 1 'w'
 
-(* Safe from a signal handler or another thread: one byte down the
-   self-pipe wakes the acceptor loop, which drains the pipe and starts
-   the graceful drain.  Only genuinely-expected errnos are swallowed —
-   a full pipe (a wake byte is already pending) or a peer already gone.
+(* Safe from a signal handler, another thread or another domain: one
+   byte down the self-pipe wakes the acceptor loop, which drains the
+   pipe and starts the graceful drain.  Only genuinely-expected errnos
+   are swallowed — a full pipe (a wake byte is already pending) or a
+   peer already gone.
    EBADF is *not* expected: the self-pipes live for the daemon's whole
    run, so a bad descriptor here means a double-close or fd-reuse bug
    and is logged instead of masked. *)
@@ -260,8 +260,9 @@ let peer_string = function
    Each live connection is registered with its loop's {!Evloop} and its
    interest is re-derived after every service step: readable unless
    closing or past the output high-water mark, writable while output is
-   pending.  [Evloop.set] is a no-op when nothing changed, so the
-   steady-state hot path issues no registration syscalls. *)
+   pending.  [Evloop.set] only stores into the loop's registration
+   arrays, so the steady-state hot path issues no registration
+   syscalls. *)
 
 let sync_interest ev conn =
   Evloop.set ev (Conn.fd conn)
@@ -435,20 +436,11 @@ let accept_all t lfd ~now =
           Metrics.on_reject t.accept_metrics;
           logf t "conn %s rejected (cap %d)" (peer_string addr) t.cfg.max_conns
         end
-        else if not (Evloop.compatible t.ev fd) then begin
-          (* The backend cannot watch this descriptor (select's
-             FD_SETSIZE wall).  Refusing cleanly here beats corrupting
-             the fd sets; poll/epoll never hit this branch. *)
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          Metrics.on_reject t.accept_metrics;
-          logf t "conn %s rejected (fd beyond %s backend limit)" (peer_string addr)
-            (Evloop.to_string (Evloop.backend t.ev))
-        end
         else begin
           t.next_id <- t.next_id + 1;
           let conn = Conn.create ~id:t.next_id ~peer:(peer_string addr) ~now fd in
           Hashtbl.replace t.pre fd conn;
-          Evloop.add t.ev fd ~read:true ~write:false;
+          Evloop.set t.ev fd ~read:true ~write:false;
           Atomic.incr t.live;
           Metrics.on_accept t.accept_metrics;
           logf t "conn %s accepted (#%d, %d live)" (peer_string addr) t.next_id
@@ -605,9 +597,8 @@ let worker_loop t (w : worker) =
   done
 
 let run t =
-  logf t "serving (max %d connections, %d worker domain(s), %s backend)" t.cfg.max_conns
-    (Array.length t.workers)
-    (Evloop.to_string (Evloop.backend t.ev));
+  logf t "serving (max %d connections, %d worker domain(s))" t.cfg.max_conns
+    (Array.length t.workers);
   let spawned =
     if inline t then [||]
     else Array.map (fun w -> Domain.spawn (fun () -> worker_loop t w)) t.workers
@@ -638,12 +629,10 @@ let run t =
          a graceful restart then recovers bit-identical state. *)
       Session.shutdown w.registry;
       (try Unix.close w.wake_r with Unix.Unix_error _ -> ());
-      (try Unix.close w.wake_w with Unix.Unix_error _ -> ());
-      Evloop.close w.ev)
+      try Unix.close w.wake_w with Unix.Unix_error _ -> ())
     t.workers;
   (try Unix.close t.stop_r with Unix.Unix_error _ -> ());
   (try Unix.close t.stop_w with Unix.Unix_error _ -> ());
-  Evloop.close t.ev;
   (match t.cfg.unix_path with
   | Some path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | None -> ());
@@ -653,9 +642,9 @@ let with_local ?(config = default_config) f =
   let path = Filename.temp_file "sfdd-daemon" ".sock" in
   Sys.remove path;
   let t = create { config with unix_path = Some path } in
-  let th = Thread.create run t in
+  let d = Domain.spawn (fun () -> run t) in
   Fun.protect
     ~finally:(fun () ->
       stop t;
-      Thread.join th)
+      Domain.join d)
     (fun () -> f path t)

@@ -5,11 +5,9 @@
     (version handshake + the mandatory first [Hello]); each
     authenticated connection is then routed to one of [domains] {e
     worker} event loops by a deterministic hash of its namespace
-    ({!Session.shard}).  Every worker runs its own {!Evloop} readiness
-    loop (select, poll or epoll — one backend for the whole daemon,
-    chosen by [config.backend]) — woken through a private self-pipe for
-    connection handoff and drain —
-    and exclusively owns its shard of tenants: the per-frame hot path
+    ({!Session.shard}).  Every worker runs its own poll(2) readiness
+    loop ({!Evloop}), woken through a private self-pipe for connection
+    handoff and drain, and exclusively owns its shard of tenants: the per-frame hot path
     (decode → dispatch → trace/cost accounting → respond) touches only
     shard-local state and takes no locks, and a tenant's digests and
     ledgers are bit-identical to a single-domain daemon's because all of
@@ -26,9 +24,7 @@
     keep serving live connections up to the grace period, then
     [Domain.join] every worker).  Readiness timeouts are derived from
     the nearest pending deadline (idle expiry or drain grace): an idle
-    daemon blocks indefinitely instead of polling.  With the select
-    backend, connections whose descriptor would not fit in an [fd_set]
-    are refused at accept time; poll/epoll have no such wall.
+    daemon blocks indefinitely instead of polling.
 
     All descriptors are close-on-exec; every read/write/accept retries
     on [EINTR].  One misbehaving connection — malformed frames, a
@@ -49,11 +45,9 @@ type config = {
       (** worker event loops; 1 (the default) serves on the acceptor
           loop itself with no domain spawned *)
   backend : Evloop.backend;
-      (** readiness backend for the acceptor and every worker loop.
-          The default config uses [Select] (always compiled in);
-          [fdserved --backend auto] resolves {!Evloop.best} instead.
-          {!create} raises [Invalid_argument] if the backend is not
-          compiled into this build. *)
+      (** always [Poll], the one readiness mechanism.  The field stays
+          only because the end-to-end benchmark's daemon
+          ([e2ebench/daemon.ml]) sets it to {!Evloop.best}[ ()]. *)
   data_dir : string option;
       (** root directory for per-tenant durable images (snapshot +
           write-ahead journal, {!Store.Tenant}).  [None] (the default)
@@ -92,26 +86,31 @@ val run : t -> unit
 
 val with_local : ?config:config -> (string -> t -> 'a) -> 'a
 (** [with_local ?config f] serves [config] (default {!default_config})
-    on a fresh temporary Unix socket from a background thread for the
+    on a fresh temporary Unix socket from a spawned domain for the
     duration of [f path daemon], then {!stop}s the daemon and joins the
-    thread, also when [f] raises.  [config.unix_path] is replaced by
-    the temporary path; every other field, [tcp] included, is used as
-    given.  The socket is listening before [f] runs.  [f] must not call
-    {!stop} itself: use {!create}/{!run} directly to test a drain. *)
+    domain, also when [f] raises (the exception then reaches the caller
+    unchanged, with every connection closed and the socket path
+    removed).  [config.unix_path] is replaced by the temporary path;
+    every other field, [tcp] included, is used as given.  The socket is
+    listening before [f] runs.  [f] must not call {!stop} itself: use
+    {!create}/{!run} directly to test a drain.
+
+    Running the daemon in a domain beside its caller is safe because
+    the only module-level mutable state in [lib] is the [Aes128]
+    T-tables, filled at module initialisation, and
+    [Servsim.Handler]'s dynamic-engine provider, set before serving. *)
 
 val stop : t -> unit
-(** Request a graceful drain.  Async-signal-safe and thread-safe: it
-    writes one byte to a self-pipe watched by the acceptor loop, which
-    closes the listeners and broadcasts the drain to every worker. *)
+(** Request a graceful drain.  Async-signal-safe, and safe from any
+    thread or domain: it writes one byte to a self-pipe watched by the
+    acceptor loop, which closes the listeners and broadcasts the drain
+    to every worker. *)
 
 val install_stop_signals : t -> unit
 (** Route SIGTERM and SIGINT to {!stop}. *)
 
 val domains : t -> int
 (** Number of worker event loops (the configured [domains]). *)
-
-val backend : t -> Evloop.backend
-(** The readiness backend every loop of this daemon runs on. *)
 
 val metrics : t -> Metrics.t
 (** Acceptor-side counters: accepts, rejects, uptime. *)

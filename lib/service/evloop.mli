@@ -1,89 +1,50 @@
-(** Pluggable readiness backend for the daemon's event loops.
+(** The readiness layer of the daemon's event loops: poll(2).
 
-    One interface, three implementations — [Select] (portable fallback,
-    hard-capped at [FD_SETSIZE] = 1024 descriptors), [Poll] and [Epoll]
-    (feature-detected at build time, see [config/discover.ml]).  The
-    daemon registers descriptors once and updates their interest
-    in-place; {!wait} returns an indexed batch of ready events with no
-    per-round list allocation on the poll/epoll paths.
+    The daemon registers descriptors and updates their interest in
+    place; {!wait} hands the dense registration arrays to poll(2)
+    and returns an indexed batch of ready events with no per-round list
+    allocation.  Poll is POSIX, so it needs no build-time probe, and it
+    has no [FD_SETSIZE] wall.  Its cost is a scan of every registered
+    descriptor on each wait, which is measured against idle connections
+    in [BENCH_service.json] (DESIGN.md §14).
 
-    All backends present {e level-triggered} semantics: a descriptor
-    stays ready until the condition is consumed.  Epoll is also used in
-    level-triggered mode — the daemon drains each socket to [EAGAIN]
-    anyway, so edge-triggering would buy nothing and cost a starvation
-    footgun.  This is the only module in the tree allowed to touch raw
+    Readiness is {e level-triggered}: a descriptor stays ready until the
+    condition is consumed.  The daemon drains each socket to [EAGAIN]
+    anyway.  This is the only module in the tree allowed to touch raw
     readiness syscalls (fdlint R10, event-loop-hygiene).
 
     Not thread-safe: one [t] per event loop, touched only by its owning
     domain. *)
 
-type backend = Select | Poll | Epoll
-
-val all : backend list
-(** Every backend this build knows about, preference order last-wins:
-    [Select; Poll; Epoll]. *)
-
-val compiled_in : backend -> bool
-(** Whether the backend's syscalls are available in this build
-    ([Select] always is). *)
-
-val available : unit -> backend list
-(** [all] filtered by {!compiled_in}. *)
+type backend = Poll
+(** The one readiness mechanism.  This type, {!best} and
+    [Daemon.config.backend] exist only because the end-to-end
+    benchmark's daemon ([e2ebench/daemon.ml]) sets
+    [backend = Service.Evloop.best ()]; a change to the benchmark can
+    drop all three. *)
 
 val best : unit -> backend
-(** The most scalable compiled-in backend: epoll, else poll, else
-    select. *)
-
-val to_string : backend -> string
-
-val of_string : string -> (backend, string) result
-(** Parse ["auto"|"select"|"poll"|"epoll"]; ["auto"] resolves to
-    {!best}.  [Error] explains an unknown name or a backend this build
-    lacks. *)
+(** [Poll]. *)
 
 type t
 
-val create : backend -> t
-(** May raise [Unix.Unix_error] (epoll instance creation). *)
-
-val backend : t -> backend
-
-val close : t -> unit
-(** Release kernel resources (the epoll descriptor).  Registered fds
-    are forgotten, not closed. *)
-
-val compatible : t -> Unix.file_descr -> bool
-(** Whether the backend can watch this descriptor at all.  Select
-    refuses fds >= [FD_SETSIZE]; poll/epoll accept any.  The daemon
-    checks at accept time and turns incompatible connections away
-    instead of corrupting the fd sets. *)
-
-val add : t -> Unix.file_descr -> read:bool -> write:bool -> unit
-(** Register a descriptor.  Re-adding an already-registered fd just
-    updates its interest. *)
+val create : unit -> t
 
 val set : t -> Unix.file_descr -> read:bool -> write:bool -> unit
-(** Update interest.  No-ops (and issues no syscall) when the interest
-    is unchanged — callers may invoke it unconditionally after serving
-    a connection.  Adding an unregistered fd this way registers it. *)
+(** Set a descriptor's interest, registering it on first use.  It only
+    stores into the registration arrays (no syscall), so callers may
+    invoke it unconditionally after serving a connection. *)
 
 val remove : t -> Unix.file_descr -> unit
-(** Forget a descriptor.  Call {e before} closing the fd (epoll wants
-    the registration gone first; select/poll just drop it from the
-    scan).  No-op when not registered. *)
-
-val mem : t -> Unix.file_descr -> bool
-val fd_count : t -> int
+(** Forget a descriptor; call it before closing the fd.  No-op when not
+    registered. *)
 
 val wait : t -> timeout:float -> int
 (** Block until readiness or [timeout] (seconds; negative = forever),
-    returning the number of ready events.  Retries [EINTR] internally
-    only around bookkeeping — the wait itself surfaces [EINTR] as a
-    zero-event round so signal-driven self-pipe writes get serviced
-    promptly.  Results are read with the indexed accessors below and
-    are valid until the next {!wait}.  The select backend may report
-    one fd as two events (read and write separately); consumers must
-    treat events independently. *)
+    returning the number of ready events.  [EINTR] is not retried: it
+    surfaces as a zero-event round, so signal-driven self-pipe writes
+    get serviced promptly.  Results are read with the indexed accessors
+    below and are valid until the next {!wait}. *)
 
 val ready_fd : t -> int -> Unix.file_descr
 val ready_read : t -> int -> bool

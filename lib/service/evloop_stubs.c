@@ -1,21 +1,14 @@
-/* Readiness-backend stubs for Service.Evloop.
+/* The poll(2) stub behind Service.Evloop.
  *
- * Two optional backends, each behind a feature-test macro emitted by
- * config/discover.ml at build time:
+ * Used level-triggered: the OCaml daemon drains sockets to EAGAIN
+ * anyway.  Event bits on the OCaml side are a tiny portable set:
+ * 1 = readable (or error/hup — the subsequent read surfaces the
+ * condition), 2 = writable.
  *
- *   -DSFDD_HAVE_POLL    poll(2)   — no FD_SETSIZE wall, O(n) scan
- *   -DSFDD_HAVE_EPOLL   epoll(7)  — Linux, O(ready) wakeups
- *
- * Both are used level-triggered: the OCaml daemon drains sockets to
- * EAGAIN anyway, so level semantics cost nothing and keep the three
- * backends behaviorally identical.  Event bits on the OCaml side are a
- * tiny portable set: 1 = readable (or error/hup — the subsequent read
- * surfaces the condition), 2 = writable.
- *
- * All stubs release the runtime lock around the blocking wait and
- * report failures as Unix_error via caml_uerror; EINTR is retried on
- * the OCaml side so signal delivery (e.g. the daemon's SIGTERM-to-
- * self-pipe handler) behaves exactly as it does with Unix.select. */
+ * The stub releases the runtime lock around the blocking wait and
+ * reports failures as Unix_error via uerror; EINTR is handled on the
+ * OCaml side so signal delivery (e.g. the daemon's SIGTERM-to-self-pipe
+ * handler) wakes the loop promptly. */
 
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
@@ -25,39 +18,11 @@
 #include <caml/unixsupport.h>
 
 #include <errno.h>
-#include <stdlib.h>
-#include <string.h>
-#include <unistd.h>
-
-#ifdef SFDD_HAVE_POLL
 #include <poll.h>
-#endif
-#ifdef SFDD_HAVE_EPOLL
-#include <sys/epoll.h>
-#endif
+#include <stdlib.h>
 
 #define SFDD_EV_READ 1
 #define SFDD_EV_WRITE 2
-
-CAMLprim value sfdd_ev_have_poll(value unit)
-{
-  (void)unit;
-#ifdef SFDD_HAVE_POLL
-  return Val_true;
-#else
-  return Val_false;
-#endif
-}
-
-CAMLprim value sfdd_ev_have_epoll(value unit)
-{
-  (void)unit;
-#ifdef SFDD_HAVE_EPOLL
-  return Val_true;
-#else
-  return Val_false;
-#endif
-}
 
 /* poll(fds, interest, revents_out, count, timeout_ms) -> ready count.
  * [fds] and [interest] are parallel int arrays of length >= count;
@@ -65,7 +30,6 @@ CAMLprim value sfdd_ev_have_epoll(value unit)
 CAMLprim value sfdd_ev_poll(value vfds, value vinterest, value vrevents,
                             value vcount, value vtimeout)
 {
-#ifdef SFDD_HAVE_POLL
   CAMLparam5(vfds, vinterest, vrevents, vcount, vtimeout);
   long count = Long_val(vcount);
   int timeout = Int_val(vtimeout);
@@ -110,91 +74,4 @@ CAMLprim value sfdd_ev_poll(value vfds, value vinterest, value vrevents,
   }
   free(pfds);
   CAMLreturn(Val_int(ret));
-#else
-  (void)vfds; (void)vinterest; (void)vrevents; (void)vcount; (void)vtimeout;
-  caml_failwith("sfdd_ev_poll: poll backend not compiled in");
-#endif
-}
-
-/* epoll_create1(EPOLL_CLOEXEC) -> epoll fd. */
-CAMLprim value sfdd_ev_epoll_create(value unit)
-{
-#ifdef SFDD_HAVE_EPOLL
-  int fd;
-  (void)unit;
-  fd = epoll_create1(EPOLL_CLOEXEC);
-  if (fd < 0) uerror("epoll_create1", Nothing);
-  return Val_int(fd);
-#else
-  (void)unit;
-  caml_failwith("sfdd_ev_epoll_create: epoll backend not compiled in");
-#endif
-}
-
-/* epoll_ctl(epfd, op, fd, interest): op 0 = ADD, 1 = MOD, 2 = DEL. */
-CAMLprim value sfdd_ev_epoll_ctl(value vep, value vop, value vfd, value vinterest)
-{
-#ifdef SFDD_HAVE_EPOLL
-  struct epoll_event ev;
-  int op;
-  long bits = Long_val(vinterest);
-  memset(&ev, 0, sizeof ev);
-  ev.events = 0;
-  if (bits & SFDD_EV_READ) ev.events |= EPOLLIN;
-  if (bits & SFDD_EV_WRITE) ev.events |= EPOLLOUT;
-  ev.data.fd = Int_val(vfd);
-  switch (Int_val(vop)) {
-  case 0: op = EPOLL_CTL_ADD; break;
-  case 1: op = EPOLL_CTL_MOD; break;
-  default: op = EPOLL_CTL_DEL; break;
-  }
-  if (epoll_ctl(Int_val(vep), op, Int_val(vfd), &ev) < 0)
-    uerror("epoll_ctl", Nothing);
-  return Val_unit;
-#else
-  (void)vep; (void)vop; (void)vfd; (void)vinterest;
-  caml_failwith("sfdd_ev_epoll_ctl: epoll backend not compiled in");
-#endif
-}
-
-/* epoll_wait(epfd, fds_out, evs_out, timeout_ms) -> ready count; fills
- * the two parallel out-arrays (capped at their length). */
-CAMLprim value sfdd_ev_epoll_wait(value vep, value vfds, value vevs, value vtimeout)
-{
-#ifdef SFDD_HAVE_EPOLL
-  CAMLparam4(vep, vfds, vevs, vtimeout);
-  long cap = Wosize_val(vfds);
-  struct epoll_event *evs;
-  int ret;
-  long i;
-
-  if (Wosize_val(vevs) < cap) cap = Wosize_val(vevs);
-  if (cap <= 0) caml_invalid_argument("sfdd_ev_epoll_wait: empty out-arrays");
-  evs = (struct epoll_event *)malloc((size_t)cap * sizeof(struct epoll_event));
-  if (evs == NULL) caml_raise_out_of_memory();
-
-  caml_enter_blocking_section();
-  ret = epoll_wait(Int_val(vep), evs, (int)cap, Int_val(vtimeout));
-  caml_leave_blocking_section();
-
-  if (ret < 0) {
-    int saved = errno;
-    free(evs);
-    errno = saved;
-    uerror("epoll_wait", Nothing);
-  }
-  for (i = 0; i < ret; i++) {
-    long bits = 0;
-    if (evs[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP | EPOLLRDHUP))
-      bits |= SFDD_EV_READ;
-    if (evs[i].events & EPOLLOUT) bits |= SFDD_EV_WRITE;
-    Store_field(vfds, i, Val_long((long)evs[i].data.fd));
-    Store_field(vevs, i, Val_long(bits));
-  }
-  free(evs);
-  CAMLreturn(Val_int(ret));
-#else
-  (void)vep; (void)vfds; (void)vevs; (void)vtimeout;
-  caml_failwith("sfdd_ev_epoll_wait: epoll backend not compiled in");
-#endif
 }

@@ -20,8 +20,8 @@ type ns = {
 
 (* Frames-per-wake buckets: 0, 1, 2, 3, 4–7, 8–15, 16–31, 32+.  The
    shape of this histogram is the whole story of syscall batching: a
-   select loop serving one frame per wakeup lives in bucket 1; a
-   pipelined client against epoll pushes mass to the right. *)
+   strict request/response client is served one frame per wakeup and
+   lives in bucket 1; a pipelined client pushes mass to the right. *)
 let wake_buckets = [| "0"; "1"; "2"; "3"; "4-7"; "8-15"; "16-31"; "32+" |]
 
 let wake_bucket n =

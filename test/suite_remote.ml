@@ -1,5 +1,5 @@
 (* Networked mode: the server S is a [Service.Daemon] serving a fresh
-   Unix socket from a background thread; every block access crosses the
+   Unix socket from a spawned domain; every block access crosses the
    socket.  Checks protocol correctness end-to-end and that the
    *server-side* trace (recorded where the adversary actually sits)
    matches the client's mirror and stays oblivious. *)

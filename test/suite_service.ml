@@ -1,15 +1,14 @@
 (* The multi-tenant daemon: an in-process [Service.Daemon] on a Unix
-   socket (run in a background thread), exercised by real client
+   socket (served from its own domain), exercised by real client
    connections.  Checks per-tenant isolation — concurrent discover runs
    produce server-side trace digests bit-identical to a single-client
    run — plus the frames == per-session-ledger invariant, fault
    isolation (mid-frame disconnects, malformed frames, a v2 client),
    the connection cap, the idle timeout, and graceful drain. *)
 
-let with_daemon ?(max_conns = 64) ?(idle_timeout = 0.) ?(domains = 1)
-    ?(backend = Service.Evloop.Select) f =
+let with_daemon ?(max_conns = 64) ?(idle_timeout = 0.) ?(domains = 1) f =
   Service.Daemon.with_local
-    ~config:{ Service.Daemon.default_config with max_conns; idle_timeout; domains; backend }
+    ~config:{ Service.Daemon.default_config with max_conns; idle_timeout; domains }
     f
 
 let with_client ?namespace ?depth path f =
@@ -31,11 +30,9 @@ let discover_fds conn table =
 
 (* {2 Tenant isolation under concurrency} *)
 
-let test_concurrent_tenants_match_single_client backend () =
+let test_concurrent_tenants_match_single_client () =
   let table = Datasets.Examples.fig1 () in
-  (* Reference: one daemon, one client, one tenant — always on the
-     portable select backend, so the parameterized runs also prove the
-     poll/epoll paths bit-identical to select. *)
+  (* Reference: one daemon, one client, one tenant. *)
   let ref_fds = ref "" and ref_digests = ref (0L, 0L, 0) in
   with_daemon (fun path _ ->
       with_client ~namespace:"solo" path (fun conn ->
@@ -45,7 +42,7 @@ let test_concurrent_tenants_match_single_client backend () =
      each tenant's server-side trace must be bit-identical to the
      single-client run — neither client can even see that the other
      exists in its own adversary view. *)
-  with_daemon ~backend (fun path _ ->
+  with_daemon (fun path _ ->
       let run ns out_fds out_digests () =
         with_client ~namespace:ns path (fun conn ->
             out_fds := discover_fds conn table;
@@ -109,8 +106,8 @@ let test_frames_match_session_ledger () =
 
 (* {2 Fault isolation} *)
 
-let test_mid_frame_disconnect_leaves_others_served backend () =
-  with_daemon ~backend (fun path _ ->
+let test_mid_frame_disconnect_leaves_others_served () =
+  with_daemon (fun path _ ->
       with_client ~namespace:"survivor" path (fun conn ->
           ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
           ignore (Servsim.Remote.call conn (Servsim.Wire.Ensure ("s", 2)));
@@ -199,8 +196,8 @@ let test_connection_cap () =
                     false
                 | exception _ -> true))))
 
-let test_idle_timeout backend () =
-  with_daemon ~backend ~idle_timeout:0.3 (fun path _ ->
+let test_idle_timeout () =
+  with_daemon ~idle_timeout:0.3 (fun path _ ->
       with_client ~namespace:"sleepy" path (fun conn ->
           Servsim.Remote.ping conn;
           Unix.sleepf 1.2;
@@ -209,12 +206,12 @@ let test_idle_timeout backend () =
             | () -> false
             | exception _ -> true)))
 
-let test_graceful_drain backend () =
+let test_graceful_drain () =
   let path = Filename.temp_file "svc-test" ".sock" in
   Sys.remove path;
   let daemon =
     Service.Daemon.create
-      { Service.Daemon.default_config with unix_path = Some path; backend }
+      { Service.Daemon.default_config with unix_path = Some path }
   in
   let th = Thread.create Service.Daemon.run daemon in
   let conn = Servsim.Remote.connect_unix ~namespace:"draining" path in
@@ -228,6 +225,39 @@ let test_graceful_drain backend () =
   Thread.join th;
   Alcotest.(check bool) "socket path removed" false (Sys.file_exists path);
   Alcotest.(check int) "no live connections" 0 (Service.Daemon.live_conns daemon)
+
+(* [with_local]'s cleanup when its body raises: the exception reaches
+   the caller unchanged, a connection left open by the body is closed
+   by the drain deadline, and the socket path is gone. *)
+exception Body_failed of string
+
+let test_with_local_body_raises () =
+  let seen = ref None and client = ref None in
+  (match
+     Service.Daemon.with_local
+       ~config:{ Service.Daemon.default_config with drain_grace = 0.2 }
+       (fun path daemon ->
+         seen := Some (path, daemon);
+         let conn = Servsim.Remote.connect_unix ~namespace:"raiser" path in
+         client := Some conn;
+         Servsim.Remote.ping conn;
+         Alcotest.(check int) "one live connection" 1 (Service.Daemon.live_conns daemon);
+         raise (Body_failed "boom"))
+   with
+  | () -> Alcotest.fail "with_local returned"
+  | exception Body_failed msg -> Alcotest.(check string) "body's exception unchanged" "boom" msg);
+  Option.iter Servsim.Remote.close !client;
+  match !seen with
+  | None -> Alcotest.fail "body never ran"
+  | Some (path, daemon) ->
+      Alcotest.(check int) "no live connections" 0 (Service.Daemon.live_conns daemon);
+      Alcotest.(check bool) "socket path removed" false (Sys.file_exists path);
+      Alcotest.(check bool) "connecting afterwards fails" true
+        (match Servsim.Remote.connect_unix ~namespace:"late" path with
+        | conn ->
+            Servsim.Remote.close conn;
+            false
+        | exception Unix.Unix_error _ -> true)
 
 let test_tcp_listener () =
   Service.Daemon.with_local
@@ -246,14 +276,14 @@ let test_tcp_listener () =
       | _ -> Alcotest.fail "get");
       Servsim.Remote.close conn)
 
-(* {2 Readiness backends: handshake robustness, fd-limit behaviour} *)
+(* {2 Handshake robustness and the descriptor ceiling} *)
 
 (* A client that trickles its handshake — version byte alone, then the
-   [Hello] frame split mid-bytes — must be reassembled identically by
-   every backend: readiness semantics (level vs edge, ready-set
-   encoding) are Evloop-internal and must not leak into framing. *)
-let test_trickled_handshake backend () =
-  with_daemon ~backend (fun path _ ->
+   [Hello] frame split mid-bytes — must be reassembled exactly:
+   readiness semantics are Evloop-internal and must not leak into
+   framing. *)
+let test_trickled_handshake () =
+  with_daemon (fun path _ ->
       let fd, ic, oc = raw_connect path in
       output_char oc (Char.chr Servsim.Wire.protocol_version);
       flush oc;
@@ -281,8 +311,8 @@ let test_trickled_handshake backend () =
 (* The handshake stage is unauthenticated and acceptor-owned, so its
    buffering is bounded: a client opening with a jumbo first frame is
    cut off at [Conn.pre_hello_max], long before the 64 MiB frame cap. *)
-let test_handshake_flood_bounded backend () =
-  with_daemon ~backend (fun path _ ->
+let test_handshake_flood_bounded () =
+  with_daemon (fun path _ ->
       let fd, ic, oc = raw_connect path in
       output_char oc (Char.chr Servsim.Wire.protocol_version);
       flush oc;
@@ -302,16 +332,16 @@ let test_handshake_flood_bounded backend () =
         (match input_char ic with _ -> false | exception End_of_file -> true);
       Unix.close fd)
 
-(* The point of poll/epoll: accept and serve more connections than
-   select's FD_SETSIZE wall.  Each connection holds two descriptors in
-   this (shared-table, in-process) test, so 1100 of them push fd numbers
-   well past 1024; every one completes its handshake and session setup,
-   and a sample across the whole fd range is then served with all the
-   others still open. *)
+(* Poll has no FD_SETSIZE wall: the daemon accepts and serves
+   descriptors numbered past 1024.  Each connection holds two
+   descriptors in this (shared-table, in-process) test, so 1100 of them
+   push fd numbers well past 1024; every one completes its handshake
+   and session setup, and a sample across the whole fd range is then
+   served with all the others still open. *)
 let fanout_conns = 1100
 
-let test_fanout_past_fd_setsize backend () =
-  with_daemon ~backend ~max_conns:(fanout_conns + 64) (fun path _ ->
+let test_fanout_past_fd_setsize () =
+  with_daemon ~max_conns:(fanout_conns + 64) (fun path _ ->
       let conns =
         Array.init fanout_conns (fun i ->
             let fd, ic, oc = raw_connect path in
@@ -339,46 +369,10 @@ let test_fanout_past_fd_setsize backend () =
         conns;
       Array.iter (fun (fd, _, _) -> Unix.close fd) conns)
 
-(* select cannot represent descriptors >= FD_SETSIZE: the daemon must
-   refuse such a connection at accept time instead of corrupting its
-   ready sets.  Opening connections until the shared fd table passes
-   1024 forces the case; the refusal is the overflowing connection's
-   problem only — earlier connections keep being served. *)
-let test_select_refuses_past_fd_setsize () =
-  with_daemon ~backend:Service.Evloop.Select ~max_conns:4096 (fun path _ ->
-      with_client ~namespace:"early" path (fun early ->
-          Servsim.Remote.ping early;
-          let opened = ref [] in
-          let refused = ref false in
-          Fun.protect
-            ~finally:(fun () -> List.iter (fun (fd, _, _) -> Unix.close fd) !opened)
-            (fun () ->
-              let i = ref 0 in
-              while (not !refused) && !i < 1200 do
-                incr i;
-                let (_, ic, oc) as c = raw_connect path in
-                opened := c :: !opened;
-                (* The refusal close can surface as a clean EOF or as a
-                   reset, depending on who wins the race. *)
-                let served =
-                  try
-                    output_char oc (Char.chr Servsim.Wire.protocol_version);
-                    flush oc;
-                    match input_char ic with
-                    | _ -> true
-                    | exception End_of_file -> false
-                  with Sys_error _ -> false
-                in
-                if not served then refused := true
-              done;
-              Alcotest.(check bool) "a connection beyond FD_SETSIZE was refused" true
-                !refused;
-              Servsim.Remote.ping early)))
-
 (* {2 Client pipelining} *)
 
-let test_pipelined_ordered backend () =
-  with_daemon ~backend (fun path _ ->
+let test_pipelined_ordered () =
+  with_daemon (fun path _ ->
       with_client ~namespace:"pipe" ~depth:8 path (fun conn ->
           ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
           ignore (Servsim.Remote.call conn (Servsim.Wire.Ensure ("s", 32)));
@@ -853,40 +847,20 @@ let test_metrics_evict_folds_counters () =
   Alcotest.(check int) "returning tenant starts fresh" 1
     (Service.Metrics.ns_summary m "gone").Service.Metrics.frames
 
-(* The backend-parity block: the same suite of daemon behaviours runs
-   on every backend compiled into this build, so select, poll and epoll
-   must be observably interchangeable (digests included). *)
-let backend_cases =
-  Service.Evloop.available ()
-  |> List.concat_map (fun b ->
-         let n name = Printf.sprintf "%s: %s" (Service.Evloop.to_string b) name in
-         [
-           Alcotest.test_case
-             (n "concurrent tenants match single-client digests")
-             `Quick
-             (test_concurrent_tenants_match_single_client b);
-           Alcotest.test_case (n "mid-frame disconnect isolated") `Quick
-             (test_mid_frame_disconnect_leaves_others_served b);
-           Alcotest.test_case (n "idle timeout") `Slow (test_idle_timeout b);
-           Alcotest.test_case (n "graceful drain") `Quick (test_graceful_drain b);
-           Alcotest.test_case (n "trickled handshake reassembled") `Quick
-             (test_trickled_handshake b);
-           Alcotest.test_case (n "pre-hello buffering bounded") `Quick
-             (test_handshake_flood_bounded b);
-           Alcotest.test_case (n "pipelined client, ordered responses") `Quick
-             (test_pipelined_ordered b);
-         ]
-         @
-         if b = Service.Evloop.Select then []
-         else
-           [
-             Alcotest.test_case (n "serves past select's FD_SETSIZE") `Slow
-               (test_fanout_past_fd_setsize b);
-           ])
-
 let suite =
-  backend_cases
-  @ [
+  [
+    Alcotest.test_case "concurrent tenants match single-client digests" `Quick
+      test_concurrent_tenants_match_single_client;
+    Alcotest.test_case "mid-frame disconnect isolated" `Quick
+      test_mid_frame_disconnect_leaves_others_served;
+    Alcotest.test_case "idle timeout" `Slow test_idle_timeout;
+    Alcotest.test_case "graceful drain" `Quick test_graceful_drain;
+    Alcotest.test_case "with_local cleans up when the body raises" `Quick
+      test_with_local_body_raises;
+    Alcotest.test_case "trickled handshake reassembled" `Quick test_trickled_handshake;
+    Alcotest.test_case "pre-hello buffering bounded" `Quick test_handshake_flood_bounded;
+    Alcotest.test_case "pipelined client, ordered responses" `Quick test_pipelined_ordered;
+    Alcotest.test_case "serves past FD_SETSIZE" `Slow test_fanout_past_fd_setsize;
     Alcotest.test_case "tenant state survives reconnect" `Quick
       test_tenant_state_survives_reconnect;
     Alcotest.test_case "frames match per-session ledger" `Quick
@@ -896,8 +870,6 @@ let suite =
     Alcotest.test_case "hello required first" `Quick test_hello_required_first;
     Alcotest.test_case "v2 handshake rejected" `Quick test_v2_handshake_rejected;
     Alcotest.test_case "connection cap" `Quick test_connection_cap;
-    Alcotest.test_case "select refuses past FD_SETSIZE" `Slow
-      test_select_refuses_past_fd_setsize;
     Alcotest.test_case "async puts match sync digests" `Quick test_async_puts_match_sync;
     Alcotest.test_case "raw send/recv window" `Quick test_send_recv_window;
     Alcotest.test_case "loop syscall counters in stats" `Quick test_loop_counters_in_stats;
