@@ -18,10 +18,10 @@
    descriptor on each wait (DESIGN.md §14).  Syscalls-per-op comes from a
    probe connection reading the daemon's loop counters (read(2) +
    write(2) attempts) before and after each round — the direct measure
-   of what response coalescing and client pipelining batch away.  The
-   speedup from worker domains only shows on a multicore host;
-   [host_cores] is recorded alongside so a flat sweep on a 1-core box
-   reads as parity, not a regression (EXPERIMENTS.md). *)
+   of what response coalescing and client pipelining batch away.
+   [host_cores] is recorded alongside: the daemon serves on one loop,
+   so it is the client processes that extra cores help
+   (EXPERIMENTS.md). *)
 
 let block = String.make 64 '\xAB'
 
@@ -30,13 +30,10 @@ let idle_full = 1000
 
 (* {2 Child: daemon} *)
 
-let daemon_main path domains =
+let daemon_main path =
   let daemon =
     Service.Daemon.create
-      { Service.Daemon.default_config with
-        unix_path = Some path;
-        max_conns = idle_full + 64;
-        domains }
+      { Service.Daemon.default_config with unix_path = Some path; max_conns = idle_full + 64 }
   in
   Service.Daemon.install_stop_signals daemon;
   Service.Daemon.run daemon;
@@ -201,13 +198,12 @@ let open_idle path =
 
 (* One daemon process; the clients x depth sweep runs against it, then
    the idle point, then SIGTERM — the graceful drain is part of what
-   the harness exercises.  The domains axis stays at 1 here: the
-   pipelining comparison is a single-core story, and the loop counters
-   of one worker are then the whole daemon's. *)
+   the harness exercises.  The daemon's loop counters are daemon-wide,
+   so the probe's before/after deltas cover every connection. *)
 let sweep ~counts ~depths ~idle ~ops =
   let path = Filename.temp_file "fdserved-bench" ".sock" in
   Sys.remove path;
-  let daemon_pid = spawn [| "service-daemon"; path; "1" |] in
+  let daemon_pid = spawn [| "service-daemon"; path |] in
   let rec await tries =
     if not (Sys.file_exists path) then
       if tries = 0 then failwith "daemon did not come up"

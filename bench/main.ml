@@ -45,8 +45,7 @@ let () = Dynserve.install ()
 
 let () =
   match Array.to_list Sys.argv with
-  | _ :: "service-daemon" :: path :: domains :: _ ->
-      exit (Exp_service.daemon_main path (int_of_string domains))
+  | _ :: "service-daemon" :: path :: _ -> exit (Exp_service.daemon_main path)
   | _ :: "service-client" :: path :: ns :: ops :: depth :: out :: _ ->
       exit (Exp_service.client_main path ns (int_of_string ops) (int_of_string depth) out)
   | _ -> ()

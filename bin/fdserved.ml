@@ -2,7 +2,6 @@
 
      fdserved --unix /tmp/fdd.sock
      fdserved --tcp 127.0.0.1:7144 --max-conns 128 --idle-timeout 60
-     fdserved --unix /tmp/fdd.sock --domains 8   # 8 worker domains
      fdserved --selftest        # loopback smoke test, exits 0 on success *)
 
 open Cmdliner
@@ -15,8 +14,7 @@ let parse_tcp s =
       let port = int_of_string (String.sub s (i + 1) (String.length s - i - 1)) in
       (host, port)
 
-let serve unix_path tcp max_conns idle_timeout drain_grace domains data_dir max_resident
-    verbose =
+let serve unix_path tcp max_conns idle_timeout drain_grace data_dir max_resident verbose =
   let log = if verbose then fun msg -> Printf.eprintf "fdserved: %s\n%!" msg else ignore in
   let cfg =
     {
@@ -26,7 +24,6 @@ let serve unix_path tcp max_conns idle_timeout drain_grace domains data_dir max_
       max_conns;
       idle_timeout;
       drain_grace;
-      domains = max 1 domains;
       data_dir;
       max_resident;
       log;
@@ -40,11 +37,10 @@ let serve unix_path tcp max_conns idle_timeout drain_grace domains data_dir max_
   (match unix_path with
   | Some path -> Printf.printf "fdserved: listening on unix socket %s\n%!" path
   | None -> ());
-  Printf.printf "fdserved: %d worker domain(s)\n%!" (Service.Daemon.domains daemon);
   (match data_dir with
   | Some dir ->
       Printf.printf "fdserved: durable tenant state under %s%s\n%!" dir
-        (if max_resident > 0 then Printf.sprintf " (max %d resident per worker)" max_resident
+        (if max_resident > 0 then Printf.sprintf " (max %d resident)" max_resident
          else "")
   | None -> ());
   Service.Daemon.run daemon;
@@ -52,15 +48,13 @@ let serve unix_path tcp max_conns idle_timeout drain_grace domains data_dir max_
 
 (* Loopback smoke test: daemon in its own domain on a fresh Unix
    socket, two clients in disjoint namespaces doing real block traffic,
-   then a graceful drain.  Run once single-domain and once with two
-   worker domains so `dune runtest` exercises the sharded path.  Used
-   from `dune runtest`. *)
-let selftest_with ~domains =
+   then a graceful drain.  Used from `dune runtest`. *)
+let selftest_serve () =
   let fail fmt = Printf.ksprintf (fun m -> failwith ("selftest: " ^ m)) fmt in
   let check name cond = if not cond then fail "%s" name in
   let daemon =
     Service.Daemon.with_local
-      ~config:{ Service.Daemon.default_config with drain_grace = 10.; domains }
+      ~config:{ Service.Daemon.default_config with drain_grace = 10. }
       (fun path daemon ->
         let open Servsim in
         let a = Remote.connect_unix ~namespace:"alice" path in
@@ -87,7 +81,7 @@ let selftest_with ~domains =
         daemon)
   in
   check "drained" (Service.Daemon.live_conns daemon = 0);
-  Printf.printf "fdserved selftest (domains=%d): OK\n%!" domains
+  Printf.printf "fdserved selftest: OK\n%!"
 
 (* A selftest daemon on a temporary socket, in memory or backed by
    [data_dir]; [f] gets the socket path. *)
@@ -222,27 +216,23 @@ let selftest_dynamic () =
       check "dynamic session survives restart bit-identically" (recovered = reference));
   Printf.printf "fdserved selftest (dynamic sessions): OK\n%!"
 
-let selftest domains =
-  (* Single-domain, then sharded: acceptor + worker domains with fd
-     handoff. *)
-  selftest_with ~domains:1;
-  selftest_with ~domains:(max 2 domains);
+let selftest () =
+  selftest_serve ();
   selftest_persist ();
   selftest_dynamic ();
   `Ok ()
 
-let run unix_path tcp max_conns idle_timeout drain_grace domains data_dir max_resident
+let run unix_path tcp max_conns idle_timeout drain_grace data_dir max_resident
     oram_cache_levels verbose do_selftest =
   try
     (* Re-register the provider with the configured cache depth (the
        startup install covers only the pre-parse default). *)
     Dynserve.install ~oram_cache_levels ();
-    if do_selftest then selftest domains
+    if do_selftest then selftest ()
     else if unix_path = None && tcp = None then
       `Error (true, "need at least one of --unix / --tcp (or --selftest)")
     else
-      serve unix_path tcp max_conns idle_timeout drain_grace domains data_dir max_resident
-        verbose
+      serve unix_path tcp max_conns idle_timeout drain_grace data_dir max_resident verbose
   with
   | Failure msg | Invalid_argument msg -> `Error (false, msg)
   | Unix.Unix_error (e, fn, arg) ->
@@ -269,12 +259,6 @@ let cmd =
     Arg.(value & opt float 5. & info [ "drain-grace" ] ~docv:"SECONDS"
          ~doc:"Keep serving live connections for up to $(docv) seconds after SIGTERM.")
   in
-  let domains =
-    Arg.(value & opt int (Domain.recommended_domain_count ())
-         & info [ "domains" ] ~docv:"N"
-         ~doc:"Shard tenants over $(docv) worker domains (1 = single-domain \
-               event loop, the default on single-core hosts).")
-  in
   let data_dir =
     Arg.(value & opt (some string) None & info [ "data-dir" ] ~docv:"PATH"
          ~doc:"Persist tenant state (snapshot + write-ahead journal per namespace) under \
@@ -283,7 +267,7 @@ let cmd =
   in
   let max_resident =
     Arg.(value & opt int 0 & info [ "max-resident" ] ~docv:"N"
-         ~doc:"With --data-dir: keep at most $(docv) tenants in memory per worker, \
+         ~doc:"With --data-dir: keep at most $(docv) tenants in memory daemon-wide, \
                LRU-evicting cold ones to disk (0 disables eviction).")
   in
   let oram_cache_levels =
@@ -304,7 +288,7 @@ let cmd =
   in
   Cmd.v info_
     Term.(ret (const run $ unix_path $ tcp $ max_conns $ idle_timeout $ drain_grace
-               $ domains $ data_dir $ max_resident $ oram_cache_levels
+               $ data_dir $ max_resident $ oram_cache_levels
                $ verbose $ do_selftest))
 
 let () =

@@ -428,10 +428,10 @@ let all : Rule.t list =
       id = "R8";
       name = "domain-hygiene";
       doc =
-        "Domain.spawn anywhere except the sanctioned parallel runtimes (the sharded service \
-         daemon and the oblivious-sort worker pool, allowed via the checked-in .fdlint): \
-         accidental parallelism in client-side oblivious code can reorder the access trace \
-         and silently break digest reproducibility.";
+        "Domain.spawn anywhere except the sanctioned sites (Service.Daemon.with_local's \
+         serving domain and the oblivious-sort worker pool, allowed via the checked-in \
+         .fdlint): accidental parallelism in client-side oblivious code can reorder the \
+         access trace and silently break digest reproducibility.";
       scope = [];
       allow = [];
       check = Ast r8_check;

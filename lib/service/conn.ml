@@ -3,7 +3,6 @@ open Servsim
 type phase =
   | Handshake (* awaiting the client's version byte *)
   | Await_hello (* version agreed; first request must be Hello *)
-  | Routed of string (* Hello accepted; awaiting attach on the owning worker *)
   | Serving of Session.tenant
   | Closing (* flush pending output, then close *)
 
@@ -32,8 +31,9 @@ type t = {
   out_sink : Wire.sink; (* cached closure pair appending to [out] *)
   mutable phase : phase;
   mutable bound : Session.tenant option;
-      (* set at [attach] and kept through [Closing], so the daemon can
-         release the tenant's pin when the connection finally closes *)
+      (* set when [Hello] binds the tenant and kept through [Closing], so
+         the daemon can release the tenant's pin when the connection
+         finally closes *)
   mutable last_active : float;
 }
 
@@ -41,6 +41,7 @@ type ctx = {
   registry : Session.registry;
   metrics : Metrics.t;
   live_sessions : unit -> int;
+  log : string -> unit;
 }
 
 let out_reserve o n =
@@ -92,7 +93,6 @@ let create ~id ~peer ~now fd =
 let fd t = t.fd
 let peer t = t.peer
 let last_active t = t.last_active
-let touch t ~now = t.last_active <- now
 
 let pending_output t = t.out.hi - t.out.lo
 let wants_write t = pending_output t > 0
@@ -101,16 +101,16 @@ let closing t = match t.phase with Closing -> true | _ -> false
 (* Fully flushed and told to close: the daemon may drop the fd. *)
 let finished t = closing t && not (wants_write t)
 
-let namespace t =
-  match t.phase with Serving tenant -> Some tenant.Session.namespace | _ -> None
-
 let tenant t = t.bound
-
-let routed_namespace t = match t.phase with Routed ns -> Some ns | _ -> None
 
 let respond t resp =
   Wire.write_response_sink t.out_sink resp;
   t.out.hi - t.out.lo
+
+(* Answer one final [Error] and close: only this connection is lost. *)
+let refuse t msg =
+  ignore (respond t (Wire.Error msg));
+  t.phase <- Closing
 
 let build_stats ctx (tenant : Session.tenant) =
   let c = Cost.snapshot (Handler.cost tenant.Session.handler) in
@@ -168,7 +168,7 @@ let handle_request ctx t tenant req ~req_bytes =
 
 let rec drain_requests ctx t =
   match t.phase with
-  | Closing | Handshake | Await_hello | Routed _ -> ()
+  | Closing | Handshake | Await_hello -> ()
   | Serving tenant -> (
       match Frame_decoder.next t.decoder with
       | None -> ()
@@ -179,71 +179,52 @@ let rec drain_requests ctx t =
           (* This connection's stream is beyond resync.  Report once and
              close it — only it; every other connection keeps its own
              decoder and session untouched. *)
-          ignore (respond t (Wire.Error ("unrecoverable: " ^ msg)));
-          t.phase <- Closing)
+          refuse t ("unrecoverable: " ^ msg))
 
-(* The handshake and [Hello] run on the acceptor, before the connection
-   has an owning worker — so this stage must not need a registry or
-   metrics.  A valid [Hello ns] parks the connection in [Routed ns]
-   (with the [Ok] already buffered) and leaves any pipelined frames in
-   the decoder for the worker to serve after {!attach}. *)
-let on_hello t =
-  match t.phase with
-  | Handshake | Routed _ | Serving _ | Closing -> ()
-  | Await_hello -> (
-      match Frame_decoder.next t.decoder with
-      | None ->
-          if Frame_decoder.pending_bytes t.decoder > pre_hello_max then begin
-            ignore (respond t (Wire.Error "handshake: first frame too large"));
-            t.phase <- Closing
-          end
-      | Some (Wire.Hello "", _) ->
-          ignore (respond t (Wire.Error "empty namespace"));
-          t.phase <- Closing
-      | Some (Wire.Hello ns, _) ->
-          t.phase <- Routed ns;
-          ignore (respond t Wire.Ok)
-      | Some (_, _) ->
-          ignore (respond t (Wire.Error "expected Hello to establish a session"));
-          t.phase <- Closing
-      | exception Wire.Protocol_error msg ->
-          ignore (respond t (Wire.Error ("unrecoverable: " ^ msg)));
-          t.phase <- Closing)
+(* The first frame must be [Hello ns]: bind the tenant (creating,
+   or rehydrating it from its durable image) and answer [Ok].  A tenant
+   whose image is damaged beyond torn-tail recovery is refused on this
+   connection alone; every other namespace keeps being served. *)
+let on_hello ctx t =
+  match Frame_decoder.next t.decoder with
+  | None ->
+      if Frame_decoder.pending_bytes t.decoder > pre_hello_max then
+        refuse t "handshake: first frame too large"
+  | Some (Wire.Hello "", _) -> refuse t "empty namespace"
+  | Some (Wire.Hello ns, _) -> (
+      match Session.attach ctx.registry ns with
+      | tenant ->
+          t.bound <- Some tenant;
+          t.phase <- Serving tenant;
+          ignore (respond t Wire.Ok);
+          ctx.log (Printf.sprintf "conn %s -> namespace %S" t.peer ns)
+      | exception Store.Tenant.Corrupt msg ->
+          ctx.log (Printf.sprintf "conn %s: namespace %S refused: %s" t.peer ns msg);
+          refuse t ("tenant image corrupt: " ^ msg))
+  | Some (_, _) -> refuse t "expected Hello to establish a session"
+  | exception Wire.Protocol_error msg -> refuse t ("unrecoverable: " ^ msg)
 
-(* A chunk of bytes arrived on a connection the acceptor still owns. *)
-let on_bytes_pre t bytes ~len ~now =
-  t.last_active <- now;
-  let off = ref 0 in
-  (match t.phase with
-  | Handshake when len > 0 ->
-      let client_version = Char.code (Bytes.get bytes 0) in
-      off := 1;
-      (* Always answer with our own version byte so a mismatched client
-         can report the disagreement, then hang up on mismatch. *)
-      out_add_char t.out (Char.chr Wire.protocol_version);
-      if client_version = Wire.protocol_version then t.phase <- Await_hello
-      else t.phase <- Closing
-  | _ -> ());
-  if not (closing t) && len - !off > 0 then
-    Frame_decoder.feed t.decoder bytes ~off:!off ~len:(len - !off);
-  on_hello t
-
-(* The owning worker takes over a [Routed] connection: bind the tenant
-   in the worker's shard-local registry and serve any frames the client
-   pipelined behind its [Hello]. *)
-let attach ctx t =
-  match t.phase with
-  | Routed ns ->
-      let tenant = Session.attach ctx.registry ns in
-      t.bound <- Some tenant;
-      t.phase <- Serving tenant;
-      drain_requests ctx t
-  | Handshake | Await_hello | Serving _ | Closing -> ()
-
-(* A chunk of bytes arrived from the socket of an attached connection. *)
+(* A chunk of bytes arrived from the socket: the version byte first,
+   then the [Hello], then request frames — including any the client
+   pipelined behind its [Hello] in the same chunk. *)
 let on_bytes ctx t bytes ~len ~now =
   t.last_active <- now;
-  if len > 0 then Frame_decoder.feed t.decoder bytes ~off:0 ~len;
+  let off =
+    match t.phase with
+    | Handshake when len > 0 ->
+        (* Always answer with our own version byte so a mismatched
+           client can report the disagreement, then hang up on
+           mismatch. *)
+        out_add_char t.out (Char.chr Wire.protocol_version);
+        t.phase <-
+          (if Char.code (Bytes.get bytes 0) = Wire.protocol_version then Await_hello
+           else Closing);
+        1
+    | _ -> 0
+  in
+  if (not (closing t)) && len > off then
+    Frame_decoder.feed t.decoder bytes ~off ~len:(len - off);
+  (match t.phase with Await_hello -> on_hello ctx t | _ -> ());
   drain_requests ctx t
 
 (* The daemon flushed [n] bytes of pending output. *)

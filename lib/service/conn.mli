@@ -3,17 +3,7 @@
     response buffering.  Pure with respect to the socket — the daemon
     owns every syscall and feeds bytes in / shovels bytes out — which
     keeps the machine unit-testable and the failure domain of one
-    connection strictly its own.
-
-    The machine runs in two stages so the daemon can shard connections
-    across worker domains.  The {e pre-session} stage
-    ({!on_bytes_pre}) — version handshake and the mandatory first
-    [Hello] — needs no registry or metrics and runs on the acceptor; a
-    valid [Hello ns] parks the connection in a routed state carrying
-    its namespace.  The owning worker then calls {!attach} to bind the
-    tenant in its shard-local registry, after which {!on_bytes} serves
-    request frames.  With one worker the two stages run back-to-back on
-    the same loop and the observable byte stream is identical. *)
+    connection strictly its own. *)
 
 type t
 
@@ -21,6 +11,7 @@ type ctx = {
   registry : Session.registry;
   metrics : Metrics.t;
   live_sessions : unit -> int;
+  log : string -> unit;  (** session binds and refused tenants *)
 }
 
 val create : id:int -> peer:string -> now:float -> Unix.file_descr -> t
@@ -28,27 +19,14 @@ val create : id:int -> peer:string -> now:float -> Unix.file_descr -> t
 val fd : t -> Unix.file_descr
 val peer : t -> string
 
-val on_bytes_pre : t -> bytes -> len:int -> now:float -> unit
-(** Feed a received chunk during the pre-session stage: handles the
-    version byte and the first frame (which must be [Hello]).  On a
-    valid [Hello ns] the connection becomes routed ([Ok] buffered,
-    {!routed_namespace} returns [Some ns]) and any pipelined frames
-    stay queued in the decoder until {!attach}.  Never raises. *)
-
-val routed_namespace : t -> string option
-(** [Some ns] once the pre-session stage has accepted [Hello ns] and
-    the connection awaits {!attach} by its owning worker. *)
-
-val attach : ctx -> t -> unit
-(** Bind a routed connection to its tenant in [ctx.registry] and serve
-    any frames already queued behind the [Hello].  No-op in any other
-    phase. *)
-
 val on_bytes : ctx -> t -> bytes -> len:int -> now:float -> unit
-(** Feed a received chunk to an attached connection; parses and serves
-    every complete frame, appending responses to the output buffer.  A
-    malformed stream turns into one final [Error] response and the
-    closing state — it never raises. *)
+(** Feed a received chunk: the version byte, then the first frame
+    (which must be [Hello ns]; it binds the tenant in [ctx.registry]),
+    then every complete request frame, each response appended to the
+    output buffer.  A malformed stream, a refused handshake or a tenant
+    whose durable image is corrupt ({!Store.Tenant.Corrupt}) turns into
+    one final [Error] response and the closing state — it never
+    raises. *)
 
 val wants_write : t -> bool
 val pending_output : t -> int
@@ -62,8 +40,8 @@ val output : t -> bytes * int * int
 
 val pre_hello_max : int
 (** Cap on bytes a connection may buffer before completing its [Hello]
-    (the handshake stage is acceptor-owned and unauthenticated, so its
-    memory must be bounded tighter than the 64 MiB frame cap).
+    (the handshake stage is unauthenticated, so its memory must be
+    bounded tighter than the 64 MiB frame cap).
     Exceeding it closes the connection with an [Error]. *)
 
 val wrote : t -> int -> unit
@@ -75,13 +53,9 @@ val closing : t -> bool
 val finished : t -> bool
 (** Closing and fully flushed: drop the descriptor. *)
 
-val namespace : t -> string option
-(** The session's namespace, once established ({!attach} done). *)
-
 val tenant : t -> Session.tenant option
-(** The tenant bound at {!attach}, if any — still available in the
+(** The tenant bound by the [Hello], if any — still available in the
     closing phase, so the daemon can release the tenant's pin exactly
     when it drops the descriptor. *)
 
 val last_active : t -> float
-val touch : t -> now:float -> unit

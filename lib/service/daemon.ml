@@ -4,10 +4,10 @@ type config = {
   max_conns : int;
   idle_timeout : float; (* seconds; <= 0 disables *)
   drain_grace : float; (* seconds to keep serving after a stop request *)
-  domains : int; (* worker event loops; 1 = serve on the acceptor loop itself *)
+  domains : int; (* must be 1; kept for e2ebench/daemon.ml *)
   backend : Evloop.backend; (* only [Poll]; kept for e2ebench/daemon.ml *)
   data_dir : string option; (* root of per-tenant durable images; None = in-memory *)
-  max_resident : int; (* LRU tenant cap per worker registry; <= 0 disables *)
+  max_resident : int; (* LRU tenant cap, daemon-wide; <= 0 disables *)
   log : string -> unit;
 }
 
@@ -25,40 +25,21 @@ let default_config =
     log = ignore;
   }
 
-(* One worker domain: an independent event loop exclusively owning its
-   shard of tenants.  Everything on the per-frame hot path — [conns],
-   [registry], [metrics], [read_buf], the [ev] registration state — is
-   touched only by the owning domain, so serving needs no locks; the
-   mutex guards only the cold handoff/drain mailbox, entered when the
-   acceptor wakes us through the self-pipe. *)
-type worker = {
-  w_idx : int;
-  ev : Evloop.t;
-  registry : Session.registry;
-  metrics : Metrics.t;
-  conns : (Unix.file_descr, Conn.t) Hashtbl.t;
-  mu : Mutex.t; (* guards [inbox] and [drain_req] *)
-  inbox : Conn.t Queue.t; (* authenticated connections handed off by the acceptor *)
-  mutable drain_req : bool;
-  wake_r : Unix.file_descr; (* self-pipe: handoff and shutdown wakeups *)
-  wake_w : Unix.file_descr;
-  read_buf : bytes;
-  mutable draining : bool;
-  mutable drain_deadline : float;
-  mutable w_running : bool;
-}
-
+(* The one serving loop's state.  Everything on the per-frame hot path —
+   [conns], the registry and metrics in [ctx], [read_buf], the [ev]
+   registration state — is touched only by the domain running {!run};
+   [live] is atomic because {!live_conns} may be read from any domain,
+   and {!stop} touches only [stop_w]. *)
 type t = {
   cfg : config;
-  ev : Evloop.t; (* the acceptor's loop; also worker 0's when inline *)
-  workers : worker array;
-  accept_metrics : Metrics.t; (* accept/reject counters; frame metrics are per-worker *)
-  live : int Atomic.t; (* connections across the acceptor and every worker *)
+  ev : Evloop.t;
+  ctx : Conn.ctx; (* the one tenant registry and metrics *)
+  conns : (Unix.file_descr, Conn.t) Hashtbl.t;
+  live : int Atomic.t; (* [Hashtbl.length conns], readable from any domain *)
   mutable listeners : Unix.file_descr list;
-  pre : (Unix.file_descr, Conn.t) Hashtbl.t; (* pre-session conns, acceptor-owned *)
   stop_r : Unix.file_descr;
   stop_w : Unix.file_descr;
-  mutable tcp_port : int option;
+  tcp_port : int option;
   mutable draining : bool;
   mutable drain_deadline : float;
   mutable running : bool;
@@ -109,47 +90,11 @@ let listen_tcp addr port =
   in
   (fd, bound_port)
 
-let make_worker cfg w_idx =
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
-  let metrics = Metrics.create () in
-  (* Evicting a tenant also folds away its metrics entry, so tenant
-     churn cannot grow the per-namespace table without bound. *)
-  let registry =
-    Session.create
-      ~config:
-        {
-          Session.default_config with
-          data_dir = cfg.data_dir;
-          max_resident = cfg.max_resident;
-          on_evict = Metrics.evict_ns metrics;
-        }
-      ()
-  in
-  let ev = Evloop.create () in
-  Evloop.set ev wake_r ~read:true ~write:false;
-  {
-    w_idx;
-    ev;
-    registry;
-    metrics;
-    conns = Hashtbl.create 32;
-    mu = Mutex.create ();
-    inbox = Queue.create ();
-    drain_req = false;
-    wake_r;
-    wake_w;
-    read_buf = Bytes.create 65536;
-    draining = false;
-    drain_deadline = infinity;
-    w_running = true;
-  }
 
 let create cfg =
   if cfg.unix_path = None && cfg.tcp = None then
     invalid_arg "Daemon.create: need at least one of unix_path / tcp";
-  if cfg.domains < 1 then invalid_arg "Daemon.create: domains must be >= 1";
+  if cfg.domains <> 1 then invalid_arg "Daemon.create: domains must be 1";
   let listeners = ref [] in
   let tcp_port = ref None in
   (match cfg.unix_path with
@@ -168,14 +113,28 @@ let create cfg =
   let ev = Evloop.create () in
   Evloop.set ev stop_r ~read:true ~write:false;
   List.iter (fun fd -> Evloop.set ev fd ~read:true ~write:false) !listeners;
+  let metrics = Metrics.create () in
+  (* Evicting a tenant also folds away its metrics entry, so tenant
+     churn cannot grow the per-namespace table without bound. *)
+  let registry =
+    Session.create
+      ~config:
+        {
+          Session.default_config with
+          data_dir = cfg.data_dir;
+          max_resident = cfg.max_resident;
+          on_evict = Metrics.evict_ns metrics;
+        }
+      ()
+  in
+  let live = Atomic.make 0 in
   {
     cfg;
     ev;
-    workers = Array.init cfg.domains (make_worker cfg);
-    accept_metrics = Metrics.create ();
-    live = Atomic.make 0;
+    ctx = { Conn.registry; metrics; live_sessions = (fun () -> Atomic.get live); log = cfg.log };
+    conns = Hashtbl.create 32;
+    live;
     listeners = !listeners;
-    pre = Hashtbl.create 32;
     stop_r;
     stop_w;
     tcp_port = !tcp_port;
@@ -186,33 +145,20 @@ let create cfg =
     read_buf = Bytes.create 65536;
   }
 
-(* With one worker there is no domain to hand off to: the acceptor loop
-   serves worker 0's connections itself, exactly like the single-loop
-   daemon this design grew out of. *)
-let inline t = Array.length t.workers = 1
-
-let domains t = Array.length t.workers
-let metrics t = t.accept_metrics
-let worker_metrics t = Array.to_list (Array.map (fun w -> w.metrics) t.workers)
-let registries t = Array.to_list (Array.map (fun w -> w.registry) t.workers)
+let metrics t = t.ctx.Conn.metrics
+let ns_summary t ns = Metrics.ns_summary (metrics t) ns
 let tcp_port t = t.tcp_port
 let live_conns t = Atomic.get t.live
-let shard_of t ns = Session.shard ~shards:(Array.length t.workers) ns
 
-let ns_summary t ns = Metrics.ns_summary t.workers.(shard_of t ns).metrics ns
-
-(* Preallocated one-byte signal payloads: stop/wake fire on every
-   handoff and every drain broadcast, and allocating a fresh [Bytes] per
-   signal was measurable churn on the handoff path.  Never mutated. *)
+(* Preallocated one-byte signal payload.  Never mutated. *)
 let stop_byte = Bytes.make 1 's'
-let wake_byte = Bytes.make 1 'w'
 
 (* Safe from a signal handler, another thread or another domain: one
-   byte down the self-pipe wakes the acceptor loop, which drains the
+   byte down the self-pipe wakes the serving loop, which drains the
    pipe and starts the graceful drain.  Only genuinely-expected errnos
-   are swallowed — a full pipe (a wake byte is already pending) or a
+   are swallowed — a full pipe (a stop byte is already pending) or a
    peer already gone.
-   EBADF is *not* expected: the self-pipes live for the daemon's whole
+   EBADF is *not* expected: the self-pipe lives for the daemon's whole
    run, so a bad descriptor here means a double-close or fd-reuse bug
    and is logged instead of masked. *)
 let stop t =
@@ -226,15 +172,6 @@ let install_stop_signals t =
   (try Sys.set_signal Sys.sigterm handler with Invalid_argument _ -> ());
   (try Sys.set_signal Sys.sigint handler with Invalid_argument _ -> ())
 
-(* A full pipe is fine: an unread wake byte is already pending, so the
-   worker will wake regardless.  EBADF means the worker's pipe was
-   closed under us — a lifecycle bug worth a log line, not silence. *)
-let wake t (w : worker) =
-  try ignore (write_retry w.wake_w wake_byte 0 1) with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
-  | Unix.Unix_error (Unix.EBADF, _, _) ->
-      logf t "wake: EBADF on worker %d's pipe — double-close or fd-reuse bug" w.w_idx
-
 let drain_pipe fd =
   let b = Bytes.create 16 in
   try
@@ -243,55 +180,43 @@ let drain_pipe fd =
     done
   with Unix.Unix_error _ -> ()
 
-let w_ctx t (w : worker) =
-  {
-    Conn.registry = w.registry;
-    metrics = w.metrics;
-    live_sessions = (fun () -> Atomic.get t.live);
-  }
-
 let peer_string = function
   | Unix.ADDR_UNIX _ -> "unix"
   | Unix.ADDR_INET (a, p) -> Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
 
-(* {2 Connection service, shared by the acceptor (pre-session table) and
-   every worker (its own shard table)}
+(* {2 Connection service}
 
-   Each live connection is registered with its loop's {!Evloop} and its
+   Each live connection is registered with the loop's {!Evloop} and its
    interest is re-derived after every service step: readable unless
    closing or past the output high-water mark, writable while output is
    pending.  [Evloop.set] only stores into the loop's registration
    arrays, so the steady-state hot path issues no registration
    syscalls. *)
 
-let sync_interest ev conn =
-  Evloop.set ev (Conn.fd conn)
+let sync_interest t conn =
+  Evloop.set t.ev (Conn.fd conn)
     ~read:((not (Conn.closing conn)) && Conn.pending_output conn < out_hwm)
     ~write:(Conn.wants_write conn)
 
-(* [registry] is the shard-local registry of worker-owned connections —
-   closing one releases its tenant's pin (and may trigger LRU eviction).
-   Pre-session connections (acceptor-owned) pass no registry: they never
-   attached, so there is no pin to release. *)
-let close_conn ?registry t ev conns metrics conn reason =
+(* Closing a connection that reached its session releases its tenant's
+   pin (and may trigger LRU eviction). *)
+let close_conn t conn reason =
   let fd = Conn.fd conn in
-  if Hashtbl.mem conns fd then begin
-    Hashtbl.remove conns fd;
-    Evloop.remove ev fd;
+  if Hashtbl.mem t.conns fd then begin
+    Hashtbl.remove t.conns fd;
+    Evloop.remove t.ev fd;
     (try Unix.close fd with Unix.Unix_error _ -> ());
     Atomic.decr t.live;
-    Metrics.on_close metrics;
-    (match (registry, Conn.tenant conn) with
-    | Some reg, Some tenant -> Session.release reg tenant
-    | _ -> ());
+    Metrics.on_close t.ctx.metrics;
+    Option.iter (Session.release t.ctx.registry) (Conn.tenant conn);
     logf t "conn %s closed (%s)" (Conn.peer conn) reason
   end
 
-let flush_conn ?registry t ev conns metrics conn =
+let flush_conn t conn =
   let rec go () =
     if Conn.wants_write conn then begin
       let buf, off, len = Conn.output conn in
-      Metrics.sys_write metrics;
+      Metrics.sys_write t.ctx.metrics;
       match write_retry (Conn.fd conn) buf off len with
       | n ->
           Conn.wrote conn n;
@@ -302,126 +227,73 @@ let flush_conn ?registry t ev conns metrics conn =
              close, fd reuse), not client behavior — log it loudly
              rather than letting it pass as a generic write error. *)
           logf t "conn %s: EBADF on write — double-close or fd-reuse bug" (Conn.peer conn);
-          close_conn ?registry t ev conns metrics conn "write EBADF"
-      | exception Unix.Unix_error _ -> close_conn ?registry t ev conns metrics conn "write error"
+          close_conn t conn "write EBADF"
+      | exception Unix.Unix_error _ -> close_conn t conn "write error"
     end
   in
   go ();
-  if Conn.finished conn then close_conn ?registry t ev conns metrics conn "bye"
-  else if Hashtbl.mem conns (Conn.fd conn) then sync_interest ev conn
+  if Conn.finished conn then close_conn t conn "bye"
+  else if Hashtbl.mem t.conns (Conn.fd conn) then sync_interest t conn
 
-let read_conn t (w : worker) ev conn ~now =
-  let registry = w.registry in
+let read_conn t conn ~now =
   let rec go () =
-    Metrics.sys_read w.metrics;
-    match read_retry (Conn.fd conn) w.read_buf 0 (Bytes.length w.read_buf) with
+    Metrics.sys_read t.ctx.metrics;
+    match read_retry (Conn.fd conn) t.read_buf 0 (Bytes.length t.read_buf) with
     | 0 ->
         (* EOF — possibly mid-frame.  Only this connection dies; its
            tenant's state stays consistent because partial frames are
            never dispatched. *)
-        close_conn ~registry t ev w.conns w.metrics conn "eof"
+        close_conn t conn "eof"
     | n ->
-        Conn.on_bytes (w_ctx t w) conn w.read_buf ~len:n ~now;
+        Conn.on_bytes t.ctx conn t.read_buf ~len:n ~now;
         (* Drain to EAGAIN: responses accumulate in the connection's
            output buffer and flush as one write below. *)
-        if Hashtbl.mem w.conns (Conn.fd conn) && not (Conn.closing conn) then go ()
+        if Hashtbl.mem t.conns (Conn.fd conn) && not (Conn.closing conn) then go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (Unix.EBADF, _, _) ->
         logf t "conn %s: EBADF on read — double-close or fd-reuse bug" (Conn.peer conn);
-        close_conn ~registry t ev w.conns w.metrics conn "read EBADF"
-    | exception Unix.Unix_error _ ->
-        close_conn ~registry t ev w.conns w.metrics conn "read error"
+        close_conn t conn "read EBADF"
+    | exception Unix.Unix_error _ -> close_conn t conn "read error"
   in
   (try go ()
    with e ->
      (* One connection's failure must never take the daemon down. *)
      logf t "conn %s: unexpected %s" (Conn.peer conn) (Printexc.to_string e);
-     close_conn ~registry t ev w.conns w.metrics conn "internal error");
-  if Hashtbl.mem w.conns (Conn.fd conn) then flush_conn ~registry t ev w.conns w.metrics conn
+     close_conn t conn "internal error");
+  if Hashtbl.mem t.conns (Conn.fd conn) then flush_conn t conn
 
-(* Adopt an authenticated connection into a worker's shard: bind its
-   tenant in the shard-local registry, serve any frames pipelined behind
-   the Hello, and flush the buffered handshake + Ok.  [flush_conn]
-   registers the fd with the worker's loop via [sync_interest]. *)
-let adopt t (w : worker) ev conn ~now =
-  Hashtbl.replace w.conns (Conn.fd conn) conn;
-  Conn.touch conn ~now;
-  Conn.attach (w_ctx t w) conn;
-  flush_conn ~registry:w.registry t ev w.conns w.metrics conn
-
-let sweep_idle ?registry t ev conns metrics ~now =
+let sweep_idle t ~now =
   if t.cfg.idle_timeout > 0. then begin
     let idle =
       Hashtbl.fold
         (fun _ conn acc ->
           if now -. Conn.last_active conn > t.cfg.idle_timeout then conn :: acc else acc)
-        conns []
+        t.conns []
     in
-    List.iter (fun conn -> close_conn ?registry t ev conns metrics conn "idle timeout") idle
+    List.iter (fun conn -> close_conn t conn "idle timeout") idle
   end
 
-let close_all ?registry t ev conns metrics reason =
-  Hashtbl.fold (fun _ c acc -> c :: acc) conns []
-  |> List.iter (fun c -> close_conn ?registry t ev conns metrics c reason)
+let close_all t reason =
+  Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
+  |> List.iter (fun c -> close_conn t c reason)
 
-(* {2 Readiness plumbing}
+(* {2 The loop}
 
-   The timeout is derived from the nearest deadline actually pending —
-   the drain grace and/or the earliest idle-connection expiry — rather
-   than a fixed polling interval: an idle daemon blocks in its
-   readiness wait indefinitely (self-pipes deliver stop and handoff
-   wakeups), and a loaded one wakes exactly when the next timeout is
+   The readiness timeout is derived from the nearest deadline actually
+   pending — the drain grace and/or the earliest idle-connection
+   expiry — rather than a fixed polling interval: an idle daemon blocks
+   in its readiness wait indefinitely (the self-pipe delivers stop
+   requests), and a loaded one wakes exactly when the next timeout is
    due. *)
-let nearest_deadline t ~draining ~drain_deadline tbls =
-  let d = if draining then drain_deadline else infinity in
+let nearest_deadline t =
+  let d = if t.draining then t.drain_deadline else infinity in
   if t.cfg.idle_timeout <= 0. then d
   else
-    List.fold_left
-      (fun d tbl ->
-        Hashtbl.fold
-          (fun _ conn d -> Float.min d (Conn.last_active conn +. t.cfg.idle_timeout))
-          tbl d)
-      d tbls
+    Hashtbl.fold
+      (fun _ conn d -> Float.min d (Conn.last_active conn +. t.cfg.idle_timeout))
+      t.conns d
 
 let timeout_of_deadline d ~now = if d = infinity then -1. else Float.max 0. (d -. now)
-
-(* {2 The acceptor} *)
-
-let route t conn ns ~now =
-  Hashtbl.remove t.pre (Conn.fd conn);
-  Evloop.remove t.ev (Conn.fd conn);
-  let w = t.workers.(shard_of t ns) in
-  if inline t then adopt t w t.ev conn ~now
-  else begin
-    Mutex.protect w.mu (fun () -> Queue.push conn w.inbox);
-    wake t w
-  end
-
-let read_pre t conn ~now =
-  let rec go () =
-    Metrics.sys_read t.accept_metrics;
-    match read_retry (Conn.fd conn) t.read_buf 0 (Bytes.length t.read_buf) with
-    | 0 -> close_conn t t.ev t.pre t.accept_metrics conn "eof"
-    | n ->
-        Conn.on_bytes_pre conn t.read_buf ~len:n ~now;
-        if
-          Hashtbl.mem t.pre (Conn.fd conn)
-          && (not (Conn.closing conn))
-          && Conn.routed_namespace conn = None
-        then go ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error _ -> close_conn t t.ev t.pre t.accept_metrics conn "read error"
-  in
-  (try go ()
-   with e ->
-     logf t "conn %s: unexpected %s" (Conn.peer conn) (Printexc.to_string e);
-     close_conn t t.ev t.pre t.accept_metrics conn "internal error");
-  if Hashtbl.mem t.pre (Conn.fd conn) then
-    match Conn.routed_namespace conn with
-    | Some ns when not (Conn.closing conn) ->
-        logf t "conn %s -> namespace %S (worker %d)" (Conn.peer conn) ns (shard_of t ns);
-        route t conn ns ~now
-    | _ -> flush_conn t t.ev t.pre t.accept_metrics conn
 
 let accept_all t lfd ~now =
   let rec go () =
@@ -433,16 +305,16 @@ let accept_all t lfd ~now =
           (* Over the cap: turn the connection away before it can speak.
              The client sees EOF during its version handshake. *)
           (try Unix.close fd with Unix.Unix_error _ -> ());
-          Metrics.on_reject t.accept_metrics;
+          Metrics.on_reject t.ctx.metrics;
           logf t "conn %s rejected (cap %d)" (peer_string addr) t.cfg.max_conns
         end
         else begin
           t.next_id <- t.next_id + 1;
           let conn = Conn.create ~id:t.next_id ~peer:(peer_string addr) ~now fd in
-          Hashtbl.replace t.pre fd conn;
+          Hashtbl.replace t.conns fd conn;
           Evloop.set t.ev fd ~read:true ~write:false;
           Atomic.incr t.live;
-          Metrics.on_accept t.accept_metrics;
+          Metrics.on_accept t.ctx.metrics;
           logf t "conn %s accepted (#%d, %d live)" (peer_string addr) t.next_id
             (Atomic.get t.live)
         end;
@@ -462,55 +334,25 @@ let start_drain t ~now =
         try Unix.close fd with Unix.Unix_error _ -> ())
       t.listeners;
     t.listeners <- [];
-    if inline t then begin
-      let w = t.workers.(0) in
-      w.draining <- true;
-      w.drain_deadline <- t.drain_deadline
-    end
-    else
-      Array.iter
-        (fun w ->
-          Mutex.protect w.mu (fun () -> w.drain_req <- true);
-          wake t w)
-        t.workers;
     logf t "drain: stopped accepting; %d connection(s) live" (Atomic.get t.live)
   end
 
-(* One round of the acceptor loop.  When [inline t], this is also worker
-   0's loop: its connections are registered with the same {!Evloop} and
-   served on this domain, making a 1-domain daemon behaviorally the
-   familiar single-loop one.  Loop-level syscall counters (rounds,
-   wakeups, frames-per-wake) are accounted to worker 0's metrics when
-   inline — that is the loop actually serving frames — and to the
-   acceptor's otherwise. *)
-let acceptor_step t =
+(* One round of the loop: sweep idle connections, finish a completed
+   drain, or wait for readiness and serve every ready descriptor. *)
+let step t =
   let now = Unix.gettimeofday () in
-  let w0 = t.workers.(0) in
-  let loop_metrics = if inline t then w0.metrics else t.accept_metrics in
-  sweep_idle t t.ev t.pre t.accept_metrics ~now;
-  if inline t then sweep_idle ~registry:w0.registry t t.ev w0.conns w0.metrics ~now;
-  let done_ =
-    t.draining
-    && (Atomic.get t.live = 0
-       || now > t.drain_deadline
-       || ((not (inline t)) && Hashtbl.length t.pre = 0))
-  in
-  if done_ then begin
-    close_all t t.ev t.pre t.accept_metrics "drain deadline";
-    if inline t then
-      close_all ~registry:w0.registry t t.ev w0.conns w0.metrics "drain deadline";
+  let m = t.ctx.metrics in
+  sweep_idle t ~now;
+  if t.draining && (Atomic.get t.live = 0 || now > t.drain_deadline) then begin
+    close_all t "drain deadline";
     t.running <- false
   end
   else begin
-    let tbls = if inline t then [ t.pre; w0.conns ] else [ t.pre ] in
-    let deadline =
-      nearest_deadline t ~draining:t.draining ~drain_deadline:t.drain_deadline tbls
-    in
-    Metrics.sys_round loop_metrics;
-    let n = Evloop.wait t.ev ~timeout:(timeout_of_deadline deadline ~now) in
+    Metrics.sys_round m;
+    let n = Evloop.wait t.ev ~timeout:(timeout_of_deadline (nearest_deadline t) ~now) in
     if n > 0 then begin
-      Metrics.sys_wakeup loop_metrics;
-      let frames0 = Metrics.total_frames loop_metrics in
+      Metrics.sys_wakeup m;
+      let frames0 = Metrics.total_frames m in
       let now = Unix.gettimeofday () in
       for i = 0 to n - 1 do
         let fd = Evloop.ready_fd t.ev i in
@@ -521,116 +363,32 @@ let acceptor_step t =
           end
           else if List.mem fd t.listeners then accept_all t fd ~now
           else
-            match Hashtbl.find_opt t.pre fd with
-            | Some conn -> read_pre t conn ~now
-            | None -> (
-                match if inline t then Hashtbl.find_opt w0.conns fd else None with
-                | Some conn -> read_conn t w0 t.ev conn ~now
-                | None -> ())
-        end;
-        if Evloop.ready_write t.ev i then
-          match Hashtbl.find_opt t.pre fd with
-          | Some conn -> flush_conn t t.ev t.pre t.accept_metrics conn
-          | None -> (
-              match if inline t then Hashtbl.find_opt w0.conns fd else None with
-              | Some conn -> flush_conn ~registry:w0.registry t t.ev w0.conns w0.metrics conn
-              | None -> ())
-      done;
-      Metrics.record_wake_frames loop_metrics (Metrics.total_frames loop_metrics - frames0)
-    end
-  end
-
-(* {2 Worker loops (only spawned when domains > 1)} *)
-
-let worker_mailbox t (w : worker) ~now =
-  drain_pipe w.wake_r;
-  let adopted, drain_req =
-    Mutex.protect w.mu (fun () ->
-        let xs = List.of_seq (Queue.to_seq w.inbox) in
-        Queue.clear w.inbox;
-        (xs, w.drain_req))
-  in
-  List.iter (fun conn -> adopt t w w.ev conn ~now) adopted;
-  if drain_req && not w.draining then begin
-    w.draining <- true;
-    w.drain_deadline <- now +. t.cfg.drain_grace
-  end
-
-let worker_step t (w : worker) =
-  let now = Unix.gettimeofday () in
-  sweep_idle ~registry:w.registry t w.ev w.conns w.metrics ~now;
-  if w.draining && (Hashtbl.length w.conns = 0 || now > w.drain_deadline) then begin
-    close_all ~registry:w.registry t w.ev w.conns w.metrics "drain deadline";
-    w.w_running <- false
-  end
-  else begin
-    let deadline =
-      nearest_deadline t ~draining:w.draining ~drain_deadline:w.drain_deadline [ w.conns ]
-    in
-    Metrics.sys_round w.metrics;
-    let n = Evloop.wait w.ev ~timeout:(timeout_of_deadline deadline ~now) in
-    if n > 0 then begin
-      Metrics.sys_wakeup w.metrics;
-      let frames0 = Metrics.total_frames w.metrics in
-      let now = Unix.gettimeofday () in
-      for i = 0 to n - 1 do
-        let fd = Evloop.ready_fd w.ev i in
-        if Evloop.ready_read w.ev i then begin
-          if fd = w.wake_r then worker_mailbox t w ~now
-          else
-            match Hashtbl.find_opt w.conns fd with
-            | Some conn -> read_conn t w w.ev conn ~now
+            match Hashtbl.find_opt t.conns fd with
+            | Some conn -> read_conn t conn ~now
             | None -> ()
         end;
-        if Evloop.ready_write w.ev i then
-          match Hashtbl.find_opt w.conns fd with
-          | Some conn -> flush_conn ~registry:w.registry t w.ev w.conns w.metrics conn
+        if Evloop.ready_write t.ev i then
+          match Hashtbl.find_opt t.conns fd with
+          | Some conn -> flush_conn t conn
           | None -> ()
       done;
-      Metrics.record_wake_frames w.metrics (Metrics.total_frames w.metrics - frames0)
+      Metrics.record_wake_frames m (Metrics.total_frames m - frames0)
     end
   end
 
-let worker_loop t (w : worker) =
-  while w.w_running do
-    worker_step t w
-  done
-
 let run t =
-  logf t "serving (max %d connections, %d worker domain(s))" t.cfg.max_conns
-    (Array.length t.workers);
-  let spawned =
-    if inline t then [||]
-    else Array.map (fun w -> Domain.spawn (fun () -> worker_loop t w)) t.workers
-  in
+  logf t "serving (max %d connections)" t.cfg.max_conns;
   while t.running do
-    acceptor_step t
+    step t
   done;
-  Array.iter Domain.join spawned;
   (* Final cleanup: listeners are already gone if we drained; close
      whatever remains and remove the Unix socket path. *)
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.listeners;
   t.listeners <- [];
-  close_all t t.ev t.pre t.accept_metrics "shutdown";
-  Array.iter
-    (fun w ->
-      close_all ~registry:w.registry t w.ev w.conns w.metrics "shutdown";
-      (* A connection routed after its worker passed the drain deadline
-         never left the mailbox; with every domain joined and the
-         acceptor loop done, nobody pushes anymore — close them here so
-         neither the fd nor the live count leaks. *)
-      Queue.iter
-        (fun conn ->
-          (try Unix.close (Conn.fd conn) with Unix.Unix_error _ -> ());
-          Atomic.decr t.live)
-        w.inbox;
-      Queue.clear w.inbox;
-      (* Persist every disk-backed tenant before the process goes away:
-         a graceful restart then recovers bit-identical state. *)
-      Session.shutdown w.registry;
-      (try Unix.close w.wake_r with Unix.Unix_error _ -> ());
-      try Unix.close w.wake_w with Unix.Unix_error _ -> ())
-    t.workers;
+  close_all t "shutdown";
+  (* Persist every disk-backed tenant before the process goes away: a
+     graceful restart then recovers bit-identical state. *)
+  Session.shutdown t.ctx.registry;
   (try Unix.close t.stop_r with Unix.Unix_error _ -> ());
   (try Unix.close t.stop_w with Unix.Unix_error _ -> ());
   (match t.cfg.unix_path with

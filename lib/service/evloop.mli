@@ -1,4 +1,4 @@
-(** The readiness layer of the daemon's event loops: poll(2).
+(** The readiness layer of the daemon's event loop: poll(2).
 
     The daemon registers descriptors and updates their interest in
     place; {!wait} hands the dense registration arrays to poll(2)
@@ -13,8 +13,8 @@
     anyway.  This is the only module in the tree allowed to touch raw
     readiness syscalls (fdlint R10, event-loop-hygiene).
 
-    Not thread-safe: one [t] per event loop, touched only by its owning
-    domain. *)
+    Not thread-safe: one [t] per event loop, touched only by the domain
+    running it. *)
 
 type backend = Poll
 (** The one readiness mechanism.  This type, {!best} and

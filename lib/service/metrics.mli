@@ -24,8 +24,8 @@ val rejected : t -> int
 
 (** {2 Event-loop syscall accounting}
 
-    Counters for the event loop that owns this [t] (one per worker, one
-    for the acceptor).  They are daemon-lifetime scalars held outside
+    Counters for the daemon's one serving loop, daemon-wide: every
+    connection's reads and writes, from its version byte on.  They are daemon-lifetime scalars held outside
     the per-namespace table, so {!evict_ns} never touches them;
     dividing their deltas by frames served gives the syscalls-per-op
     figure the bench reports. *)

@@ -110,18 +110,3 @@ let count reg = Hashtbl.length reg.tbl
 let dyn_resident reg =
   Hashtbl.fold (fun _ t n -> if Servsim.Handler.has_dyn t.handler then n + 1 else n) reg.tbl 0
 let namespaces reg = Hashtbl.fold (fun k _ acc -> k :: acc) reg.tbl [] |> List.sort compare
-
-(* FNV-1a over the namespace, masked to stay non-negative on 64-bit
-   ints.  Deterministic across runs and OCaml versions (unlike
-   [Hashtbl.hash]) so a tenant's worker assignment — and therefore which
-   shard-local registry holds its stores — is stable for the lifetime of
-   a daemon and reproducible in tests. *)
-let shard ~shards namespace =
-  if shards <= 1 then 0
-  else begin
-    let h = ref 0x811c9dc5 in
-    String.iter
-      (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0x3FFFFFFF)
-      namespace;
-    !h mod shards
-  end

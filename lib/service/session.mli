@@ -74,15 +74,4 @@ val namespaces : registry -> string list
 
 val dyn_resident : registry -> int
 (** Resident tenants currently holding a live dynamic FD session — the
-    [dyn_sessions] gauge of a [Stats_reply].  Shard-local, like every
-    registry: a multi-domain daemon reports the count of the answering
-    worker's shard. *)
-
-val shard : shards:int -> string -> int
-(** [shard ~shards ns] is the worker index in [0 .. shards-1] that owns
-    tenant [ns] — a deterministic FNV-1a hash, so every connection that
-    says [Hello ns] lands on the same worker (and the same shard-local
-    registry) for the life of the daemon, and the assignment is
-    reproducible across runs.  Always [0] when [shards <= 1].  The
-    on-disk layout is keyed by namespace alone, so a daemon restarted
-    with a different [shards] still finds every tenant's image. *)
+    [dyn_sessions] gauge of a [Stats_reply], daemon-wide. *)

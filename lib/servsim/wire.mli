@@ -92,8 +92,8 @@ type stats = {
   p95_us : int;  (** namespace, microseconds; 0 when answered without *)
   p99_us : int;  (** a serving loop (journal replay) *)
   loop_reads : int;
-      (** [read(2)] calls issued by the event loop serving this
-          session's worker, daemon-lifetime; with {!loop_writes},
+      (** [read(2)] calls issued by the daemon's serving loop,
+          daemon-wide and daemon-lifetime; with {!loop_writes},
           divides into frames served to give syscalls-per-op.  0 when
           answered without a serving loop (journal replay) *)
   loop_writes : int;  (** [write(2)] calls issued by the same loop *)
@@ -103,8 +103,8 @@ type stats = {
   deletes : int;  (** [Delete_row] frames served to this namespace *)
   revalidates : int;  (** [Revalidate] frames served to this namespace *)
   dyn_sessions : int;
-      (** dynamic sessions currently resident (for the daemon: in this
-          session's worker shard; 1 or 0 for single-session servers) *)
+      (** dynamic sessions currently resident (for the daemon:
+          daemon-wide; 1 or 0 for single-session servers) *)
 }
 
 type fd_status = {

@@ -6,9 +6,9 @@
    isolation (mid-frame disconnects, malformed frames, a v2 client),
    the connection cap, the idle timeout, and graceful drain. *)
 
-let with_daemon ?(max_conns = 64) ?(idle_timeout = 0.) ?(domains = 1) f =
+let with_daemon ?(max_conns = 64) ?(idle_timeout = 0.) f =
   Service.Daemon.with_local
-    ~config:{ Service.Daemon.default_config with max_conns; idle_timeout; domains }
+    ~config:{ Service.Daemon.default_config with max_conns; idle_timeout }
     f
 
 let with_client ?namespace ?depth path f =
@@ -308,9 +308,32 @@ let test_trickled_handshake () =
       | _ -> Alcotest.fail "ping after trickle");
       Unix.close fd)
 
-(* The handshake stage is unauthenticated and acceptor-owned, so its
-   buffering is bounded: a client opening with a jumbo first frame is
-   cut off at [Conn.pre_hello_max], long before the 64 MiB frame cap. *)
+(* Frames a client pipelines behind its [Hello] in the same write are
+   served in order once the [Hello] binds the tenant: the version byte,
+   [Hello], [Create_store] and two [Ping]s in one [write] come back as
+   the version echo, [Ok], [Ok], [Pong], [Pong]. *)
+let test_pipelined_behind_hello () =
+  with_daemon (fun path _ ->
+      let fd, ic, _ = raw_connect path in
+      let buf = Buffer.create 64 in
+      Buffer.add_char buf (Char.chr Servsim.Wire.protocol_version);
+      List.iter
+        (Servsim.Wire.write_request_sink (Servsim.Wire.buffer_sink buf))
+        Servsim.Wire.[ Hello "burst"; Create_store "s"; Ping; Ping ];
+      let burst = Buffer.contents buf in
+      Alcotest.(check int) "one write carries the whole burst" (String.length burst)
+        (Unix.write_substring fd burst 0 (String.length burst));
+      Alcotest.(check int) "echoed version" Servsim.Wire.protocol_version
+        (Char.code (input_char ic));
+      List.iter
+        (fun (what, expected) ->
+          Alcotest.(check bool) what true (Servsim.Wire.read_response ic = expected))
+        Servsim.Wire.[ ("hello", Ok); ("create_store", Ok); ("ping", Pong); ("ping", Pong) ];
+      Unix.close fd)
+
+(* The handshake stage is unauthenticated, so its buffering is
+   bounded: a client opening with a jumbo first frame is cut off at
+   [Conn.pre_hello_max], long before the 64 MiB frame cap. *)
 let test_handshake_flood_bounded () =
   with_daemon (fun path _ ->
       let fd, ic, oc = raw_connect path in
@@ -492,79 +515,16 @@ let test_wake_histogram_buckets () =
   Alcotest.(check int) "bucket 16-31" 1 (count "16-31");
   Alcotest.(check int) "bucket 32+" 2 (count "32+")
 
-(* {2 Namespace-sharded worker domains} *)
-
-let test_shard_deterministic () =
-  List.iter
-    (fun shards ->
-      List.iter
-        (fun ns ->
-          let s = Service.Session.shard ~shards ns in
-          Alcotest.(check bool)
-            (Printf.sprintf "shard %S/%d in range" ns shards)
-            true
-            (s >= 0 && s < max 1 shards);
-          Alcotest.(check int)
-            (Printf.sprintf "shard %S/%d stable" ns shards)
-            s
-            (Service.Session.shard ~shards ns))
-        [ ""; "alice"; "bob"; "a-rather-long-namespace-name"; "\x00\xff" ])
-    [ 1; 2; 3; 4; 7; 16 ];
-  Alcotest.(check int) "single shard is always 0" 0
-    (Service.Session.shard ~shards:1 "anything")
-
-(* The acceptance bar for the sharded daemon: per-tenant digests under
-   concurrent multi-namespace load on N worker domains are bit-identical
-   to the single-domain daemon (which in turn matches a solo client, per
-   [test_concurrent_tenants_match_single_client]).  Obliviousness is a
-   per-tenant property; how tenants are spread over domains must be
-   invisible in every adversary view. *)
-let test_multidomain_digests_match_single_domain () =
-  let table = Datasets.Examples.fig1 () in
-  let namespaces = [ "tenant-a"; "tenant-b"; "tenant-c" ] in
-  let run_daemon ~domains =
-    with_daemon ~domains (fun path _ ->
-        let results =
-          List.map
-            (fun ns ->
-              let fds = ref "" and dig = ref (0L, 0L, 0) in
-              let th =
-                Thread.create
-                  (fun () ->
-                    with_client ~namespace:ns path (fun conn ->
-                        fds := discover_fds conn table;
-                        dig := Servsim.Remote.server_digests conn))
-                  ()
-              in
-              (ns, fds, dig, th))
-            namespaces
-        in
-        List.map
-          (fun (ns, fds, dig, th) ->
-            Thread.join th;
-            (ns, !fds, !dig))
-          results)
-  in
-  let single = run_daemon ~domains:1 in
-  let sharded = run_daemon ~domains:3 in
-  List.iter2
-    (fun (ns, fds1, (f1, s1, c1)) (_, fdsn, (fn, sn, cn)) ->
-      Alcotest.(check string) (ns ^ " FDs identical") fds1 fdsn;
-      Alcotest.(check int64) (ns ^ " full digest bit-identical") f1 fn;
-      Alcotest.(check int64) (ns ^ " shape digest bit-identical") s1 sn;
-      Alcotest.(check int) (ns ^ " trace count identical") c1 cn)
-    single sharded
-
-let test_same_namespace_lands_on_same_worker () =
-  with_daemon ~domains:3 (fun path daemon ->
-      (* Two live connections plus a later reconnect, all saying
-         [Hello "pinned"]: one tenant, one worker, one registry entry. *)
+(* Two live connections plus a later reconnect, all saying
+   [Hello "pinned"]: one tenant, whose state every connection sees. *)
+let test_same_namespace_shares_state () =
+  with_daemon (fun path _ ->
       with_client ~namespace:"pinned" path (fun c1 ->
           with_client ~namespace:"pinned" path (fun c2 ->
               ignore (Servsim.Remote.call c1 (Servsim.Wire.Create_store "s"));
               ignore (Servsim.Remote.call c1 (Servsim.Wire.Ensure ("s", 2)));
               ignore (Servsim.Remote.call c1 (Servsim.Wire.Put ("s", 0, "via c1")));
-              (* c2 sees c1's write: same tenant state, same worker. *)
+              (* c2 sees c1's write: same tenant state. *)
               match Servsim.Remote.call c2 (Servsim.Wire.Get ("s", 0)) with
               | Servsim.Wire.Value v ->
                   Alcotest.(check string) "shared session state" "via c1" v
@@ -573,40 +533,7 @@ let test_same_namespace_lands_on_same_worker () =
           match Servsim.Remote.call c3 (Servsim.Wire.Get ("s", 0)) with
           | Servsim.Wire.Value v ->
               Alcotest.(check string) "state survives reconnect" "via c1" v
-          | _ -> Alcotest.fail "get after reconnect");
-      let owner = Service.Daemon.shard_of daemon "pinned" in
-      List.iteri
-        (fun i reg ->
-          let here = Service.Session.find reg "pinned" <> None in
-          Alcotest.(check bool)
-            (Printf.sprintf "tenant on worker %d" i)
-            (i = owner) here)
-        (Service.Daemon.registries daemon))
-
-let test_multidomain_graceful_drain () =
-  let path = Filename.temp_file "svc-test" ".sock" in
-  Sys.remove path;
-  let daemon =
-    Service.Daemon.create
-      { Service.Daemon.default_config with unix_path = Some path; domains = 2 }
-  in
-  let th = Thread.create Service.Daemon.run daemon in
-  let a = Servsim.Remote.connect_unix ~namespace:"drain-a" path in
-  let b = Servsim.Remote.connect_unix ~namespace:"drain-b" path in
-  ignore (Servsim.Remote.call a (Servsim.Wire.Create_store "s"));
-  Service.Daemon.stop daemon;
-  (* Connected clients on every worker keep being served during the
-     drain... *)
-  ignore (Servsim.Remote.call a (Servsim.Wire.Ensure ("s", 2)));
-  Servsim.Remote.ping a;
-  Servsim.Remote.ping b;
-  Servsim.Remote.close a;
-  Servsim.Remote.close b;
-  (* ...and [run] only returns after [Domain.join] on both workers, so
-     [Thread.join] returning proves every domain exited. *)
-  Thread.join th;
-  Alcotest.(check bool) "socket path removed" false (Sys.file_exists path);
-  Alcotest.(check int) "no live connections anywhere" 0 (Service.Daemon.live_conns daemon)
+          | _ -> Alcotest.fail "get after reconnect"))
 
 (* {2 Dynamic FD sessions over the wire (protocol v5)} *)
 
@@ -858,6 +785,7 @@ let suite =
     Alcotest.test_case "with_local cleans up when the body raises" `Quick
       test_with_local_body_raises;
     Alcotest.test_case "trickled handshake reassembled" `Quick test_trickled_handshake;
+    Alcotest.test_case "frames pipelined behind hello" `Quick test_pipelined_behind_hello;
     Alcotest.test_case "pre-hello buffering bounded" `Quick test_handshake_flood_bounded;
     Alcotest.test_case "pipelined client, ordered responses" `Quick test_pipelined_ordered;
     Alcotest.test_case "serves past FD_SETSIZE" `Slow test_fanout_past_fd_setsize;
@@ -875,12 +803,7 @@ let suite =
     Alcotest.test_case "loop syscall counters in stats" `Quick test_loop_counters_in_stats;
     Alcotest.test_case "wake-frames histogram buckets" `Quick test_wake_histogram_buckets;
     Alcotest.test_case "tcp listener" `Quick test_tcp_listener;
-    Alcotest.test_case "namespace shard deterministic" `Quick test_shard_deterministic;
-    Alcotest.test_case "multi-domain digests match single-domain" `Quick
-      test_multidomain_digests_match_single_domain;
-    Alcotest.test_case "same namespace lands on same worker" `Quick
-      test_same_namespace_lands_on_same_worker;
-    Alcotest.test_case "multi-domain graceful drain" `Quick test_multidomain_graceful_drain;
+    Alcotest.test_case "same namespace shares state" `Quick test_same_namespace_shares_state;
     Alcotest.test_case "dynamic session matches one-shot library run" `Quick
       test_dynamic_session_matches_library;
     Alcotest.test_case "decoder byte-at-a-time" `Quick test_decoder_byte_at_a_time;

@@ -352,9 +352,9 @@ let test_session_evict_rehydrate () =
 
 (* {2 Daemon: restart and eviction end-to-end} *)
 
-let with_daemon ?data_dir ?(max_resident = 0) ?(domains = 1) f =
+let with_daemon ?data_dir ?(max_resident = 0) f =
   Service.Daemon.with_local
-    ~config:{ Service.Daemon.default_config with domains; data_dir; max_resident }
+    ~config:{ Service.Daemon.default_config with data_dir; max_resident }
     (fun path _ -> f path)
 
 let with_client ?namespace path f =
@@ -402,6 +402,41 @@ let test_daemon_restart_bit_identical () =
       in
       Alcotest.(check bool)
         "digests and session ledger survive a daemon restart" true (recovered = expected))
+
+(* [Remote.connect_unix] with a receive timeout, so a daemon that stops
+   answering mid-handshake fails the test instead of hanging it. *)
+let connect_unix_within ~timeout ~namespace path =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  match Servsim.Remote.connect_fd ~namespace fd with
+  | conn -> conn
+  | exception e ->
+      Unix.close fd;
+      raise e
+
+(* A [Hello] for a tenant whose snapshot is damaged beyond torn-tail
+   recovery is refused with an [Error] on that connection alone: other
+   namespaces keep being served, and the daemon still drains on stop
+   ([with_daemon] returns only once [run] has). *)
+let test_daemon_refuses_corrupt_tenant () =
+  with_tmp_dir "sfdd-store" (fun data_dir ->
+      with_daemon ~data_dir (fun path ->
+          with_client ~namespace:"damaged" path client_batch_a);
+      let snap =
+        Store.Tenant.snapshot_path ~dir:(Store.Tenant.tenant_dir ~data_dir "damaged")
+      in
+      (match Store.Fsio.read_file snap with
+      | Some s -> Store.Fsio.write_file_atomic ~path:snap (String.sub s 0 (String.length s / 2))
+      | None -> Alcotest.fail "snapshot missing");
+      with_daemon ~data_dir (fun path ->
+          Alcotest.(check bool) "Hello for the damaged tenant is refused" true
+            (match connect_unix_within ~timeout:10. ~namespace:"damaged" path with
+            | conn ->
+                Servsim.Remote.close conn;
+                false
+            | exception Wire.Protocol_error _ -> true);
+          with_client ~namespace:"healthy" path Servsim.Remote.ping))
 
 let test_daemon_eviction_under_load () =
   (* Reference: unlimited residency. *)
@@ -587,6 +622,8 @@ let suite =
     Alcotest.test_case "session evict and rehydrate" `Quick test_session_evict_rehydrate;
     Alcotest.test_case "daemon restart bit-identical" `Quick
       test_daemon_restart_bit_identical;
+    Alcotest.test_case "daemon refuses a corrupt tenant" `Quick
+      test_daemon_refuses_corrupt_tenant;
     Alcotest.test_case "daemon eviction churn bit-identical" `Quick
       test_daemon_eviction_under_load;
     Alcotest.test_case "tenant dynamic-session recovery" `Quick test_tenant_dyn_recovery;
