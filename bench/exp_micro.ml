@@ -101,8 +101,8 @@ let tests =
 
 (* Wire protocol v2: frames per PathORAM access over a real Unix socket
    to an in-process daemon.  v1 sent one synchronous frame per block —
-   2·(levels+1)·Z of them per access; v2 batches the whole path into one
-   Multi_get plus one Multi_put. *)
+   2·(levels+1)·Z of them per access; since v2 the whole path is one
+   Multi_get plus one Scatter_put. *)
 let remote_frames_report ~accesses () =
   Service.Daemon.with_local @@ fun path _ ->
   let conn = Servsim.Remote.connect_unix path in

@@ -42,7 +42,8 @@ let daemon_main path =
 (* {2 Child: load client}
 
    Connects into its own namespace at the given pipelining depth,
-   performs [ops] Put/Get exchanges keeping up to [depth] frames in
+   performs [ops] one-slot write/read exchanges ([Scatter_put] and
+   [Multi_get]) keeping up to [depth] frames in
    flight (depth 1 degrades to the classic strict request/response
    loop), records per-op send-to-response latency, asserts the
    server-side per-session ledger agrees with its own frame counter, and
@@ -68,7 +69,8 @@ let client_main path namespace ops depth out =
   expect_ok (Remote.call conn (Wire.Create_store "bench"));
   expect_ok (Remote.call conn (Wire.Ensure ("bench", 64)));
   let req i =
-    if i land 1 = 0 then Wire.Put ("bench", i mod 64, block) else Wire.Get ("bench", i mod 64)
+    if i land 1 = 0 then Wire.Scatter_put [ ("bench", [ (i mod 64, block) ]) ]
+    else Wire.Multi_get ("bench", [ i mod 64 ])
   in
   let lats = Array.make ops 0. in
   let sent_at = Array.make ops 0. in
@@ -81,7 +83,7 @@ let client_main path namespace ops depth out =
       incr sent
     done;
     (match Remote.recv conn with
-    | Wire.Ok | Wire.Value _ -> ()
+    | Wire.Ok | Wire.Values [ _ ] -> ()
     | Wire.Error e -> failwith e
     | _ -> failwith "unexpected response");
     lats.(!recvd) <- Unix.gettimeofday () -. sent_at.(!recvd);

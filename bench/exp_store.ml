@@ -46,14 +46,14 @@ let seed ~path ~tenants ~blocks =
     expect_ok (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
     expect_ok (Servsim.Remote.call conn (Servsim.Wire.Ensure ("s", blocks)));
     for b = 0 to blocks - 1 do
-      expect_ok (Servsim.Remote.call conn (Servsim.Wire.Put ("s", b, block)))
+      expect_ok (Servsim.Remote.call conn (Servsim.Wire.Scatter_put [ ("s", [ (b, block) ]) ]))
     done;
     Servsim.Remote.close conn
   done
 
 (* One cold visit: connect (forcing rehydration — the round-robin order
    guarantees this tenant left the cache [tenants - 1] attaches ago),
-   then a short burst of Get/Put ops.  Returns the attach latency and
+   then a short burst of one-slot read/write ops.  Returns the attach latency and
    the per-op latencies. *)
 let visit ~path ~ns ~blocks ~ops_per_visit =
   let a0 = Unix.gettimeofday () in
@@ -64,10 +64,10 @@ let visit ~path ~ns ~blocks ~ops_per_visit =
     let u0 = Unix.gettimeofday () in
     (match
        Servsim.Remote.call conn
-         (if o land 1 = 0 then Servsim.Wire.Get ("s", o mod blocks)
-          else Servsim.Wire.Put ("s", o mod blocks, block))
+         (if o land 1 = 0 then Servsim.Wire.Multi_get ("s", [ o mod blocks ])
+          else Servsim.Wire.Scatter_put [ ("s", [ (o mod blocks, block) ]) ])
      with
-    | Servsim.Wire.Ok | Servsim.Wire.Value _ -> ()
+    | Servsim.Wire.Ok | Servsim.Wire.Values [ _ ] -> ()
     | _ -> failwith "unexpected response");
     lats.(o) <- Unix.gettimeofday () -. u0
   done;

@@ -64,19 +64,19 @@ let selftest_serve () =
         let setup conn fill =
           check "create" (Remote.call conn (Wire.Create_store "blocks") = Wire.Ok);
           check "ensure" (Remote.call conn (Wire.Ensure ("blocks", 8)) = Wire.Ok);
-          check "put" (Remote.call conn (Wire.Put ("blocks", 3, String.make 64 fill)) = Wire.Ok)
+          Remote.scatter_put conn [ ("blocks", [ (3, String.make 64 fill) ]) ]
         in
         setup a 'A';
         setup b 'B';
         check "tenant isolation"
-          (Remote.call a (Wire.Get ("blocks", 3)) <> Remote.call b (Wire.Get ("blocks", 3)));
+          (Remote.multi_get a ~store:"blocks" [ 3 ] <> Remote.multi_get b ~store:"blocks" [ 3 ]);
         let stats = Remote.stats a in
         check "stats frames" (stats.Wire.frames = Remote.frames a);
         check "stats sessions" (stats.Wire.sessions = 2);
         Remote.close b;
         (* b is gone; a must still be served. *)
         check "a alive after b closed"
-          (Remote.call a (Wire.Get ("blocks", 3)) = Wire.Value (String.make 64 'A'));
+          (Remote.multi_get a ~store:"blocks" [ 3 ] = [ String.make 64 'A' ]);
         Remote.close a;
         daemon)
   in
@@ -116,15 +116,15 @@ let selftest_persist () =
     check "create" (Remote.call conn (Wire.Create_store "blocks") = Wire.Ok);
     check "ensure" (Remote.call conn (Wire.Ensure ("blocks", 16)) = Wire.Ok);
     for i = 0 to 15 do
-      check "put" (Remote.call conn (Wire.Put ("blocks", i, String.make 48 'p')) = Wire.Ok)
+      Remote.scatter_put conn [ ("blocks", [ (i, String.make 48 'p') ]) ]
     done;
-    check "get" (Remote.call conn (Wire.Get ("blocks", 7)) = Wire.Value (String.make 48 'p'))
+    check "get" (Remote.multi_get conn ~store:"blocks" [ 7 ] = [ String.make 48 'p' ])
   in
   let batch_b conn =
     for i = 0 to 15 do
-      check "put2" (Remote.call conn (Wire.Put ("blocks", i, String.make 32 'q')) = Wire.Ok)
+      Remote.scatter_put conn [ ("blocks", [ (i, String.make 32 'q') ]) ]
     done;
-    check "get2" (Remote.call conn (Wire.Get ("blocks", 3)) = Wire.Value (String.make 32 'q'));
+    check "get2" (Remote.multi_get conn ~store:"blocks" [ 3 ] = [ String.make 32 'q' ]);
     let stats = Remote.stats conn in
     let digests = Remote.server_digests conn in
     (digests, stats.Wire.frames)

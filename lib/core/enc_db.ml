@@ -15,7 +15,7 @@ let outsource (session : Session.t) table =
   let name = Session.fresh_name session "db" in
   let store = Servsim.Server.create_store session.Session.server name in
   Servsim.Block_store.ensure store (n * m);
-  (* The whole upload is one bulk cipher call and one Multi_put frame /
+  (* The whole upload is one bulk cipher call and one Scatter_put frame /
      round trip. *)
   let pts =
     List.init (n * m) (fun slot ->

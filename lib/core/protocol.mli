@@ -52,9 +52,10 @@ val discover :
   Table.t ->
   report
 (** Run the whole protocol on a fresh session.  With [?remote] the
-    server side lives in a forked process and every store operation is a
-    real wire frame (see {!Servsim.Remote}); the report's cost ledger is
-    identical to a local run.  [oram_cache_levels] (default 0) enables
+    server side is the daemon at the other end of the connection (in
+    this process or another) and every store operation is a real wire
+    frame (see {!Servsim.Remote}); the report's cost ledger is identical
+    to a local run.  [oram_cache_levels] (default 0) enables
     client-side treetop caching in the ORAM methods (see
     {!Session.create}); it trades client memory for fewer, smaller wire
     frames and leaves the discovered FDs unchanged. *)

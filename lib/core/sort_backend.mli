@@ -48,7 +48,7 @@ type t = {
           its two slots in a single frame through this. *)
   write_batch : (int * elt) list -> unit;
       (** Batched write, one round trip for the whole list (one
-          [Multi_put] frame in remote mode). *)
+          [Scatter_put] frame in remote mode). *)
   make_worker : int -> (int -> elt) * (int -> elt -> unit);
       (** [make_worker w] — thread-private read/write closures for worker
           [w] (own cipher instance; no shared mutable state). *)

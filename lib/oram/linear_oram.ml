@@ -44,7 +44,7 @@ let setup ~name cfg server cipher _rand =
 (* One full scan: decrypt every slot into the reused buffer, apply the
    logical operation to the matching slot (or claim the first free slot
    on insert) in place, re-encrypt all.  The scan is two batched round
-   trips: one Multi_get for the whole array, one Multi_put to rewrite it.
+   trips: one Multi_get for the whole array, one Scatter_put to rewrite it.
    Per-block work is offset views into the buffer — the only per-block
    allocation is each outgoing ciphertext. *)
 let access t ~key update =

@@ -103,9 +103,9 @@ let setup ~name ?(cache_levels = 0) cfg server cipher rand_int =
   if cache_levels > 0 then sync_client_cost t;
   t
 
-(* The suffix writes go out at once with the cache off (one Multi_put per
-   tree, the historical wire schedule) or are deferred into the access's
-   single cross-store Scatter_put. *)
+(* The suffix writes go out at once with the cache off (one one-store
+   Scatter_put per tree, the historical wire schedule) or are deferred
+   into the access's single cross-store Scatter_put. *)
 let evict t tree leaf =
   let items = Oram_tree.evict tree leaf in
   if t.defer then t.pending <- (Oram_tree.store tree, items) :: t.pending

@@ -74,50 +74,15 @@ let resize t delta =
     t.on_resize delta
   end
 
-(* When the trace is disabled (multi-domain sections), cost accounting is
-   suspended too: the shared counters would otherwise bounce between the
-   domains' caches and serialise the workers. *)
-let read t i =
-  check_bounds t i "read";
-  let c =
-    match t.storage with
-    | Local_mem s -> s.blocks.(i)
-    | Remote_conn r -> (
-        match Remote.call r.conn (Wire.Get (t.name, i)) with
-        | Wire.Value v -> v
-        | _ -> raise (Wire.Protocol_error "unexpected response to Get"))
-  in
-  if Trace.enabled t.trace then begin
-    Trace.record_name t.trace t.tname Trace.Read ~addr:i ~len:(String.length c);
-    Cost.sent_to_client t.cost (String.length c);
-    Cost.round_trip t.cost
-  end;
-  c
-
-let write t i c =
-  check_bounds t i "write";
-  let old_len =
-    match t.storage with
-    | Local_mem s ->
-        let old = String.length s.blocks.(i) in
-        s.blocks.(i) <- c;
-        old
-    | Remote_conn r ->
-        ignore (Remote.call r.conn (Wire.Put (t.name, i, c)));
-        let old = r.lengths.(i) in
-        r.lengths.(i) <- String.length c;
-        old
-  in
-  resize t (String.length c - old_len);
-  if Trace.enabled t.trace then begin
-    Trace.record_name t.trace t.tname Trace.Write ~addr:i ~len:(String.length c);
-    Cost.sent_to_server t.cost (String.length c);
-    Cost.round_trip t.cost
-  end
-
-(* Batched operations: the trace still records one event per block (same
-   order as the equivalent loop of singles, so obliviousness digests are
-   unchanged), but the whole batch is one wire frame / one round trip. *)
+(* Apart from [ensure], the two cores below are the only code that
+   touches blocks, the trace or the cost ledger, in local and remote
+   mode alike: every read is a [read_many] (one [Multi_get] frame
+   remotely) and every write a [write_scatter] (one [Scatter_put]
+   frame).  The trace records one event per block, in batch order, and
+   the ledger one round trip per batch.  While the trace is disabled
+   (multi-domain sections), cost accounting is suspended too: the shared
+   counters would otherwise bounce between the domains' caches and
+   serialise the workers. *)
 
 let read_many t idxs =
   List.iter (fun i -> check_bounds t i "read_many") idxs;
@@ -139,93 +104,49 @@ let read_many t idxs =
     cs
   end
 
-(* Cross-store batched write: every group's items land in one wire frame
-   ([Scatter_put] in remote mode) and one round trip, traced one event
-   per block in group order — the recursive ORAM's deferred path-suffix
-   evictions.  All stores must live on the same server (they share its
-   trace and cost ledger); the batch is validated whole before anything
-   is mutated, mirroring the server-side handler. *)
+(* All stores must live on the same server (they share its trace and
+   cost ledger).  The batch is validated whole before anything is
+   mutated, mirroring the server-side handler.  Remotely the frame is
+   fire-and-forget on a pipelined connection (bounded by its depth;
+   synchronous at depth 1): the next read or call collects the ordered
+   acknowledgements, so errors are never silently dropped and the frame
+   ledger is the same either way. *)
 let write_scatter groups =
-  let groups = List.filter (fun (_, items) -> items <> []) groups in
-  match groups with
+  match List.filter (fun (_, items) -> items <> []) groups with
   | [] -> ()
-  | (t0, _) :: _ ->
+  | (t0, _) :: _ as groups ->
       List.iter
         (fun (t, items) -> List.iter (fun (i, _) -> check_bounds t i "write_scatter") items)
         groups;
-      let apply_group (t, items) =
-        let old_lens =
-          match t.storage with
-          | Local_mem s ->
-              List.map
-                (fun (i, c) ->
-                  let old = String.length s.blocks.(i) in
-                  s.blocks.(i) <- c;
-                  old)
-                items
-          | Remote_conn r ->
-              List.map
-                (fun (i, c) ->
-                  let old = r.lengths.(i) in
-                  r.lengths.(i) <- String.length c;
-                  old)
-                items
-        in
-        List.iter2 (fun (_, c) old -> resize t (String.length c - old)) items old_lens
-      in
       (match t0.storage with
       | Local_mem _ -> ()
       | Remote_conn r ->
-          (* One frame for the whole cross-store batch; the mirrored
-             lengths are updated by [apply_group] below. *)
-          Remote.scatter_put_async r.conn
-            (List.map (fun (t, items) -> (t.name, items)) groups));
-      List.iter apply_group groups;
-      if Trace.enabled t0.trace then begin
-        List.iter
-          (fun (t, items) ->
-            List.iter
-              (fun (i, c) ->
-                Trace.record_name t.trace t.tname Trace.Write ~addr:i ~len:(String.length c);
-                Cost.sent_to_server t.cost (String.length c))
-              items)
-          groups;
-        Cost.round_trip t0.cost
-      end
-
-let write_many t items =
-  List.iter (fun (i, _) -> check_bounds t i "write_many") items;
-  if items <> [] then begin
-    let old_lens =
-      match t.storage with
-      | Local_mem s ->
-          List.map
-            (fun (i, c) ->
-              let old = String.length s.blocks.(i) in
-              s.blocks.(i) <- c;
-              old)
-            items
-      | Remote_conn r ->
-          (* Fire-and-forget on a pipelined connection (bounded by its
-             depth; identical to the synchronous put at depth 1).  The
-             next read/call on the connection collects the ordered
-             acknowledgements, so errors are never silently dropped and
-             the frame ledger is the same either way. *)
-          Remote.multi_put_async r.conn ~store:t.name items;
-          List.map
-            (fun (i, c) ->
-              let old = r.lengths.(i) in
-              r.lengths.(i) <- String.length c;
-              old)
-            items
-    in
-    List.iter2 (fun (_, c) old -> resize t (String.length c - old)) items old_lens;
-    if Trace.enabled t.trace then begin
+          Remote.scatter_put_async r.conn (List.map (fun (t, items) -> (t.name, items)) groups));
+      let traced = Trace.enabled t0.trace in
       List.iter
-        (fun (i, c) ->
-          Trace.record_name t.trace t.tname Trace.Write ~addr:i ~len:(String.length c);
-          Cost.sent_to_server t.cost (String.length c))
-        items;
-      Cost.round_trip t.cost
-    end
-  end
+        (fun (t, items) ->
+          List.iter
+            (fun (i, c) ->
+              let old =
+                match t.storage with
+                | Local_mem s ->
+                    let old = String.length s.blocks.(i) in
+                    s.blocks.(i) <- c;
+                    old
+                | Remote_conn r ->
+                    let old = r.lengths.(i) in
+                    r.lengths.(i) <- String.length c;
+                    old
+              in
+              resize t (String.length c - old);
+              if traced then begin
+                Trace.record_name t.trace t.tname Trace.Write ~addr:i ~len:(String.length c);
+                Cost.sent_to_server t.cost (String.length c)
+              end)
+            items)
+        groups;
+      if traced then Cost.round_trip t0.cost
+
+let read t i = List.hd (read_many t [ i ])
+let write t i c = write_scatter [ (t, [ (i, c) ]) ]
+let write_many t items = write_scatter [ (t, items) ]

@@ -5,12 +5,15 @@
     of the store.  Blocks are opaque strings (ciphertexts); the store never
     interprets them.
 
-    Round trips are counted here, one per wire frame: a single
-    {!read}/{!write} is one frame, and a whole {!read_many}/{!write_many}
-    batch is also exactly one frame ([Wire.Multi_get]/[Wire.Multi_put] in
-    remote mode) — so the ledger matches real wire traffic in both local
-    and remote modes.  Structured access patterns (an ORAM path, a bulk
-    initialization) should therefore go through the batch API.
+    There is one read core, {!read_many}, and one write core,
+    {!write_scatter}; {!read}, {!write} and {!write_many} are one-slot and
+    one-store calls into them.  In remote mode the two cores are the
+    protocol's two block-data verbs: every read is one [Wire.Multi_get]
+    frame and every write one [Wire.Scatter_put] frame.  Round trips are
+    counted here, one per frame, so the ledger matches real wire traffic
+    in both local and remote modes.  Structured access patterns (an ORAM
+    path, a bulk initialization) should therefore go through the batch
+    API.
 
     While the trace is disabled ({!Trace.set_enabled}), cost accounting is
     suspended as well: the shared counters are not safe (or cheap) to
@@ -33,31 +36,33 @@ val ensure : t -> int -> unit
     Growing costs one round trip (it is one wire frame in remote mode). *)
 
 val read : t -> int -> string
-(** [read t i] returns block [i], tracing the access and counting the
-    bytes as server→client traffic and one round trip. *)
+(** [read t i] is [read_many t [i]]: block [i], traced, its bytes counted
+    as server→client traffic and one round trip. *)
 
 val write : t -> int -> string -> unit
-(** [write t i c] replaces block [i], tracing and counting client→server
-    traffic and one round trip. *)
+(** [write t i c] is [write_scatter [(t, [(i, c)])]]: replaces block [i],
+    traced, counted as client→server traffic and one round trip. *)
 
 val read_many : t -> int list -> string list
 (** [read_many t idxs] returns the blocks at [idxs] in order.  Traces one
-    event per block — identical to the equivalent loop of {!read}s — but
-    counts a single round trip: in remote mode the whole batch is one
-    [Multi_get] frame.  The empty list performs no I/O at all. *)
+    event per block, in order, but counts a single round trip: in remote
+    mode the whole batch is one [Multi_get] frame.  The empty list
+    performs no I/O at all. *)
 
 val write_many : t -> (int * string) list -> unit
-(** [write_many t items] writes every (slot, block) pair in list order.
-    One traced event per block, one round trip ([Multi_put]) for the whole
-    batch.  The empty list performs no I/O at all. *)
+(** [write_many t items] is [write_scatter [(t, items)]]: every (slot,
+    block) pair in list order, one traced event per block, one round trip
+    for the whole batch.  The empty list performs no I/O at all. *)
 
 val write_scatter : (t * (int * string) list) list -> unit
 (** [write_scatter groups] writes every group's (slot, block) pairs, in
     group order then item order — one traced event per block but a
     {e single} round trip for the whole cross-store batch (one
     [Scatter_put] frame in remote mode).  All stores must belong to the
-    same server.  Empty groups are skipped; an entirely empty batch
-    performs no I/O at all. *)
+    same server.  Every index is bounds-checked before anything is sent
+    or mutated, so a batch with one bad index raises [Invalid_argument]
+    and changes nothing.  Empty groups are skipped; an entirely empty
+    batch performs no I/O at all. *)
 
 (** {2 Construction} — normally via {!Server.create_store}. *)
 

@@ -145,23 +145,6 @@ let handle st = function
   | Wire.Ensure (name, n) ->
       ensure (find st name) n;
       Wire.Ok
-  | Wire.Get (name, i) ->
-      let s = find st name in
-      if i < 0 || i >= s.len then Wire.Error "index out of bounds"
-      else begin
-        let c = s.blocks.(i) in
-        Trace.record st.trace { Trace.store = name; op = Trace.Read; addr = i; len = String.length c };
-        Wire.Value c
-      end
-  | Wire.Put (name, i, c) ->
-      let s = find st name in
-      if i < 0 || i >= s.len then Wire.Error "index out of bounds"
-      else begin
-        st.bytes <- st.bytes - String.length s.blocks.(i) + String.length c;
-        s.blocks.(i) <- c;
-        Trace.record st.trace { Trace.store = name; op = Trace.Write; addr = i; len = String.length c };
-        Wire.Ok
-      end
   | Wire.Multi_get (name, idxs) ->
       let s = find st name in
       if List.exists (fun i -> i < 0 || i >= s.len) idxs then Wire.Error "index out of bounds"
@@ -174,22 +157,6 @@ let handle st = function
                  { Trace.store = name; op = Trace.Read; addr = i; len = String.length c };
                c)
              idxs)
-  | Wire.Multi_put (name, items) ->
-      let s = find st name in
-      (* Validate every index before mutating anything: a batch either
-         lands whole or not at all. *)
-      if List.exists (fun (i, _) -> i < 0 || i >= s.len) items then
-        Wire.Error "index out of bounds"
-      else begin
-        List.iter
-          (fun (i, c) ->
-            st.bytes <- st.bytes - String.length s.blocks.(i) + String.length c;
-            s.blocks.(i) <- c;
-            Trace.record st.trace
-              { Trace.store = name; op = Trace.Write; addr = i; len = String.length c })
-          items;
-        Wire.Ok
-      end
   | Wire.Scatter_put groups ->
       (* Resolve every store and validate every index before mutating
          anything: the cross-store batch lands whole or not at all. *)

@@ -5,12 +5,12 @@ type t = {
   mutable frames : int;
   mutable closed : bool;
   (* Pipelining state.  Responses arrive strictly in request order (the
-     daemon serves one connection's frames sequentially), so matching is
-     a queue of what each in-flight frame expects.  [puts] tracks
-     fire-and-forget [Multi_put]s; [manual] counts frames sent with the
+     daemon serves one connection's frames sequentially), so matching
+     needs only counts: [puts] counts fire-and-forget [Scatter_put]s,
+     each acknowledged with [Ok]; [manual] counts frames sent with the
      raw {!send}/{!recv} pair, whose responses the caller collects
      itself. *)
-  puts : string Queue.t; (* op label per outstanding async put, for errors *)
+  mutable puts : int; (* outstanding async [Scatter_put] acknowledgements *)
   mutable manual : int;
   mutable unflushed : bool;
 }
@@ -22,6 +22,12 @@ let default_depth = 1
 let rec retry_intr f =
   match f () with v -> v | exception Unix.Unix_error (Unix.EINTR, _, _) -> retry_intr f
 
+(* A vanished server surfaces as [End_of_file] (clean close) or as
+   [Sys_error] (reset, broken pipe; SIGPIPE is ignored): every read and
+   flush below maps both to the typed wire error. *)
+let on_io_error ~closed f =
+  try f () with End_of_file | Sys_error _ -> raise (Wire.Protocol_error closed)
+
 let connect_fd ?(namespace = default_namespace) ?(depth = default_depth) fd =
   if depth < 1 then invalid_arg "Remote.connect: depth must be >= 1";
   (* A dead peer must surface as an exception on the next call, not as a
@@ -29,30 +35,34 @@ let connect_fd ?(namespace = default_namespace) ?(depth = default_depth) fd =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let t =
     { ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd; depth;
-      frames = 0; closed = false; puts = Queue.create (); manual = 0; unflushed = false }
+      frames = 0; closed = false; puts = 0; manual = 0; unflushed = false }
   in
   (* Version handshake: both sides announce; a stale client against a new
      server (or vice versa) fails here with a clear error instead of a
      "bad request tag" mid-session. *)
-  Wire.write_hello t.oc;
-  (match Wire.read_hello t.ic with
+  let closed = "server closed the connection during the version handshake" in
+  (match
+     on_io_error ~closed (fun () ->
+         Wire.write_hello t.oc;
+         Wire.read_hello t.ic)
+   with
   | v when v = Wire.protocol_version -> ()
   | v ->
       raise
         (Wire.Protocol_error
            (Printf.sprintf "protocol version mismatch: client speaks %d, server speaks %d"
-              Wire.protocol_version v))
-  | exception End_of_file ->
-      raise (Wire.Protocol_error "server closed the connection during the version handshake"));
+              Wire.protocol_version v)));
   (* Session establishment: bind the connection to a store namespace.
      Connection setup like the version byte, so not counted in [frames]. *)
-  Wire.write_request t.oc (Wire.Hello namespace);
-  (match Wire.read_response t.ic with
+  let closed = "server closed the connection during session setup" in
+  (match
+     on_io_error ~closed (fun () ->
+         Wire.write_request t.oc (Wire.Hello namespace);
+         Wire.read_response t.ic)
+   with
   | Wire.Ok -> ()
   | Wire.Error msg -> raise (Wire.Protocol_error ("session rejected: " ^ msg))
-  | _ -> raise (Wire.Protocol_error "unexpected response to Hello")
-  | exception End_of_file ->
-      raise (Wire.Protocol_error "server closed the connection during session setup"));
+  | _ -> raise (Wire.Protocol_error "unexpected response to Hello"));
   t
 
 let connect_unix ?namespace ?depth path =
@@ -86,7 +96,7 @@ let connect_tcp ?namespace ?depth ~host ~port () =
 
 let frames t = t.frames
 let depth t = t.depth
-let inflight t = Queue.length t.puts + t.manual
+let inflight t = t.puts + t.manual
 
 (* Buffered send: frames queue in the channel buffer and hit the wire
    in one write when something needs a response — that batching, plus
@@ -97,31 +107,27 @@ let send_nf t req =
   t.frames <- t.frames + 1;
   t.unflushed <- true
 
-let closed_by_server = Wire.Protocol_error "server closed the connection"
-
-(* SIGPIPE is ignored (see [connect_fd]), so writing to a vanished
-   server raises [Sys_error] here rather than killing the process. *)
 let flush_out t =
   if t.unflushed then begin
-    (try flush t.oc with Sys_error _ -> raise closed_by_server);
+    on_io_error ~closed:"server closed the connection" (fun () -> flush t.oc);
     t.unflushed <- false
   end
 
-(* Collect the response of the oldest outstanding async put. *)
+(* Flush what is buffered, then read the next response in order. *)
+let read_response t ~closed =
+  flush_out t;
+  on_io_error ~closed (fun () -> Wire.read_response t.ic)
+
+(* Collect the acknowledgement of the oldest outstanding async put. *)
 let drain_one t =
-  match Queue.take_opt t.puts with
-  | None -> ()
-  | Some what -> (
-      flush_out t;
-      match Wire.read_response t.ic with
-      | Wire.Ok -> ()
-      | Wire.Error msg -> raise (Wire.Protocol_error (what ^ ": " ^ msg))
-      | _ -> raise (Wire.Protocol_error ("unexpected response to async " ^ what))
-      | exception End_of_file ->
-          raise (Wire.Protocol_error ("server closed with async " ^ what ^ " in flight")))
+  t.puts <- t.puts - 1;
+  match read_response t ~closed:"server closed with async Scatter_put in flight" with
+  | Wire.Ok -> ()
+  | Wire.Error msg -> raise (Wire.Protocol_error ("Scatter_put: " ^ msg))
+  | _ -> raise (Wire.Protocol_error "unexpected response to async Scatter_put")
 
 let drain t =
-  while not (Queue.is_empty t.puts) do
+  while t.puts > 0 do
     drain_one t
   done
 
@@ -137,11 +143,9 @@ let call t req =
   (* Order matters: every queued response precedes ours on the wire. *)
   drain t;
   send_nf t req;
-  flush_out t;
-  match Wire.read_response t.ic with
+  match read_response t ~closed:"server closed the connection" with
   | Wire.Error msg -> raise (Wire.Protocol_error msg)
   | resp -> resp
-  | exception (End_of_file | Sys_error _) -> raise closed_by_server
 
 let send t req =
   if t.closed then raise (Wire.Protocol_error "connection closed");
@@ -152,14 +156,10 @@ let send t req =
   t.manual <- t.manual + 1
 
 let recv t =
-  if t.manual = 0 then raise (Wire.Protocol_error "recv: no request in flight";);
-  flush_out t;
-  match Wire.read_response t.ic with
-  | resp ->
-      t.manual <- t.manual - 1;
-      resp
-  | exception End_of_file ->
-      raise (Wire.Protocol_error "server closed with a raw send in flight")
+  if t.manual = 0 then raise (Wire.Protocol_error "recv: no request in flight");
+  let resp = read_response t ~closed:"server closed with a raw send in flight" in
+  t.manual <- t.manual - 1;
+  resp
 
 let pipelined t reqs =
   if t.closed then raise (Wire.Protocol_error "connection closed");
@@ -174,11 +174,7 @@ let pipelined t reqs =
       send_nf t reqs.(!sent);
       incr sent
     done;
-    flush_out t;
-    (match Wire.read_response t.ic with
-    | resp -> resps.(!recvd) <- resp
-    | exception End_of_file ->
-        raise (Wire.Protocol_error "server closed mid-pipeline"));
+    resps.(!recvd) <- read_response t ~closed:"server closed mid-pipeline";
     incr recvd
   done;
   Array.to_list resps
@@ -193,30 +189,6 @@ let multi_get t ~store idxs =
         vs
     | _ -> raise (Wire.Protocol_error "unexpected response to Multi_get")
 
-let multi_put t ~store items =
-  if items = [] then ()
-  else
-    match call t (Wire.Multi_put (store, items)) with
-    | Wire.Ok -> ()
-    | _ -> raise (Wire.Protocol_error "unexpected response to Multi_put")
-
-let multi_put_async t ~store items =
-  if items <> [] then begin
-    if t.closed then raise (Wire.Protocol_error "connection closed");
-    if t.depth <= 1 then multi_put t ~store items
-    else begin
-      require_no_manual t "multi_put_async";
-      (* Bounded window: collect the oldest acknowledgement once the
-         pipeline is full, so a slow server applies backpressure instead
-         of the client buffering without limit. *)
-      while Queue.length t.puts >= t.depth do
-        drain_one t
-      done;
-      send_nf t (Wire.Multi_put (store, items));
-      Queue.push "Multi_put" t.puts
-    end
-  end
-
 let scatter_put t groups =
   if List.for_all (fun (_, items) -> items = []) groups then ()
   else
@@ -230,11 +202,14 @@ let scatter_put_async t groups =
     if t.depth <= 1 then scatter_put t groups
     else begin
       require_no_manual t "scatter_put_async";
-      while Queue.length t.puts >= t.depth do
+      (* Bounded window: collect the oldest acknowledgement once the
+         pipeline is full, so a slow server applies backpressure instead
+         of the client buffering without limit. *)
+      while t.puts >= t.depth do
         drain_one t
       done;
       send_nf t (Wire.Scatter_put groups);
-      Queue.push "Scatter_put" t.puts
+      t.puts <- t.puts + 1
     end
   end
 

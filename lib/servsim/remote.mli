@@ -13,15 +13,21 @@ val connect_fd : ?namespace:string -> ?depth:int -> Unix.file_descr -> t
 
     [depth] (default 1) bounds how many request frames may be in flight
     at once.  Depth 1 is the classic strict request/response client.  A
-    larger depth enables {!multi_put_async}, {!pipelined} and the raw
-    {!send}/{!recv} pair to keep the wire full: requests are buffered
+    larger depth lets the write verb stream ({!scatter_put_async}, which
+    every [Block_store] write goes through) and enables {!pipelined} and
+    the raw {!send}/{!recv} pair to keep the wire full: requests are buffered
     and flushed in batches, and responses are matched to requests in
     order (the server serves one connection strictly sequentially, so
     ordered matching is exact, not heuristic).  Every op above is
     counted in {!frames} exactly as its synchronous equivalent, and
     synchronous calls transparently collect outstanding asynchronous
     acknowledgements first — ledgers and digests are therefore
-    bit-identical to a depth-1 run of the same op sequence.
+    bit-identical to a depth-1 run of the same op sequence.  The read
+    verb, {!multi_get}, is always synchronous.
+
+    A server that closes or resets the connection surfaces as
+    [Wire.Protocol_error] from whichever op reads or flushes next —
+    never as a raw [End_of_file] or [Sys_error].
     @raise Wire.Protocol_error if the server speaks a different protocol
     version, rejects the session, or closes during setup. *)
 
@@ -35,7 +41,7 @@ val connect_tcp : ?namespace:string -> ?depth:int -> host:string -> port:int -> 
 
 val call : t -> Wire.request -> Wire.response
 (** Synchronous request/response; first collects every outstanding
-    {!multi_put_async} acknowledgement (ordered matching).
+    {!scatter_put_async} acknowledgement (ordered matching).
     @raise Wire.Protocol_error on an [Error] response, or when the
     server has closed the connection. *)
 
@@ -45,16 +51,11 @@ val depth : t -> int
 val inflight : t -> int
 (** Outstanding frames awaiting responses (async puts + raw sends). *)
 
-val multi_put_async : t -> store:string -> (int * string) list -> unit
-(** Like {!multi_put}, but with [depth > 1] it only waits when [depth]
-    acknowledgements are already outstanding (collecting the oldest) —
-    writes stream without a round-trip stall per frame.  Errors surface
-    on the op that collects the acknowledgement ({!drain} or the next
-    synchronous call).  Identical to {!multi_put} at depth 1. *)
-
 val drain : t -> unit
-(** Collect every outstanding {!multi_put_async} acknowledgement.
-    @raise Wire.Protocol_error if any collected response is an error. *)
+(** Collect every outstanding {!scatter_put_async} acknowledgement (raw
+    {!send}s are the caller's to {!recv}).
+    @raise Wire.Protocol_error if any collected response is an error, or
+    the server has closed or reset the connection. *)
 
 val pipelined : t -> Wire.request list -> Wire.response list
 (** Issue a batch with up to [depth] frames in flight, returning raw
@@ -74,21 +75,22 @@ val recv : t -> Wire.response
     returned, not raised).
     @raise Wire.Protocol_error when nothing is in flight. *)
 
+(** {2 Block data: one read verb, one write verb} *)
+
 val multi_get : t -> store:string -> int list -> string list
 (** One [Multi_get] frame; values in index order.  No-op (no frame) on the
     empty list. *)
 
-val multi_put : t -> store:string -> (int * string) list -> unit
-(** One [Multi_put] frame.  No-op (no frame) on the empty list. *)
-
 val scatter_put : t -> (string * (int * string) list) list -> unit
-(** One [Scatter_put] frame writing batches across several stores.
+(** One [Scatter_put] frame writing batches to one or more stores.
     No-op (no frame) when every group is empty. *)
 
 val scatter_put_async : t -> (string * (int * string) list) list -> unit
-(** Fire-and-forget {!scatter_put} on a pipelined connection, with the
-    same bounded-window backpressure as {!multi_put_async}.  Identical
-    to {!scatter_put} at depth 1. *)
+(** Like {!scatter_put}, but with [depth > 1] it only waits when [depth]
+    acknowledgements are already outstanding (collecting the oldest) —
+    writes stream without a round-trip stall per frame.  Errors surface
+    on the op that collects the acknowledgement ({!drain} or the next
+    synchronous call).  Identical to {!scatter_put} at depth 1. *)
 
 (** {2 Dynamic FD sessions (protocol v5)}
 

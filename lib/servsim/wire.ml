@@ -3,13 +3,8 @@ type request =
   | Create_store of string
   | Drop_store of string
   | Ensure of string * int
-  | Get of string * int
-  | Put of string * int * string
   | Multi_get of string * int list
-  | Multi_put of string * (int * string) list
   | Scatter_put of (string * (int * string) list) list
-      (* cross-store batched write: all groups land in one frame (the
-         recursive ORAM's deferred path-suffix evictions) *)
   | Digest
   | Total_bytes
   | Ping
@@ -50,7 +45,6 @@ type dyn_fds = {
 
 type response =
   | Ok
-  | Value of string
   | Values of string list
   | Digests of { full : int64; shape : int64; count : int }
   | Bytes_total of int
@@ -63,7 +57,7 @@ type response =
 exception Protocol_error of string
 exception Incomplete
 
-let protocol_version = 6
+let protocol_version = 7
 
 (* Hard caps on what a length prefix may claim.  A corrupt or truncated
    stream must fail with [Protocol_error], not drive the reader into a
@@ -245,32 +239,17 @@ let write_request_sink k req =
       k.put_char '\002';
       put_string k s
   | Ensure (s, n) ->
+      (* A slot count is capped like a batch count: the server allocates
+         every slot it is asked for, and a store wider than the largest
+         batch frame is far beyond any real workload. *)
       k.put_char '\003';
       put_string k s;
-      put_u32 k n
-  | Get (s, i) ->
-      k.put_char '\004';
-      put_string k s;
-      put_u32 k i
-  | Put (s, i, v) ->
-      k.put_char '\005';
-      put_string k s;
-      put_u32 k i;
-      put_string k v
+      put_count k n
   | Multi_get (s, idxs) ->
       k.put_char '\009';
       put_string k s;
       put_count k (List.length idxs);
       List.iter (put_u32 k) idxs
-  | Multi_put (s, items) ->
-      k.put_char '\010';
-      put_string k s;
-      put_count k (List.length items);
-      List.iter
-        (fun (i, v) ->
-          put_u32 k i;
-          put_string k v)
-        items
   | Scatter_put groups ->
       k.put_char '\018';
       put_count k (List.length groups);
@@ -319,24 +298,10 @@ let read_request_src src =
   | '\002' -> Drop_store (get_string src)
   | '\003' ->
       let s = get_string src in
-      Ensure (s, get_u32 src)
-  | '\004' ->
-      let s = get_string src in
-      Get (s, get_u32 src)
-  | '\005' ->
-      let s = get_string src in
-      let i = get_u32 src in
-      Put (s, i, get_string src)
+      Ensure (s, get_count src)
   | '\009' ->
       let s = get_string src in
       Multi_get (s, get_list src get_u32)
-  | '\010' ->
-      let s = get_string src in
-      Multi_put
-        ( s,
-          get_list src (fun src ->
-              let i = get_u32 src in
-              (i, get_string src)) )
   | '\018' ->
       Scatter_put
         (get_list src (fun src ->
@@ -375,9 +340,6 @@ let read_request_src src =
 let write_response_sink k resp =
   match resp with
   | Ok -> k.put_char '\100'
-  | Value v ->
-      k.put_char '\101';
-      put_string k v
   | Values vs ->
       k.put_char '\105';
       put_count k (List.length vs);
@@ -434,7 +396,6 @@ let write_response_sink k resp =
 let read_response_src src =
   match src.get_char () with
   | '\100' -> Ok
-  | '\101' -> Value (get_string src)
   | '\105' -> Values (get_list src get_string)
   | '\102' ->
       let full = get_u64 src in

