@@ -39,7 +39,10 @@ let modeled_parallel ~network ~per_comparator n domains =
   +. (float_of_int n *. per_comparator /. 2.0)
 
 let run_fig6a (opts : Bench_util.opts) =
-  let n = Bench_util.pow2 (if opts.Bench_util.full then 12 else 10) in
+  let n =
+    Bench_util.pow2
+      (if opts.Bench_util.smoke then 6 else if opts.Bench_util.full then 12 else 10)
+  in
   let cores = Domain.recommended_domain_count () in
   Bench_util.header
     (Printf.sprintf
@@ -49,7 +52,7 @@ let run_fig6a (opts : Bench_util.opts) =
   let measured =
     List.map
       (fun domains -> (domains, sort_single_threaded ~domains ~network:Sort_method.Bitonic n))
-      [ 1; 2; 4; 8; 16 ]
+      (if opts.Bench_util.smoke then [ 1; 2 ] else [ 1; 2; 4; 8; 16 ])
   in
   let t1 = List.assoc 1 measured in
   let net = Osort.Network.bitonic (Osort.Network.ceil_pow2 n) in
@@ -89,7 +92,11 @@ let encrypted_time ~case n =
   r.Protocol.elapsed_s
 
 let run_fig6b (opts : Bench_util.opts) =
-  let ks = if opts.Bench_util.full then [ 6; 8; 10; 12 ] else [ 6; 8; 10 ] in
+  let ks =
+    if opts.Bench_util.smoke then [ 4; 6 ]
+    else if opts.Bench_util.full then [ 6; 8; 10; 12 ]
+    else [ 6; 8; 10 ]
+  in
   Bench_util.header "Fig. 6(b): Sort inside a secure enclave (SGX simulation)";
   Printf.printf "%8s %16s %16s %16s %10s\n" "n" "outside (|X|=1)" "SGX (|X|=1)" "SGX (|X|>=2)"
     "speedup";

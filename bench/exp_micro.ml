@@ -21,9 +21,8 @@ let sort_fixture =
     (let session = Core.Session.create ~n:256 ~m:1 () in
      Servsim.Trace.set_enabled (Core.Session.trace session) false;
      let b = Core.Sort_backend.encrypted session ~n:256 in
-     for i = 0 to 255 do
-       b.Core.Sort_backend.write i { Core.Sort_backend.key = Core.Sort_backend.L i; id = i }
-     done;
+     b.Core.Sort_backend.io.write
+       (List.init 256 (fun i -> (i, { Core.Sort_backend.key = Core.Sort_backend.L i; id = i })));
      b)
 
 let partition_fixture =
@@ -48,14 +47,13 @@ let tests =
            let o = Lazy.force oram_fixture in
            Oram.Path_oram.write o ~key:(Relation.Codec.encode_int 7)
              (Relation.Codec.encode_int 7)));
-    (* Fig. 4/6 Sort curve: one encrypted compare-exchange. *)
+    (* Fig. 4/6 Sort curve: one encrypted compare-exchange, as Sort runs
+       it (one read batch, one write batch). *)
     Test.make ~name:"fig4-fig6/sort-compare-exchange"
       (Staged.stage (fun () ->
            let b = Lazy.force sort_fixture in
-           let a = b.Core.Sort_backend.read 3 and c = b.Core.Sort_backend.read 200 in
-           let lo, hi = if Core.Sort_backend.compare_by_key a c <= 0 then (a, c) else (c, a) in
-           b.Core.Sort_backend.write 3 lo;
-           b.Core.Sort_backend.write 200 hi));
+           Core.Sort_method.exchange ~compare:Core.Sort_backend.compare_by_key
+             b.Core.Sort_backend.io ~up:true 3 200));
     (* Fig. 5 storage accounting driver: partition product (plaintext). *)
     Test.make ~name:"fig5/partition-product"
       (Staged.stage (fun () ->
@@ -66,24 +64,12 @@ let tests =
       (Staged.stage
          (let net = Osort.Network.bitonic 256 in
           fun () ->
-            let b = Core.Sort_backend.enclave ~n:256 in
-            for i = 0 to 255 do
-              b.Core.Sort_backend.write i
-                { Core.Sort_backend.key = Core.Sort_backend.L (255 - i); id = i }
-            done;
-            Osort.Driver.run net ~exchange:(fun ~up i j ->
-                let x = b.Core.Sort_backend.read i and y = b.Core.Sort_backend.read j in
-                let lo, hi =
-                  if Core.Sort_backend.compare_by_key x y <= 0 then (x, y) else (y, x)
-                in
-                if up then begin
-                  b.Core.Sort_backend.write i lo;
-                  b.Core.Sort_backend.write j hi
-                end
-                else begin
-                  b.Core.Sort_backend.write i hi;
-                  b.Core.Sort_backend.write j lo
-                end)));
+            let io = (Core.Sort_backend.enclave ~n:256).Core.Sort_backend.io in
+            io.Core.Sort_backend.write
+              (List.init 256 (fun i ->
+                   (i, { Core.Sort_backend.key = Core.Sort_backend.L (255 - i); id = i })));
+            Osort.Driver.run net
+              ~exchange:(Core.Sort_method.exchange ~compare:Core.Sort_backend.compare_by_key io)));
     (* Fig. 7: one Ex-ORAM insert+delete pair. *)
     Test.make ~name:"fig7/ex-oram-insert-delete"
       (Staged.stage

@@ -12,5 +12,5 @@ val oracle : Session.t -> Enc_db.t -> Sort_method.handle Fdbase.Lattice.oracle
 
 val discover : ?seed:int -> ?max_lhs:int -> Table.t -> Protocol.report
 
-val partition_cardinality : ?seed:int -> Table.t -> Attrset.t -> int * float
+val partition_cardinality : Table.t -> Attrset.t -> int * float
 (** (|π_X|, seconds for the final Algorithm-3 run inside the enclave). *)

@@ -31,6 +31,13 @@ type report = {
   step_bytes : int;  (** bytes moved (both directions) by the measured unit *)
 }
 
+val finish : Session.t -> Fdbase.Lattice.result -> t0:float -> report
+(** [finish session result ~t0] is the report of a discovery that ran on
+    [session] and started at [t0] ([Unix.gettimeofday]): [result]'s FDs
+    and plan, the session's cost snapshot and trace digests, and the
+    time elapsed since [t0].  {!discover} and [Enclave.discover] both
+    end here. *)
+
 val modeled_network_seconds : ?rtt_s:float -> ?gbps:float -> report -> float
 (** [modeled_network_seconds r] is the wall-clock the measured unit would
     add on a network link: [step_round_trips · rtt + step_bytes / rate].

@@ -9,15 +9,15 @@ type t = {
   mutable counter : int;
 }
 
+let cipher_with raw_key iv_rng =
+  Crypto.Cell_cipher.create ~iv_rng:(fun b -> Crypto.Rng.fill_bytes iv_rng b) raw_key
+
 let create ?(seed = 0x5EC5E55) ?keep_events ?remote ?(oram_cache_levels = 0) ~n ~m () =
   if oram_cache_levels < 0 then
     invalid_arg "Session.create: oram_cache_levels must be >= 0";
   let key_rng = Crypto.Rng.create seed in
   let raw_key = Bytes.to_string (Crypto.Rng.bytes key_rng 16) in
-  let iv_rng = Crypto.Rng.split key_rng in
-  let cipher =
-    Crypto.Cell_cipher.create ~iv_rng:(fun b -> Crypto.Rng.fill_bytes iv_rng b) raw_key
-  in
+  let cipher = cipher_with raw_key (Crypto.Rng.split key_rng) in
   {
     server = Servsim.Server.create ?keep_events ?remote ();
     raw_key;
@@ -29,9 +29,7 @@ let create ?(seed = 0x5EC5E55) ?keep_events ?remote ?(oram_cache_levels = 0) ~n 
     counter = 0;
   }
 
-let clone_cipher t ~seed =
-  let iv_rng = Crypto.Rng.create seed in
-  Crypto.Cell_cipher.create ~iv_rng:(fun b -> Crypto.Rng.fill_bytes iv_rng b) t.raw_key
+let fresh_cipher t = cipher_with t.raw_key (Crypto.Rng.split t.rng)
 
 let fresh_name t prefix =
   t.counter <- t.counter + 1;

@@ -36,7 +36,8 @@ val rand_int : t -> int -> int
 val cost : t -> Servsim.Cost.t
 val trace : t -> Servsim.Trace.t
 
-val clone_cipher : t -> seed:int -> Crypto.Cell_cipher.t
-(** A cipher under the same secret key with an independent IV stream —
-    one per worker domain in parallel sorting, so no mutable cipher state
-    is shared across domains. *)
+val fresh_cipher : t -> Crypto.Cell_cipher.t
+(** A cipher under the same secret key whose IV stream is split off the
+    session's randomness, so no two calls replay the same IVs — one per
+    worker domain in parallel sorting, so no mutable cipher state is
+    shared across domains. *)

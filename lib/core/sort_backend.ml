@@ -72,15 +72,16 @@ let decode_elt s =
   in
   { key; id }
 
+type io = {
+  read : int list -> elt list;
+  write : (int * elt) list -> unit;
+}
+
 type t = {
   length : int;
   n : int;
-  read : int -> elt;
-  write : int -> elt -> unit;
-  read_batch : int list -> elt list;
-  write_batch : (int * elt) list -> unit;
-  make_worker : int -> (int -> elt) * (int -> elt -> unit);
-  client_bytes : int;
+  io : io;
+  worker : int -> io;
   destroy : unit -> unit;
 }
 
@@ -89,46 +90,40 @@ let encrypted (session : Session.t) ~n =
   let name = Session.fresh_name session "sort" in
   let store = Servsim.Server.create_store session.Session.server name in
   Servsim.Block_store.ensure store length;
-  let write_with cipher i e =
-    Servsim.Block_store.write store i (Crypto.Cell_cipher.encrypt cipher (encode_elt e))
+  let io_with cipher =
+    {
+      read =
+        (fun idxs ->
+          List.map decode_elt
+            (Crypto.Cell_cipher.decrypt_many cipher (Servsim.Block_store.read_many store idxs)));
+      write =
+        (fun items ->
+          let cts =
+            Crypto.Cell_cipher.encrypt_many cipher (List.map (fun (_, e) -> encode_elt e) items)
+          in
+          Servsim.Block_store.write_many store (List.map2 (fun (i, _) ct -> (i, ct)) items cts));
+    }
   in
-  let read_with cipher i =
-    decode_elt
-      (Crypto.Cell_cipher.decrypt cipher (Servsim.Block_store.read store i)
-      [@lint.declassify
-        "client-side decode of a fixed-width cell; its shape is the constant elt_width"])
-  in
-  let write_batch items =
-    let cts =
-      Crypto.Cell_cipher.encrypt_many session.Session.cipher
-        (List.map (fun (_, e) -> encode_elt e) items)
-    in
-    Servsim.Block_store.write_many store
-      (List.map2 (fun (i, _) ct -> (i, ct)) items cts)
-  in
-  let read_batch idxs =
-    List.map decode_elt
-      (Crypto.Cell_cipher.decrypt_many session.Session.cipher
-         (Servsim.Block_store.read_many store idxs))
-  in
-  write_batch (List.init length (fun i -> (i, pad_elt)));
+  let io = io_with session.Session.cipher in
+  io.write (List.init length (fun i -> (i, pad_elt)));
   (* Constant client memory: two decrypted elements plus the key — the
      paper's O(1)-client-memory claim for Sort (§IV-D(c)).  A
      compare-exchange batches exactly two elements, never more. *)
-  let client_bytes = (2 * elt_width) + 16 in
-  Servsim.Cost.client_set (Session.cost session) ~tag:name client_bytes;
+  Servsim.Cost.client_set (Session.cost session) ~tag:name ((2 * elt_width) + 16);
   {
     length;
     n;
-    read = read_with session.Session.cipher;
-    write = write_with session.Session.cipher;
-    read_batch;
-    write_batch;
-    make_worker =
-      (fun w ->
-        let cipher = Session.clone_cipher session ~seed:(0x50D0 + w) in
-        (read_with cipher, write_with cipher));
-    client_bytes;
+    io;
+    worker =
+      (fun _ ->
+        (* Worker domains must not share the trace and cost ledger, nor
+           a remote session's one socket. *)
+        if
+          Servsim.Trace.enabled (Session.trace session)
+          || Option.is_some (Servsim.Server.remote session.Session.server)
+        then
+          invalid_arg "Sort_backend.encrypted: parallel sort needs tracing off and a local server";
+        io_with (Session.fresh_cipher session));
     destroy =
       (fun () ->
         Servsim.Server.drop_store session.Session.server name;
@@ -138,14 +133,10 @@ let encrypted (session : Session.t) ~n =
 let enclave ~n =
   let length = Osort.Network.ceil_pow2 n in
   let arr = Array.make length pad_elt in
-  {
-    length;
-    n;
-    read = (fun i -> arr.(i));
-    write = (fun i e -> arr.(i) <- e);
-    read_batch = (fun idxs -> List.map (fun i -> arr.(i)) idxs);
-    write_batch = (fun items -> List.iter (fun (i, e) -> arr.(i) <- e) items);
-    make_worker = (fun _ -> ((fun i -> arr.(i)), fun i e -> arr.(i) <- e));
-    client_bytes = length * elt_width;
-    destroy = (fun () -> ());
-  }
+  let io =
+    {
+      read = (fun idxs -> List.map (fun i -> arr.(i)) idxs);
+      write = (fun items -> List.iter (fun (i, e) -> arr.(i) <- e) items);
+    }
+  in
+  { length; n; io; worker = (fun _ -> io); destroy = (fun () -> ()) }

@@ -37,22 +37,25 @@ val encode_elt : elt -> string
 val decode_elt : string -> elt
 val elt_width : int
 
+(** Batched access to the array: every call is one round trip (one
+    [Multi_get] or one [Scatter_put] frame in remote mode), whatever the
+    number of slots.  A compare-exchange reads its two slots in one
+    [read] and writes them back in one [write]. *)
+type io = {
+  read : int list -> elt list;  (** elements at the given slots, in order *)
+  write : (int * elt) list -> unit;  (** (slot, element) pairs, in order *)
+}
+
 type t = {
   length : int;  (** padded (power-of-two) array length *)
   n : int;  (** number of real elements *)
-  read : int -> elt;
-  write : int -> elt -> unit;
-  read_batch : int list -> elt list;
-      (** Batched read, one round trip for the whole list (one
-          [Multi_get] frame in remote mode).  A compare-exchange fetches
-          its two slots in a single frame through this. *)
-  write_batch : (int * elt) list -> unit;
-      (** Batched write, one round trip for the whole list (one
-          [Scatter_put] frame in remote mode). *)
-  make_worker : int -> (int -> elt) * (int -> elt -> unit);
-      (** [make_worker w] — thread-private read/write closures for worker
-          [w] (own cipher instance; no shared mutable state). *)
-  client_bytes : int;  (** client working memory the backend needs *)
+  io : io;  (** the calling domain's access path *)
+  worker : int -> io;
+      (** [worker w] — a private access path for parallel worker [w],
+          built in the calling domain before the workers start.  The
+          encrypted backend gives each worker its own cipher, whose IV
+          stream is split off the session's randomness, and raises
+          [Invalid_argument] when the session traces or is remote. *)
   destroy : unit -> unit;
 }
 

@@ -20,45 +20,23 @@ let network_for kind n =
   | Odd_even_merge -> Osort.Network.odd_even_merge n
 
 (* One compare-exchange; both slots are always rewritten so the server
-   cannot tell whether a swap happened.  The serial path batches the two
-   fetches into one frame and the two write-backs into another, so an
-   exchange is two round trips on the wire (the ledger is maintained by
-   the block store). *)
-let exchange_batched ~compare ~read_batch ~write_batch ~up i j =
-  match read_batch [ i; j ] with
+   cannot tell whether a swap happened.  The two fetches are one batch
+   and the two write-backs another, so an exchange is two round trips on
+   the wire (the ledger is maintained by the block store). *)
+let exchange ~compare (io : io) ~up i j =
+  match io.read [ i; j ] with
   | [ a; b ] ->
       let lo, hi = if compare a b <= 0 then (a, b) else (b, a) in
-      write_batch (if up then [ (i, lo); (j, hi) ] else [ (i, hi); (j, lo) ])
+      io.write (if up then [ (i, lo); (j, hi) ] else [ (i, hi); (j, lo) ])
   | _ -> assert false
 
-(* Worker variant over thread-private single-slot closures (cost and trace
-   are suspended in multi-domain sections). *)
-let exchange_with ~compare read write ~up i j =
-  let a = read i and b = read j in
-  let lo, hi = if compare a b <= 0 then (a, b) else (b, a) in
-  if up then begin
-    write i lo;
-    write j hi
-  end
-  else begin
-    write i hi;
-    write j lo
-  end
-
 let oblivious_sort ?(domains = 1) net backend ~compare =
-  if domains <= 1 then
-    Osort.Driver.run net
-      ~exchange:
-        (exchange_batched ~compare ~read_batch:backend.read_batch
-           ~write_batch:backend.write_batch)
-  else begin
-    let counter = ref 0 in
-    Osort.Driver.run_parallel net ~domains ~make_exchange:(fun () ->
-        let w = !counter in
-        incr counter;
-        let read, write = backend.make_worker w in
-        exchange_with ~compare read write)
-  end
+  if domains <= 1 then Osort.Driver.run net ~exchange:(exchange ~compare backend.io)
+  else
+    Osort.Driver.run_parallel net ~domains ~make_exchange:(fun w ->
+        exchange ~compare (backend.worker w))
+
+let read_one (io : io) i = List.hd (io.read [ i ])
 
 (* Algorithm 3. *)
 let compute ?(network = Bitonic) ?domains backend x =
@@ -67,11 +45,11 @@ let compute ?(network = Bitonic) ?domains backend x =
   oblivious_sort ?domains net backend ~compare:compare_by_key;
   (* 2. Linear pass: replace key_X by its run index (the label).  Kept
      element-at-a-time — O(1) client memory, per §IV-D(c); each element is
-     one fetch frame and one write-back frame. *)
+     one fetch batch and one write-back batch. *)
   let tmp = ref Pad in
   let card = ref 0 in
   for i = 0 to backend.n - 1 do
-    let e = backend.read i in
+    let e = read_one backend.io i in
     let flag = i > 0 && compare_skey e.key !tmp <> 0 in
     tmp := e.key;
     if
@@ -80,7 +58,7 @@ let compute ?(network = Bitonic) ?domains backend x =
         "post-sort labeling scan: the read/write schedule is fixed; the branch only \
          selects the label value, i.e. the FD(DB) cardinality structure"])
     then incr card;
-    backend.write i { key = L !card; id = e.id }
+    backend.io.write [ (i, { key = L !card; id = e.id }) ]
   done;
   (* 3. Sort back by r[ID]. *)
   oblivious_sort ?domains net backend ~compare:compare_by_id;
@@ -95,14 +73,14 @@ let single ?network ?domains ?backend db col =
   let make = Option.value ~default:(fun ~n -> Sort_backend.encrypted session ~n) backend in
   let b = make ~n in
   (* One frame for the whole initial load (real rows + pads). *)
-  b.write_batch
+  b.io.write
     (List.init n (fun row -> (row, { key = V (Enc_db.read_cell db ~row ~col); id = row }))
     @ fill_pads b ~from:n);
   compute ?network ?domains b (Attrset.singleton col)
 
 let label_of_row h ~row =
   match
-    ((h.backend.read row).key
+    ((read_one h.backend.io row).key
     [@lint.declassify
       "client-side decode of the label array; the tag check is fail-stop validation \
        and by construction always takes the L branch"])
@@ -112,7 +90,7 @@ let label_of_row h ~row =
 
 let labels h =
   (* Whole label array in one Multi_get frame. *)
-  h.backend.read_batch (List.init h.backend.n Fun.id)
+  h.backend.io.read (List.init h.backend.n Fun.id)
   |> List.map (fun e ->
          match
            (e.key
@@ -131,7 +109,7 @@ let combine ?network ?domains ?backend session x h1 h2 =
   (* Two fetch frames (one per generator) and one write-back frame,
      instead of 3n single-block exchanges. *)
   let l1s = labels h1 and l2s = labels h2 in
-  b.write_batch
+  b.io.write
     (List.init n (fun row ->
          ( row,
            {

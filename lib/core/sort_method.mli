@@ -12,8 +12,11 @@
     (the strongest form of Definition 2; tested via full trace digests).
 
     [domains] > 1 exercises the paper's parallel mode (Fig. 6a): network
-    stages are executed by that many OCaml domains (tracing must be off —
-    see {!Servsim.Trace.set_enabled}). *)
+    stages are executed by that many OCaml domains, each through its own
+    {!Sort_backend.t.worker} access path.  On the encrypted backend this
+    needs the session's trace off (see {!Servsim.Trace.set_enabled}) and
+    a local server: a traced or remote session raises [Invalid_argument]
+    before any worker starts. *)
 
 open Relation
 
@@ -25,6 +28,13 @@ type handle
 
 val attrs : handle -> Attrset.t
 val cardinality : handle -> int
+
+val exchange :
+  compare:(Sort_backend.elt -> Sort_backend.elt -> int) -> Sort_backend.io -> up:bool ->
+  int -> int -> unit
+(** [exchange ~compare io ~up i j] is one compare-exchange of slots [i]
+    and [j]: one read batch of both slots, then one write batch that
+    rewrites both, swapped or not, so the server cannot tell which. *)
 
 val compute : ?network:network -> ?domains:int -> Sort_backend.t -> Attrset.t -> handle
 (** Run Algorithm 3 over a backend already filled with (key, id) pairs. *)
@@ -43,10 +53,10 @@ val combine :
     result arrays (both ordered by r[ID]), then {!compute}. *)
 
 val label_of_row : handle -> row:int -> int
-(** label_X of record [row] (one array read). *)
+(** label_X of record [row] (a one-slot read batch). *)
 
 val labels : handle -> int array
-(** All labels ordered by record ID (n array reads). *)
+(** All labels ordered by record ID (one read batch of n slots). *)
 
 val release : handle -> unit
 

@@ -250,8 +250,8 @@ let () =
    same fused-table round as encryption.  [st] is the per-key round-state
    scratch: 8 ints ping-ponged between rounds, preallocated so a block
    operation allocates nothing.  A table key is therefore not shareable
-   between domains; clone ciphers per worker (as Sort's [make_worker]
-   does). *)
+   between domains; build a cipher per worker (as Sort's parallel
+   workers each get one). *)
 
 type table_key = { ek : int array; dk : int array; st : int array }
 

@@ -32,7 +32,8 @@ type table_key
     {!Cbc} can hand a whole chain to the AES-NI stubs; only {!expand} and
     {!Table.expand} build keys.  Because of the T-table scratch a [key]
     must not be used from two domains concurrently — clone the cipher per
-    worker instead (as [Sort_backend.make_worker] does). *)
+    worker instead (as the encrypted [Sort_backend] does for each
+    parallel sort worker). *)
 type key = private
   | Aesni of Aesni.schedule  (** hardware round keys *)
   | Ttable of table_key  (** software schedule *)

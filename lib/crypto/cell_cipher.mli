@@ -8,7 +8,8 @@
 
     The cipher carries preallocated scratch (IV buffer, round state inside
     the AES key, a decrypt buffer), so a [t] must not be shared between
-    domains — clone one per worker, as [Sort_backend.make_worker] does.
+    domains — build one per worker, as the encrypted
+    [Sort_backend] does for each parallel sort worker.
     Encrypting a cell performs exactly one allocation (the ciphertext);
     the bulk [_many] entry points let the ORAM layers push a whole path or
     exchange batch through the cipher in one call. *)

@@ -7,15 +7,19 @@ let run (net : Network.t) ~exchange =
 (* Persistent workers: domains are spawned once for the whole network and
    synchronise between stages on a reusable barrier — per-stage domain
    churn (and its stop-the-world GC synchronisations) would otherwise eat
-   the parallel speedup. *)
+   the parallel speedup.  Every exchange closure is built here, in the
+   calling domain, before any worker starts: [make_exchange] may touch
+   state that is not domain-safe (the session's randomness), and an
+   exception from it leaves no domain behind. *)
 let run_parallel (net : Network.t) ~domains ~make_exchange =
   if domains < 1 then invalid_arg "Driver.run_parallel: domains must be >= 1";
-  if domains = 1 then run net ~exchange:(make_exchange ())
+  if domains = 1 then run net ~exchange:(make_exchange 0)
   else begin
+    let exchanges = Array.init domains make_exchange in
     let stages = net.Network.stages in
     let barrier = Barrier.create domains in
     let worker w () =
-      let exchange = make_exchange () in
+      let exchange = exchanges.(w) in
       Array.iter
         (fun stage ->
           let len = Array.length stage in

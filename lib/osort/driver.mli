@@ -13,8 +13,10 @@ val run : Network.t -> exchange:(up:bool -> int -> int -> unit) -> unit
 (** Execute every stage sequentially. *)
 
 val run_parallel :
-  Network.t -> domains:int -> make_exchange:(unit -> up:bool -> int -> int -> unit) -> unit
+  Network.t -> domains:int -> make_exchange:(int -> up:bool -> int -> int -> unit) -> unit
 (** [run_parallel net ~domains ~make_exchange] executes each stage with
-    [domains] worker domains; [make_exchange] is called once per worker per
-    run to build a thread-private exchange closure.
+    [domains] worker domains.  [make_exchange w] builds worker [w]'s
+    private exchange closure; it is called once for each [w] in
+    [0 .. domains - 1], in order, in the calling domain, before any
+    worker starts.
     @raise Invalid_argument if [domains < 1]. *)

@@ -107,10 +107,8 @@ let read_many t idxs =
 (* All stores must live on the same server (they share its trace and
    cost ledger).  The batch is validated whole before anything is
    mutated, mirroring the server-side handler.  Remotely the frame is
-   fire-and-forget on a pipelined connection (bounded by its depth;
-   synchronous at depth 1): the next read or call collects the ordered
-   acknowledgements, so errors are never silently dropped and the frame
-   ledger is the same either way. *)
+   synchronous: the server's acknowledgement arrives before the local
+   mirror changes, so a refused write surfaces here. *)
 let write_scatter groups =
   match List.filter (fun (_, items) -> items <> []) groups with
   | [] -> ()
@@ -121,7 +119,7 @@ let write_scatter groups =
       (match t0.storage with
       | Local_mem _ -> ()
       | Remote_conn r ->
-          Remote.scatter_put_async r.conn (List.map (fun (t, items) -> (t.name, items)) groups));
+          Remote.scatter_put r.conn (List.map (fun (t, items) -> (t.name, items)) groups));
       let traced = Trace.enabled t0.trace in
       List.iter
         (fun (t, items) ->

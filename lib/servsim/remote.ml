@@ -6,12 +6,9 @@ type t = {
   mutable closed : bool;
   (* Pipelining state.  Responses arrive strictly in request order (the
      daemon serves one connection's frames sequentially), so matching
-     needs only counts: [puts] counts fire-and-forget [Scatter_put]s,
-     each acknowledged with [Ok]; [manual] counts frames sent with the
-     raw {!send}/{!recv} pair, whose responses the caller collects
-     itself. *)
-  mutable puts : int; (* outstanding async [Scatter_put] acknowledgements *)
-  mutable manual : int;
+     needs only a count of the frames sent with {!send} whose responses
+     {!recv} has not collected yet. *)
+  mutable inflight : int;
   mutable unflushed : bool;
 }
 
@@ -35,7 +32,7 @@ let connect_fd ?(namespace = default_namespace) ?(depth = default_depth) fd =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let t =
     { ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd; depth;
-      frames = 0; closed = false; puts = 0; manual = 0; unflushed = false }
+      frames = 0; closed = false; inflight = 0; unflushed = false }
   in
   (* Version handshake: both sides announce; a stale client against a new
      server (or vice versa) fails here with a clear error instead of a
@@ -96,7 +93,7 @@ let connect_tcp ?namespace ?depth ~host ~port () =
 
 let frames t = t.frames
 let depth t = t.depth
-let inflight t = t.puts + t.manual
+let inflight t = t.inflight
 
 (* Buffered send: frames queue in the channel buffer and hit the wire
    in one write when something needs a response — that batching, plus
@@ -118,30 +115,16 @@ let read_response t ~closed =
   flush_out t;
   on_io_error ~closed (fun () -> Wire.read_response t.ic)
 
-(* Collect the acknowledgement of the oldest outstanding async put. *)
-let drain_one t =
-  t.puts <- t.puts - 1;
-  match read_response t ~closed:"server closed with async Scatter_put in flight" with
-  | Wire.Ok -> ()
-  | Wire.Error msg -> raise (Wire.Protocol_error ("Scatter_put: " ^ msg))
-  | _ -> raise (Wire.Protocol_error "unexpected response to async Scatter_put")
-
-let drain t =
-  while t.puts > 0 do
-    drain_one t
-  done
-
-let require_no_manual t op =
-  if t.manual > 0 then
+let require_idle t op =
+  if t.inflight > 0 then
     raise
       (Wire.Protocol_error
-         (op ^ ": " ^ string_of_int t.manual ^ " raw send(s) outstanding; recv them first"))
+         (op ^ ": " ^ string_of_int t.inflight ^ " raw send(s) outstanding; recv them first"))
 
 let call t req =
   if t.closed then raise (Wire.Protocol_error "connection closed");
-  require_no_manual t "call";
-  (* Order matters: every queued response precedes ours on the wire. *)
-  drain t;
+  (* Every outstanding response would precede ours on the wire. *)
+  require_idle t "call";
   send_nf t req;
   match read_response t ~closed:"server closed the connection" with
   | Wire.Error msg -> raise (Wire.Protocol_error msg)
@@ -149,35 +132,35 @@ let call t req =
 
 let send t req =
   if t.closed then raise (Wire.Protocol_error "connection closed");
-  drain t;
-  if t.manual >= t.depth then
+  if t.inflight >= t.depth then
     raise (Wire.Protocol_error "send: pipeline full; recv a response first");
   send_nf t req;
-  t.manual <- t.manual + 1
+  t.inflight <- t.inflight + 1
 
 let recv t =
-  if t.manual = 0 then raise (Wire.Protocol_error "recv: no request in flight");
+  if t.inflight = 0 then raise (Wire.Protocol_error "recv: no request in flight");
   let resp = read_response t ~closed:"server closed with a raw send in flight" in
-  t.manual <- t.manual - 1;
+  t.inflight <- t.inflight - 1;
   resp
 
+(* Fill the window, collect the oldest response, repeat: the window
+   starts empty, so it empties exactly when every request is answered. *)
 let pipelined t reqs =
-  if t.closed then raise (Wire.Protocol_error "connection closed");
-  require_no_manual t "pipelined";
-  drain t;
-  let reqs = Array.of_list reqs in
-  let n = Array.length reqs in
-  let resps = Array.make n Wire.Ok in
-  let sent = ref 0 and recvd = ref 0 in
-  while !recvd < n do
-    while !sent < n && !sent - !recvd < t.depth do
-      send_nf t reqs.(!sent);
-      incr sent
-    done;
-    resps.(!recvd) <- read_response t ~closed:"server closed mid-pipeline";
-    incr recvd
-  done;
-  Array.to_list resps
+  require_idle t "pipelined";
+  let rec fill = function
+    | req :: rest when t.inflight < t.depth ->
+        send t req;
+        fill rest
+    | rest -> rest
+  in
+  let rec go pending acc =
+    let pending = fill pending in
+    if t.inflight = 0 then List.rev acc
+    else
+      let resp = recv t in
+      go pending (resp :: acc)
+  in
+  go reqs []
 
 let multi_get t ~store idxs =
   if idxs = [] then []
@@ -195,23 +178,6 @@ let scatter_put t groups =
     match call t (Wire.Scatter_put groups) with
     | Wire.Ok -> ()
     | _ -> raise (Wire.Protocol_error "unexpected response to Scatter_put")
-
-let scatter_put_async t groups =
-  if not (List.for_all (fun (_, items) -> items = []) groups) then begin
-    if t.closed then raise (Wire.Protocol_error "connection closed");
-    if t.depth <= 1 then scatter_put t groups
-    else begin
-      require_no_manual t "scatter_put_async";
-      (* Bounded window: collect the oldest acknowledgement once the
-         pipeline is full, so a slow server applies backpressure instead
-         of the client buffering without limit. *)
-      while t.puts >= t.depth do
-        drain_one t
-      done;
-      send_nf t (Wire.Scatter_put groups);
-      t.puts <- t.puts + 1
-    end
-  end
 
 let begin_dynamic t ?(capacity = 0) ?(max_lhs = 0) ~seed ~cols rows =
   match call t (Wire.Begin_dynamic { seed; capacity; max_lhs; cols; rows }) with

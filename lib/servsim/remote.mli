@@ -1,6 +1,8 @@
 (** Client-side connection to a server over a stream socket — in
     practice the multi-tenant daemon ([Service.Daemon]), in this process
-    or another. *)
+    or another.  Every block read and write is one synchronous
+    request/response frame; only {!pipelined} and the raw
+    {!send}/{!recv} pair keep several frames in flight. *)
 
 type t
 
@@ -11,19 +13,15 @@ val connect_fd : ?namespace:string -> ?depth:int -> Unix.file_descr -> t
     server-side trace and cost ledgers when the peer is the multi-tenant
     daemon.  Neither setup exchange is counted in {!frames}.
 
-    [depth] (default 1) bounds how many request frames may be in flight
-    at once.  Depth 1 is the classic strict request/response client.  A
-    larger depth lets the write verb stream ({!scatter_put_async}, which
-    every [Block_store] write goes through) and enables {!pipelined} and
-    the raw {!send}/{!recv} pair to keep the wire full: requests are buffered
-    and flushed in batches, and responses are matched to requests in
-    order (the server serves one connection strictly sequentially, so
-    ordered matching is exact, not heuristic).  Every op above is
-    counted in {!frames} exactly as its synchronous equivalent, and
-    synchronous calls transparently collect outstanding asynchronous
-    acknowledgements first — ledgers and digests are therefore
-    bit-identical to a depth-1 run of the same op sequence.  The read
-    verb, {!multi_get}, is always synchronous.
+    [depth] (default 1) bounds how many frames {!send} may have in
+    flight at once; it matters only to {!pipelined} and the raw
+    {!send}/{!recv} pair.  Every other op, block reads and writes
+    included, is one synchronous request/response exchange.  Pipelined
+    requests are buffered and flushed in batches, and responses are
+    matched to requests in order (the server serves one connection
+    strictly sequentially, so ordered matching is exact, not
+    heuristic).  Each pipelined frame is counted in {!frames} exactly
+    as its synchronous equivalent.
 
     A server that closes or resets the connection surfaces as
     [Wire.Protocol_error] from whichever op reads or flushes next —
@@ -40,35 +38,29 @@ val connect_tcp : ?namespace:string -> ?depth:int -> host:string -> port:int -> 
     hostname; [TCP_NODELAY] is set), then behaves as {!connect_fd}. *)
 
 val call : t -> Wire.request -> Wire.response
-(** Synchronous request/response; first collects every outstanding
-    {!scatter_put_async} acknowledgement (ordered matching).
-    @raise Wire.Protocol_error on an [Error] response, or when the
-    server has closed the connection. *)
+(** Synchronous request/response.
+    @raise Wire.Protocol_error on an [Error] response, when the server
+    has closed the connection, or while raw {!send}s are outstanding. *)
 
 val depth : t -> int
 (** The connection's pipelining depth (>= 1). *)
 
 val inflight : t -> int
-(** Outstanding frames awaiting responses (async puts + raw sends). *)
-
-val drain : t -> unit
-(** Collect every outstanding {!scatter_put_async} acknowledgement (raw
-    {!send}s are the caller's to {!recv}).
-    @raise Wire.Protocol_error if any collected response is an error, or
-    the server has closed or reset the connection. *)
+(** Raw {!send}s whose responses have not been {!recv}ed yet. *)
 
 val pipelined : t -> Wire.request list -> Wire.response list
 (** Issue a batch with up to [depth] frames in flight, returning raw
     responses in request order ([Error] responses are returned, not
     raised — the batch always completes).  With depth 1 this degrades
-    to sequential calls. *)
+    to sequential calls.
+    @raise Wire.Protocol_error when the server has closed the
+    connection, or while raw {!send}s are outstanding. *)
 
 val send : t -> Wire.request -> unit
 (** Raw pipelining primitive for load harnesses: queue one request
-    (buffered until the next {!recv} flushes) after collecting any
-    outstanding async puts.  The caller must {!recv} exactly one
-    response per send, in order, and may have at most [depth]
-    outstanding.  Counted in {!frames}. *)
+    (buffered until the next {!recv} flushes).  The caller must {!recv}
+    exactly one response per send, in order, and may have at most
+    [depth] outstanding.  Counted in {!frames}. *)
 
 val recv : t -> Wire.response
 (** The response to the oldest un-{!recv}ed {!send} (raw: [Error] is
@@ -84,13 +76,6 @@ val multi_get : t -> store:string -> int list -> string list
 val scatter_put : t -> (string * (int * string) list) list -> unit
 (** One [Scatter_put] frame writing batches to one or more stores.
     No-op (no frame) when every group is empty. *)
-
-val scatter_put_async : t -> (string * (int * string) list) list -> unit
-(** Like {!scatter_put}, but with [depth > 1] it only waits when [depth]
-    acknowledgements are already outstanding (collecting the oldest) —
-    writes stream without a round-trip stall per frame.  Errors surface
-    on the op that collects the acknowledgement ({!drain} or the next
-    synchronous call).  Identical to {!scatter_put} at depth 1. *)
 
 (** {2 Dynamic FD sessions (protocol v5)}
 

@@ -196,6 +196,93 @@ let test_parallel_sort_method () =
   in
   Alcotest.(check int) "parallel cardinality" expect (Sort_method.cardinality h)
 
+(* Every ciphertext a session's sorts leave on the server carries an IV
+   of its own, in the parallel mode (Fig. 6a) too: the worker ciphers
+   must not replay one IV stream from one sort to the next. *)
+let test_sort_ivs_not_repeated () =
+  let t = random_table ~seed:15 ~n:64 ~m:2 ~domain:5 () in
+  List.iter
+    (fun domains ->
+      let session = Session.create ~n:64 ~m:2 () in
+      let db = Enc_db.outsource session t in
+      Servsim.Trace.set_enabled (Session.trace session) false;
+      ignore (Sort_method.single ~domains db 0);
+      ignore (Sort_method.single ~domains db 1);
+      let server = session.Session.server in
+      let seen = Hashtbl.create 256 and repeated = ref 0 in
+      List.iter
+        (fun name ->
+          if String.starts_with ~prefix:"sort-" name then begin
+            let st = Servsim.Server.find_store server name in
+            for i = 0 to Servsim.Block_store.length st - 1 do
+              let iv = String.sub (Servsim.Block_store.read st i) 0 16 in
+              if Hashtbl.mem seen iv then incr repeated else Hashtbl.add seen iv ()
+            done
+          end)
+        (Servsim.Server.store_names server);
+      Alcotest.(check int) "ciphertexts inspected" 128 (Hashtbl.length seen + !repeated);
+      Alcotest.(check int) (Printf.sprintf "%d domain(s): repeated IVs" domains) 0 !repeated)
+    [ 1; 2 ]
+
+(* Worker domains would race on the shared trace and cost ledger, and
+   would interleave frames on one socket: such parallel sorts are refused
+   before any worker starts. *)
+let test_parallel_sort_refused () =
+  let t = random_table ~seed:15 ~n:16 ~m:2 ~domain:5 () in
+  let refused db =
+    match Sort_method.single ~domains:2 db 0 with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let session = Session.create ~n:16 ~m:2 () in
+  Alcotest.(check bool) "traced session refused" true
+    (refused (Enc_db.outsource session t));
+  Suite_remote.with_remote (fun conn ->
+      let session = Session.create ~remote:conn ~n:16 ~m:2 () in
+      let db = Enc_db.outsource session t in
+      Servsim.Trace.set_enabled (Session.trace session) false;
+      Alcotest.(check bool) "remote session refused" true (refused db))
+
+(* {2 Sort bit-identity pins}: trace digests, ledger and ciphertext
+      content of a whole Sort discovery and of one single-attribute sort
+      plus label reads, captured before the backend became batch-only. *)
+
+let golden_table () = random_table ~seed:21 ~n:24 ~m:3 ~domain:4 ()
+
+let test_golden_sort_discover () =
+  let t = golden_table () in
+  let full = 0x1b71e2b58db2d2cdL and shape = 0x87daca19be00f5e5L and count = 14560
+  and to_server = 472972 and to_client = 457344 and trips = 7186 in
+  let r = Protocol.discover ~seed:4242 Protocol.Sort t in
+  Alcotest.(check int64) "report full digest" full r.Protocol.trace_full;
+  Alcotest.(check int64) "report shape digest" shape r.Protocol.trace_shape;
+  Alcotest.(check int) "report event count" count r.Protocol.trace_count;
+  Alcotest.(check int) "report bytes to server" to_server
+    r.Protocol.cost.Servsim.Cost.bytes_to_server;
+  Alcotest.(check int) "report bytes to client" to_client
+    r.Protocol.cost.Servsim.Cost.bytes_to_client;
+  Alcotest.(check int) "report round trips" trips r.Protocol.cost.Servsim.Cost.round_trips;
+  (* The same run step by step, to reach the stores it leaves behind. *)
+  let session = Session.create ~seed:4242 ~n:24 ~m:3 () in
+  let db = Enc_db.outsource session t in
+  ignore
+    (Fdbase.Lattice.discover ~m:3 ~n:24 ~check:(Set_level.check session)
+       (Sort_method.oracle session db));
+  Suite_oram_cache.check_golden session.Session.server ~full ~shape ~count ~to_server
+    ~to_client ~trips ~content:"daf292f653fffdfc8141b9b665f97c39"
+
+let test_golden_sort_single () =
+  let t = golden_table () in
+  let session = Session.create ~seed:4243 ~n:24 ~m:3 () in
+  let db = Enc_db.outsource session t in
+  let h = Sort_method.single db 1 in
+  Alcotest.(check (list int)) "labels"
+    [ 3; 1; 1; 3; 3; 0; 3; 3; 1; 2; 1; 1; 1; 3; 1; 2; 3; 1; 2; 1; 3; 3; 3; 3 ]
+    (List.init 24 (fun row -> Sort_method.label_of_row h ~row));
+  Suite_oram_cache.check_golden session.Session.server ~full:0xaa6bf671d3de6d4dL
+    ~shape:0xcbb42227c90cea45L ~count:2152 ~to_server:70528 ~to_client:65664 ~trips:1063
+    ~content:"252b8e25ff1032196ac1a1524f343df9"
+
 let test_lattice_releases_storage () =
   (* The lattice releases pruned/used handles; after discovery the server
      holds little beyond the encrypted database itself. *)
@@ -234,6 +321,10 @@ let suite =
     Alcotest.test_case "or-oram labels preserve partition" `Quick test_or_oram_labels_preserve_partition;
     Alcotest.test_case "string values supported" `Quick test_string_values_supported;
     Alcotest.test_case "parallel sort method" `Quick test_parallel_sort_method;
+    Alcotest.test_case "no repeated IV across sort stores" `Quick test_sort_ivs_not_repeated;
+    Alcotest.test_case "unsafe parallel sorts refused" `Quick test_parallel_sort_refused;
+    Alcotest.test_case "sort discover pins" `Quick test_golden_sort_discover;
+    Alcotest.test_case "sort single + label_of_row pins" `Quick test_golden_sort_single;
     Alcotest.test_case "lattice releases storage" `Quick test_lattice_releases_storage;
     Alcotest.test_case "cost report sane" `Quick test_cost_report_sane;
   ]

@@ -200,14 +200,6 @@ let test_reset_mid_pipeline () =
         (typed_error (fun () ->
              Servsim.Remote.pipelined conn (List.init 4 (fun _ -> Servsim.Wire.Ping)))))
 
-let test_reset_with_async_writes () =
-  with_resetting_server ~depth:8 (fun conn ->
-      for i = 0 to 3 do
-        Servsim.Remote.scatter_put_async conn [ ("s", [ (i, "block") ]) ]
-      done;
-      Alcotest.(check bool) "drain: reset is a typed error" true
-        (typed_error (fun () -> Servsim.Remote.drain conn)))
-
 let suite =
   [
     Alcotest.test_case "corrupted cells detected" `Quick test_corrupted_cell_detected;
@@ -219,5 +211,4 @@ let suite =
     Alcotest.test_case "schema mismatch rejected" `Quick test_schema_mismatch_rejected;
     Alcotest.test_case "dead server process" `Quick test_dead_server_process;
     Alcotest.test_case "server reset mid-pipeline" `Quick test_reset_mid_pipeline;
-    Alcotest.test_case "server reset under async writes" `Quick test_reset_with_async_writes;
   ]

@@ -92,19 +92,25 @@ let test_parallel_matches_sequential () =
       let seq = Array.copy orig and par = Array.copy orig in
       let net = Osort.Network.bitonic n in
       sort_array_with net seq;
-      let make_exchange () ~up i j =
-        let a = par in
-        let lo, hi = if a.(i) <= a.(j) then (a.(i), a.(j)) else (a.(j), a.(i)) in
-        if up then begin
-          a.(i) <- lo;
-          a.(j) <- hi
-        end
-        else begin
-          a.(i) <- hi;
-          a.(j) <- lo
-        end
+      let handed = ref [] in
+      let make_exchange w =
+        handed := w :: !handed;
+        fun ~up i j ->
+          let a = par in
+          let lo, hi = if a.(i) <= a.(j) then (a.(i), a.(j)) else (a.(j), a.(i)) in
+          if up then begin
+            a.(i) <- lo;
+            a.(j) <- hi
+          end
+          else begin
+            a.(i) <- hi;
+            a.(j) <- lo
+          end
       in
       Osort.Driver.run_parallel net ~domains ~make_exchange;
+      Alcotest.(check (list int))
+        (Printf.sprintf "%d domains: each worker index built once" domains)
+        (List.init domains Fun.id) (List.rev !handed);
       Alcotest.(check (array int)) (Printf.sprintf "%d domains" domains) seq par)
     [ 1; 2; 4 ]
 

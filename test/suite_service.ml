@@ -465,41 +465,6 @@ let test_pipelined_ordered () =
           Alcotest.(check int) "server ledger equals client frames"
             (Servsim.Remote.frames conn) stats.Servsim.Wire.frames))
 
-(* The obliviousness bar for the async write path: the same op sequence
-   issued through [scatter_put_async] at depth 8 must leave the server
-   with the very same trace digests, frame ledger and byte counts as
-   synchronous depth-1 [scatter_put]s — pipelining changes scheduling,
-   never the adversary view. *)
-let test_async_puts_match_sync () =
-  with_daemon (fun path _ ->
-      let items = List.init 64 (fun i -> (i, Printf.sprintf "blk-%04d" i)) in
-      let run ns depth put =
-        with_client ~namespace:ns ~depth path (fun conn ->
-            ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
-            ignore (Servsim.Remote.call conn (Servsim.Wire.Ensure ("s", 64)));
-            List.iter (fun it -> put conn [ it ]) items;
-            Servsim.Remote.drain conn;
-            let d = Servsim.Remote.server_digests conn in
-            let stats = Servsim.Remote.stats conn in
-            Alcotest.(check int) (ns ^ ": ledger equals frames")
-              (Servsim.Remote.frames conn) stats.Servsim.Wire.frames;
-            (d, stats.Servsim.Wire.frames, stats.Servsim.Wire.bytes_in,
-             stats.Servsim.Wire.bytes_out))
-      in
-      let (d1, f1, in1, out1) =
-        run "sync" 1 (fun c its -> Servsim.Remote.scatter_put c [ ("s", its) ])
-      in
-      let (d8, f8, in8, out8) =
-        run "async" 8 (fun c its -> Servsim.Remote.scatter_put_async c [ ("s", its) ])
-      in
-      let fu1, sh1, c1 = d1 and fu8, sh8, c8 = d8 in
-      Alcotest.(check int64) "full digest bit-identical" fu1 fu8;
-      Alcotest.(check int64) "shape digest bit-identical" sh1 sh8;
-      Alcotest.(check int) "trace count identical" c1 c8;
-      Alcotest.(check int) "frames identical" f1 f8;
-      Alcotest.(check int) "bytes in identical" in1 in8;
-      Alcotest.(check int) "bytes out identical" out1 out8)
-
 let test_send_recv_window () =
   with_daemon (fun path _ ->
       with_client ~namespace:"raw" ~depth:4 path (fun conn ->
@@ -841,7 +806,6 @@ let suite =
     Alcotest.test_case "hello required first" `Quick test_hello_required_first;
     Alcotest.test_case "v2 handshake rejected" `Quick test_v2_handshake_rejected;
     Alcotest.test_case "connection cap" `Quick test_connection_cap;
-    Alcotest.test_case "async puts match sync digests" `Quick test_async_puts_match_sync;
     Alcotest.test_case "raw send/recv window" `Quick test_send_recv_window;
     Alcotest.test_case "loop syscall counters in stats" `Quick test_loop_counters_in_stats;
     Alcotest.test_case "wake-frames histogram buckets" `Quick test_wake_histogram_buckets;
