@@ -1,31 +1,23 @@
-(* ORAM client fast path: variant x capacity x cache_levels sweep.
+(* ORAM client cost: variant x capacity sweep.
 
    For each configuration this harness drives a fixed write/read mix and
    reports, per access: blocks touched (trace events), bytes moved (both
    directions), wall-clock ns, round trips, and the modeled network time
    at WAN latency (the same rtt/gbps model as
    [Core.Protocol.modeled_network_seconds]) — plus the client-side bytes
-   the treetop cache costs.  Everything is written to BENCH_oram.json so
-   the perf trajectory of the cache is tracked across PRs.
+   each variant holds.  Everything is written to BENCH_oram.json.
 
-   Two properties are asserted, not just reported, so `--smoke` on every
-   `dune runtest` catches regressions:
-
-   - the offset-view block codec keeps the decode side allocation-free:
-     the only per-block allocation of a path access is the outgoing
-     ciphertext freeze, bounded here at 24 minor words/block (the old
-     String.sub/encode codec cost several times that);
-
-   - treetop caching pays: at cache_levels = 2 the recursive variant at
-     capacity 128 must move >= 30% fewer bytes per access than the same
-     workload with the cache off. *)
+   Two allocation bars are asserted, not just reported, so `--smoke` on
+   every `dune runtest` catches regressions: decoding a block into the
+   reused path buffer allocates nothing, and a whole path access stays
+   under 40 minor words per block (the outgoing ciphertext freeze is the
+   only per-block client allocation left). *)
 
 let cipher = lazy (Crypto.Cell_cipher.create (String.make 16 'K'))
 
 type row = {
   variant : string;
   capacity : int;
-  cache_levels : int; (* requested; trees clamp internally *)
   path_levels : int; (* data-tree levels+1, or store slots for linear *)
   accesses : int;
   blocks_per_access : float;
@@ -41,7 +33,7 @@ type row = {
 let modeled ~trips ~bytes =
   (trips *. 2e-4) +. (bytes *. 8.0 /. 1e9)
 
-let measure ~variant ~capacity ~cache_levels ~path_levels ~accesses ~client_bytes f =
+let measure ~variant ~capacity ~path_levels ~accesses ~client_bytes f =
   let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let ev, bytes, trips = f () in
@@ -51,7 +43,6 @@ let measure ~variant ~capacity ~cache_levels ~path_levels ~accesses ~client_byte
   {
     variant;
     capacity;
-    cache_levels;
     path_levels;
     accesses;
     blocks_per_access = float_of_int ev /. n;
@@ -78,21 +69,21 @@ let deltas server f =
     + c1.Servsim.Cost.bytes_to_client - c0.Servsim.Cost.bytes_to_client,
     c1.Servsim.Cost.round_trips - c0.Servsim.Cost.round_trips )
 
-let run_path ~capacity ~cache_levels ~accesses =
+let run_path ~capacity ~accesses =
   let server = Servsim.Server.create () in
   let rng = Crypto.Rng.create 7 in
   let o =
-    Oram.Path_oram.setup ~name:"bench" ~cache_levels
+    Oram.Path_oram.setup ~name:"bench"
       { capacity; key_len = 8; payload_len = 8 }
       server (Lazy.force cipher) (Crypto.Rng.int rng)
   in
   let key i = Relation.Codec.encode_int (i mod capacity) in
-  (* Warm the tree (and the treetop cache) before measuring. *)
+  (* Warm the tree before measuring. *)
   for i = 0 to (capacity / 2) - 1 do
     Oram.Path_oram.write o ~key:(key i) (Relation.Codec.encode_int i)
   done;
   let row =
-    measure ~variant:"path" ~capacity ~cache_levels
+    measure ~variant:"path" ~capacity
       ~path_levels:(Oram.Path_oram.levels o + 1)
       ~accesses
       ~client_bytes:(Oram.Path_oram.client_state_bytes o)
@@ -106,18 +97,18 @@ let run_path ~capacity ~cache_levels ~accesses =
   assert (Oram.Path_oram.stash_overflows o = 0);
   row
 
-let run_recursive ~capacity ~cache_levels ~accesses =
+let run_recursive ~capacity ~accesses =
   let server = Servsim.Server.create () in
   let rng = Crypto.Rng.create 7 in
   let o =
-    Oram.Recursive_path_oram.setup ~name:"bench" ~cache_levels
+    Oram.Recursive_path_oram.setup ~name:"bench"
       { capacity; payload_len = 8; fanout = 16; top_cutoff = 8 }
       server (Lazy.force cipher) (Crypto.Rng.int rng)
   in
   for i = 0 to (capacity / 2) - 1 do
     Oram.Recursive_path_oram.write o ~key:i (Relation.Codec.encode_int i)
   done;
-  measure ~variant:"recursive" ~capacity ~cache_levels
+  measure ~variant:"recursive" ~capacity
     ~path_levels:(Oram.Recursive_path_oram.recursion_depth o)
     ~accesses
     ~client_bytes:(Oram.Recursive_path_oram.client_state_bytes o)
@@ -141,7 +132,7 @@ let run_linear ~capacity ~accesses =
   for i = 0 to (capacity / 2) - 1 do
     Oram.Linear_oram.write o ~key:(key i) (Relation.Codec.encode_int i)
   done;
-  measure ~variant:"linear" ~capacity ~cache_levels:0 ~path_levels:capacity ~accesses
+  measure ~variant:"linear" ~capacity ~path_levels:capacity ~accesses
     ~client_bytes:(Oram.Linear_oram.client_state_bytes o)
     (fun () ->
       deltas server (fun () ->
@@ -151,48 +142,38 @@ let run_linear ~capacity ~accesses =
           done))
 
 let print_row r =
-  Printf.printf "  %-9s n=%-5d k=%-3d %6.1f blk/acc  %8.0f B/acc  %9.0f ns/acc  %5.2f rt/acc  %7.3f ms net  %s client\n%!"
-    r.variant r.capacity r.cache_levels r.blocks_per_access r.bytes_per_access r.ns_per_access
+  Printf.printf "  %-9s n=%-5d %6.1f blk/acc  %8.0f B/acc  %9.0f ns/acc  %5.2f rt/acc  %7.3f ms net  %s client\n%!"
+    r.variant r.capacity r.blocks_per_access r.bytes_per_access r.ns_per_access
     r.round_trips_per_access
     (r.modeled_network_s_per_access *. 1e3)
     (Bench_util.pretty_bytes r.client_bytes)
 
 let json_row oc r ~last =
   Printf.fprintf oc
-    "    {\"variant\": \"%s\", \"capacity\": %d, \"cache_levels\": %d, \"path_levels\": %d,\n\
+    "    {\"variant\": \"%s\", \"capacity\": %d, \"path_levels\": %d,\n\
     \     \"accesses\": %d, \"blocks_per_access\": %.3f, \"bytes_per_access\": %.1f,\n\
     \     \"ns_per_access\": %.1f, \"round_trips_per_access\": %.3f,\n\
     \     \"modeled_network_s_per_access\": %.6f, \"client_bytes\": %d,\n\
     \     \"minor_words_per_access\": %.1f}%s\n"
-    r.variant r.capacity r.cache_levels r.path_levels r.accesses r.blocks_per_access
+    r.variant r.capacity r.path_levels r.accesses r.blocks_per_access
     r.bytes_per_access r.ns_per_access r.round_trips_per_access r.modeled_network_s_per_access
     r.client_bytes r.minor_words_per_access
     (if last then "" else ",")
 
-let uncached rows r =
-  List.find
-    (fun u -> u.variant = r.variant && u.capacity = r.capacity && u.cache_levels = 0)
-    rows
-
 let run (opts : Bench_util.opts) =
-  Bench_util.header "ORAM fast path: treetop cache sweep (variant x capacity x cache_levels)";
+  Bench_util.header "ORAM client cost (variant x capacity)";
+  (* Read before a full run rewrites BENCH_oram.json, which would mark
+     the checkout dirty. *)
+  let git_rev = Bench_util.git_rev () in
   let accesses = if opts.Bench_util.smoke then 120 else 1500 in
-  let cache_sweep = [ 0; 2; 4; 99 (* clamped to the whole tree *) ] in
   let path_caps = if opts.Bench_util.full then [ 64; 256; 1024 ] else [ 64; 256 ] in
   let rec_caps = if opts.Bench_util.full then [ 128; 512; 2048 ] else [ 128 ] in
   let lin_caps = [ 32 ] in
   let rows =
     List.concat
       [
-        List.concat_map
-          (fun capacity ->
-            List.map (fun k -> run_path ~capacity ~cache_levels:k ~accesses) cache_sweep)
-          path_caps;
-        List.concat_map
-          (fun capacity ->
-            List.map (fun k -> run_recursive ~capacity ~cache_levels:k ~accesses) cache_sweep)
-          rec_caps;
-        (* The linear scan has no cache: one row per capacity. *)
+        List.map (fun capacity -> run_path ~capacity ~accesses) path_caps;
+        List.map (fun capacity -> run_recursive ~capacity ~accesses) rec_caps;
         List.map (fun capacity -> run_linear ~capacity ~accesses:(accesses / 4)) lin_caps;
       ]
   in
@@ -224,34 +205,24 @@ let run (opts : Bench_util.opts) =
      emulation + trace events), as a regression guard: the only real
      per-block client allocation left is the outgoing ciphertext
      freeze. *)
-  let p = uncached rows { (List.hd rows) with variant = "path"; capacity = List.hd path_caps } in
+  let p = List.hd rows in
   let words_per_block = p.minor_words_per_access /. p.blocks_per_access in
   Printf.printf "  path access pipeline: %.1f minor words/block (bar: < 40)\n%!" words_per_block;
   assert (words_per_block < 40.0);
 
-  (* Perf bar: the recursive stack at k = 2 must beat its uncached self
-     by >= 30% bytes/access (all position-map trees lose their top). *)
-  let r2 =
-    List.find
-      (fun r -> r.variant = "recursive" && r.capacity = List.hd rec_caps && r.cache_levels = 2)
-      rows
-  in
-  let r0 = uncached rows r2 in
-  let reduction = 1.0 -. (r2.bytes_per_access /. r0.bytes_per_access) in
-  Printf.printf "  recursive n=%d, k=2: %.1f%% fewer bytes/access than uncached (bar: >= 30%%)\n%!"
-    r2.capacity (100.0 *. reduction);
-  assert (reduction >= 0.30);
-
   Bench_util.write_bench_json opts "BENCH_oram.json" (fun oc ->
       Printf.fprintf oc
         "{\n\
-        \  \"schema\": \"sfdd-bench-oram/2\",\n\
+        \  \"schema\": \"sfdd-bench-oram/3\",\n\
         \  \"smoke\": %b,\n\
+        \  \"git_rev\": %S,\n\
+        \  \"host_cores\": %d,\n\
         \  \"workload\": \"2/3 writes, 1/3 reads, uniform keys, warm tree\",\n\
-        \  \"recursive_bytes_reduction_at_k2\": %.3f,\n\
         \  \"block_decode_minor_words_per_block\": %.3f,\n\
         \  \"path_access_minor_words_per_block\": %.2f,\n\
         \  \"rows\": [\n"
-        opts.Bench_util.smoke reduction decode_words words_per_block;
+        opts.Bench_util.smoke git_rev
+        (Domain.recommended_domain_count ())
+        decode_words words_per_block;
       List.iteri (fun i r -> json_row oc r ~last:(i = List.length rows - 1)) rows;
       Printf.fprintf oc "  ]\n}\n")

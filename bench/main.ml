@@ -22,7 +22,7 @@ let experiments =
     ("service", "multi-tenant daemon load harness", Exp_service.run);
     ("store", "disk-backed tenant store churn harness", Exp_store.run);
     ("dynamic", "streaming dynamic-FD session load harness", Exp_dynamic.run);
-    ("oram", "ORAM treetop-cache sweep", Exp_oram.run);
+    ("oram", "ORAM variant x capacity sweep", Exp_oram.run);
   ]
 
 let default_set =

@@ -25,7 +25,7 @@ let method_of_string = function
   | "ex-oram" -> Core.Protocol.Ex_oram
   | other -> invalid_arg (Printf.sprintf "unknown method %S" other)
 
-let run dataset csv rows seed method_name max_lhs cache_levels enclave baseline det_baseline
+let run dataset csv rows seed method_name max_lhs enclave baseline det_baseline
     epsilon remote verbose debug =
   if debug then begin
     Logs.set_reporter (Logs.format_reporter ());
@@ -59,8 +59,7 @@ let run dataset csv rows seed method_name max_lhs cache_levels enclave baseline 
       match epsilon with
       | Some epsilon ->
           let r =
-            Core.Protocol.discover_approx ~seed ?max_lhs
-              ~oram_cache_levels:cache_levels ~epsilon (method_of_string method_name)
+            Core.Protocol.discover_approx ~seed ?max_lhs ~epsilon (method_of_string method_name)
               table
           in
           Format.printf "Secure %g-approximate FD discovery (%s): %d FDs.@." epsilon
@@ -78,10 +77,9 @@ let run dataset csv rows seed method_name max_lhs cache_levels enclave baseline 
                     ~finally:(fun () -> Servsim.Remote.close conn)
                     (fun () ->
                       Core.Protocol.discover ~seed ?max_lhs ~remote:conn
-                        ~oram_cache_levels:cache_levels (method_of_string method_name) table))
+                        (method_of_string method_name) table))
             else
-              Core.Protocol.discover ~seed ?max_lhs ~oram_cache_levels:cache_levels
-                (method_of_string method_name) table
+              Core.Protocol.discover ~seed ?max_lhs (method_of_string method_name) table
           in
           let report = discover_once () in
           Format.printf "Secure FD discovery (%s%s%s): %d minimal FDs.@."
@@ -126,14 +124,6 @@ let max_lhs =
   Arg.(value & opt (some int) None
        & info [ "max-lhs" ] ~docv:"K" ~doc:"Cap left-hand-side size (lattice depth).")
 
-let cache_levels =
-  Arg.(value & opt int 0
-       & info [ "oram-cache-levels" ] ~docv:"K"
-           ~doc:"Keep the top $(docv) levels of every ORAM tree decrypted client-side \
-                 (treetop caching): fewer and smaller wire frames for more client \
-                 memory.  0 (default) disables caching; the discovered FDs are \
-                 identical either way.")
-
 let enclave =
   Arg.(value & flag & info [ "enclave" ] ~doc:"Run the Sort method in the SGX simulation.")
 
@@ -164,7 +154,7 @@ let cmd =
   let doc = "secure functional dependency discovery in outsourced databases" in
   Cmd.v
     (Cmd.info "fdiscover" ~doc)
-    Term.(ret (const run $ dataset $ csv $ rows $ seed $ method_name $ max_lhs $ cache_levels
+    Term.(ret (const run $ dataset $ csv $ rows $ seed $ method_name $ max_lhs
                $ enclave $ baseline $ det_baseline $ epsilon $ remote $ verbose $ debug))
 
 let () = exit (Cmd.eval cmd)

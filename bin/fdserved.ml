@@ -223,11 +223,8 @@ let selftest () =
   `Ok ()
 
 let run unix_path tcp max_conns idle_timeout drain_grace data_dir max_resident
-    oram_cache_levels verbose do_selftest =
+    verbose do_selftest =
   try
-    (* Re-register the provider with the configured cache depth (the
-       startup install covers only the pre-parse default). *)
-    Dynserve.install ~oram_cache_levels ();
     if do_selftest then selftest ()
     else if unix_path = None && tcp = None then
       `Error (true, "need at least one of --unix / --tcp (or --selftest)")
@@ -270,14 +267,6 @@ let cmd =
          ~doc:"With --data-dir: keep at most $(docv) tenants in memory daemon-wide, \
                LRU-evicting cold ones to disk (0 disables eviction).")
   in
-  let oram_cache_levels =
-    Arg.(value & opt int 0 & info [ "oram-cache-levels" ] ~docv:"K"
-         ~doc:"Treetop-cache depth for the ORAMs of dynamic FD sessions: the top \
-               $(docv) levels of every tree stay decrypted in the engine, trading \
-               memory for fewer, smaller store frames.  Not journaled: keep it \
-               stable across restarts of a daemon whose clients compare trace \
-               digests.")
-  in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log connection events.") in
   let do_selftest =
     Arg.(value & flag & info [ "selftest" ]
@@ -288,7 +277,7 @@ let cmd =
   in
   Cmd.v info_
     Term.(ret (const run $ unix_path $ tcp $ max_conns $ idle_timeout $ drain_grace
-               $ data_dir $ max_resident $ oram_cache_levels
+               $ data_dir $ max_resident
                $ verbose $ do_selftest))
 
 let () =

@@ -15,10 +15,10 @@ let session t = t.session
 let fds t = t.fds
 let live_records t = Hashtbl.length t.live_ids
 
-let start ?seed ?capacity ?max_lhs ?oram_cache_levels table =
+let start ?seed ?capacity ?max_lhs table =
   let n = Table.rows table and m = Table.cols table in
   let capacity = max 16 (Option.value ~default:(4 * n) capacity) in
-  let session = Session.create ?seed ?oram_cache_levels ~n ~m () in
+  let session = Session.create ?seed ~n ~m () in
   let db = Enc_db.outsource session table in
   let handles = Hashtbl.create 64 in
   let register h =

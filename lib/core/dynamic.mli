@@ -18,12 +18,10 @@ open Relation
 
 type t
 
-val start : ?seed:int -> ?capacity:int -> ?max_lhs:int -> ?oram_cache_levels:int -> Table.t -> t
+val start : ?seed:int -> ?capacity:int -> ?max_lhs:int -> Table.t -> t
 (** Run Ex-ORAM discovery, retaining every attribute-set structure.
     [capacity] bounds the total records ever live (default 4·n, minimum
-    16); the ORAM trees are sized for it up front.  [oram_cache_levels]
-    (default 0) enables treetop caching in every retained ORAM (see
-    {!Session.create}). *)
+    16); the ORAM trees are sized for it up front. *)
 
 val fds : t -> Fdbase.Fd.t list
 (** The FDs as of the initial discovery (use {!revalidate} after

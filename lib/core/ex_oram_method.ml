@@ -41,14 +41,12 @@ let create session x ~capacity =
   let klf =
     Oram.Path_oram.setup
       ~name:(Session.fresh_name session "ex-klf")
-      ~cache_levels:session.Session.oram_cache_levels
       { capacity; key_len; payload_len = 16 }
       session.Session.server session.Session.cipher (Session.rand_int session)
   in
   let ikl =
     Oram.Path_oram.setup
       ~name:(Session.fresh_name session "ex-ikl")
-      ~cache_levels:session.Session.oram_cache_levels
       { capacity; key_len = 8; payload_len = key_len + 8 }
       session.Session.server session.Session.cipher (Session.rand_int session)
   in

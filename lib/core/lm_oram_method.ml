@@ -19,14 +19,13 @@ let make session x ~key_len =
     Oram.Omap.recursive_backing
       ~name:(Session.fresh_name session "lm-kl")
       ~capacity:n ~node_len:(Oram.Omap.node_len cfg)
-      ~cache_levels:session.Session.oram_cache_levels session.Session.server
+      session.Session.server
       session.Session.cipher (Session.rand_int session)
   in
   let kl = Oram.Omap.create cfg backing in
   let il =
     Oram.Recursive_path_oram.setup
       ~name:(Session.fresh_name session "lm-il")
-      ~cache_levels:session.Session.oram_cache_levels
       { capacity = n; payload_len = 8; fanout = 16; top_cutoff = 16 }
       session.Session.server session.Session.cipher (Session.rand_int session)
   in

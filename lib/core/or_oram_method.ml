@@ -16,14 +16,12 @@ let make_orams session attrs ~key_len =
   let kl =
     Oram.Path_oram.setup
       ~name:(Session.fresh_name session "or-kl")
-      ~cache_levels:session.Session.oram_cache_levels
       { capacity = n; key_len; payload_len = 8 }
       session.Session.server session.Session.cipher (Session.rand_int session)
   in
   let il =
     Oram.Path_oram.setup
       ~name:(Session.fresh_name session "or-il")
-      ~cache_levels:session.Session.oram_cache_levels
       { capacity = n; key_len = 8; payload_len = 8 }
       session.Session.server session.Session.cipher (Session.rand_int session)
   in

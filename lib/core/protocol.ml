@@ -48,10 +48,10 @@ let finish session (result : Fdbase.Lattice.result) ~t0 =
     step_bytes = bytes_moved cost;
   }
 
-let discover ?seed ?max_lhs ?keep_events ?remote ?oram_cache_levels method_ table =
+let discover ?seed ?max_lhs ?keep_events ?remote method_ table =
   let n = Table.rows table and m = Table.cols table in
   Log.info (fun f -> f "discover: method=%s n=%d m=%d" (method_name method_) n m);
-  let session = Session.create ?seed ?keep_events ?remote ?oram_cache_levels ~n ~m () in
+  let session = Session.create ?seed ?keep_events ?remote ~n ~m () in
   let db = Enc_db.outsource session table in
   let check = Set_level.check session in
   let t0 = now () in
@@ -71,9 +71,9 @@ let discover ?seed ?max_lhs ?keep_events ?remote ?oram_cache_levels method_ tabl
    timed), then run the final single/combine step — the unit the paper's
    §VII benchmarks measure — and report its time, round trips and bytes
    in isolation. *)
-let partition_cardinality ?seed ?oram_cache_levels method_ table x =
+let partition_cardinality ?seed method_ table x =
   let n = Table.rows table and m = Table.cols table in
-  let session = Session.create ?seed ?oram_cache_levels ~n ~m () in
+  let session = Session.create ?seed ~n ~m () in
   let db = Enc_db.outsource session table in
   let oracle_run (type h) (oracle : h Fdbase.Lattice.oracle) =
     let rec build_generators x =
@@ -128,9 +128,9 @@ let partition_cardinality ?seed ?oram_cache_levels method_ table x =
   | Ex_oram -> oracle_run (Ex_oram_method.oracle session db)
   | Sort -> oracle_run (Sort_method.oracle session db)
 
-let discover_approx ?seed ?max_lhs ?oram_cache_levels ~epsilon method_ table =
+let discover_approx ?seed ?max_lhs ~epsilon method_ table =
   let n = Table.rows table and m = Table.cols table in
-  let session = Session.create ?seed ?oram_cache_levels ~n ~m () in
+  let session = Session.create ?seed ~n ~m () in
   let db = Enc_db.outsource session table in
   match method_ with
   | Or_oram -> Fdbase.Approx.discover ~m ~n ~epsilon ?max_lhs (Or_oram_method.oracle session db)

@@ -54,7 +54,6 @@ val discover :
   ?max_lhs:int ->
   ?keep_events:bool ->
   ?remote:Servsim.Remote.t ->
-  ?oram_cache_levels:int ->
   method_ ->
   Table.t ->
   report
@@ -62,19 +61,16 @@ val discover :
     server side is the daemon at the other end of the connection (in
     this process or another) and every store operation is a real wire
     frame (see {!Servsim.Remote}); the report's cost ledger is identical
-    to a local run.  [oram_cache_levels] (default 0) enables
-    client-side treetop caching in the ORAM methods (see
-    {!Session.create}); it trades client memory for fewer, smaller wire
-    frames and leaves the discovered FDs unchanged. *)
+    to a local run. *)
 
 val partition_cardinality :
-  ?seed:int -> ?oram_cache_levels:int -> method_ -> Table.t -> Attrset.t -> int * report
+  ?seed:int -> method_ -> Table.t -> Attrset.t -> int * report
 (** Attribute-level only: obliviously compute |π_X| for one attribute set
     (computing generator partitions first per Property 1).  This is the
     unit the paper benchmarks in §VII. *)
 
 val discover_approx :
-  ?seed:int -> ?max_lhs:int -> ?oram_cache_levels:int ->
+  ?seed:int -> ?max_lhs:int ->
   epsilon:float -> method_ -> Table.t -> Fdbase.Approx.result
 (** ε-approximate FD discovery (see {!Fdbase.Approx}) over the same
     oblivious attribute-level oracles.  The leakage grows accordingly: the

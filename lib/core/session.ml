@@ -5,16 +5,13 @@ type t = {
   rng : Crypto.Rng.t;
   n : int;
   m : int;
-  oram_cache_levels : int;
   mutable counter : int;
 }
 
 let cipher_with raw_key iv_rng =
   Crypto.Cell_cipher.create ~iv_rng:(fun b -> Crypto.Rng.fill_bytes iv_rng b) raw_key
 
-let create ?(seed = 0x5EC5E55) ?keep_events ?remote ?(oram_cache_levels = 0) ~n ~m () =
-  if oram_cache_levels < 0 then
-    invalid_arg "Session.create: oram_cache_levels must be >= 0";
+let create ?(seed = 0x5EC5E55) ?keep_events ?remote ~n ~m () =
   let key_rng = Crypto.Rng.create seed in
   let raw_key = Bytes.to_string (Crypto.Rng.bytes key_rng 16) in
   let cipher = cipher_with raw_key (Crypto.Rng.split key_rng) in
@@ -25,7 +22,6 @@ let create ?(seed = 0x5EC5E55) ?keep_events ?remote ?(oram_cache_levels = 0) ~n 
     rng = Crypto.Rng.split key_rng;
     n;
     m;
-    oram_cache_levels;
     counter = 0;
   }
 

@@ -12,22 +12,16 @@ type t = {
   rng : Crypto.Rng.t;  (** client randomness (ORAM leaves) *)
   n : int;  (** number of rows — public *)
   m : int;  (** number of columns — public *)
-  oram_cache_levels : int;
-      (** treetop-cache depth handed to every ORAM the methods build *)
   mutable counter : int;
 }
 
 val create :
-  ?seed:int -> ?keep_events:bool -> ?remote:Servsim.Remote.t ->
-  ?oram_cache_levels:int -> n:int -> m:int -> unit -> t
+  ?seed:int -> ?keep_events:bool -> ?remote:Servsim.Remote.t -> n:int -> m:int -> unit -> t
 (** Fresh session with a fresh server.  [seed] drives all client
     randomness (key, IVs, ORAM leaves) so runs are reproducible.  With
     [?remote] the server side is the connected daemon (see
     {!Servsim.Remote}); every block access is a real wire round
-    trip.  [oram_cache_levels] (default 0) turns on treetop caching in
-    the ORAM-based methods: the top k levels of every ORAM tree are kept
-    decrypted client-side, trading client memory for fewer and smaller
-    wire frames (see {!Oram.Path_oram.setup}). *)
+    trip. *)
 
 val fresh_name : t -> string -> string
 (** [fresh_name t prefix] returns a store name unused in this session. *)

@@ -58,7 +58,7 @@ let dispatch dyn req =
   | Wire.Revalidate -> fds_reply dyn (Core.Dynamic.revalidate dyn)
   | _ -> Wire.Error "not a dynamic update verb"
 
-let begin_dynamic ?oram_cache_levels req =
+let begin_dynamic req =
   match req with
   | Wire.Begin_dynamic { seed; capacity; max_lhs; cols; rows } -> (
       if rows = [] then Result.Error "Begin_dynamic: empty table"
@@ -91,8 +91,7 @@ let begin_dynamic ?oram_cache_levels req =
                 let capacity = if capacity = 0 then None else Some capacity in
                 let max_lhs = if max_lhs = 0 then None else Some max_lhs in
                 match
-                  Core.Dynamic.start ~seed:(Int64.to_int seed) ?capacity ?max_lhs
-                    ?oram_cache_levels table
+                  Core.Dynamic.start ~seed:(Int64.to_int seed) ?capacity ?max_lhs table
                 with
                 | dyn ->
                     let d =
@@ -106,5 +105,4 @@ let begin_dynamic ?oram_cache_levels req =
                 | exception Invalid_argument msg -> Result.Error msg)))
   | _ -> Result.Error "not a Begin_dynamic request"
 
-let install ?oram_cache_levels () =
-  Handler.set_dyn_provider (begin_dynamic ?oram_cache_levels)
+let install () = Handler.set_dyn_provider begin_dynamic

@@ -13,17 +13,10 @@
     harness asserts the daemon's [Fds_reply] digests bit-equal a
     one-shot library run of the same sequence. *)
 
-val install : ?oram_cache_levels:int -> unit -> unit
+val install : unit -> unit
 (** Register this engine as the process's dynamic-session provider
     (see {!Servsim.Handler.set_dyn_provider}).  Idempotent; call once
-    at executable startup, before any request is served or replayed.
-
-    [oram_cache_levels] (default 0) is applied to every dynamic session
-    this daemon starts — it is a daemon configuration, not part of the
-    wire request, and it is {e not} journaled: a tenant rebuilt after a
-    restart with a different setting produces different trace digests
-    (the FD answers are unchanged).  Keep the flag stable across
-    restarts of a daemon whose clients compare digests. *)
+    at executable startup, before any request is served or replayed. *)
 
 val encode_row : Relation.Value.t array -> string list
 (** Cells in wire form: the fixed-width injective
@@ -36,7 +29,6 @@ val fd_of_status : Servsim.Wire.fd_status -> Fdbase.Fd.t * bool
 (** Decode one [Fds_reply] entry back to the library's FD type. *)
 
 val begin_dynamic :
-  ?oram_cache_levels:int ->
   Servsim.Wire.request ->
   (Servsim.Handler.dyn * Servsim.Wire.response, string) result
 (** The provider function itself ({!install} registers exactly this):

@@ -139,8 +139,6 @@ let read t ~key = access t ~key (fun old -> old)
 let write t ~key v = ignore (access t ~key (fun _ -> Some v))
 let remove t ~key = ignore (access t ~key (fun _ -> None))
 
-let flush _ = ()
-
 let live_blocks t = t.live
 let client_state_bytes _ = 0
 let access_count t = t.accesses

@@ -24,9 +24,6 @@ val read : t -> key:string -> string option [@@lint.declassify "ORAM boundary: t
 val write : t -> key:string -> string -> unit [@@lint.declassify "ORAM boundary: the server-visible trace is independent of key and payload (audited in the implementation); results are the trusted client's own plaintext"]
 val remove : t -> key:string -> unit [@@lint.declassify "ORAM boundary: the server-visible trace is independent of key and payload (audited in the implementation); results are the trusted client's own plaintext"]
 
-val flush : t -> unit
-(** No-op: the linear ORAM holds no client-side cache. *)
-
 val live_blocks : t -> int
 val client_state_bytes : t -> int
 val access_count : t -> int

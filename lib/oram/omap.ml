@@ -12,14 +12,12 @@ type backing = {
   remove : int -> unit;
   dummy : unit -> unit;
   client_bytes : unit -> int;
-  flush : unit -> unit;
   destroy : unit -> unit;
 }
 
-let path_oram_backing ~name ~capacity ~node_len ?(cache_levels = 0) server cipher rand =
+let path_oram_backing ~name ~capacity ~node_len server cipher rand =
   let o =
-    Path_oram.setup ~name ~cache_levels
-      { capacity; key_len = 8; payload_len = node_len } server cipher rand
+    Path_oram.setup ~name { capacity; key_len = 8; payload_len = node_len } server cipher rand
   in
   {
     read = (fun id -> Path_oram.read o ~key:(Relation.Codec.encode_int id));
@@ -27,13 +25,12 @@ let path_oram_backing ~name ~capacity ~node_len ?(cache_levels = 0) server ciphe
     remove = (fun id -> Path_oram.remove o ~key:(Relation.Codec.encode_int id));
     dummy = (fun () -> Path_oram.dummy_access o);
     client_bytes = (fun () -> Path_oram.client_state_bytes o);
-    flush = (fun () -> Path_oram.flush o);
     destroy = (fun () -> Path_oram.destroy o);
   }
 
-let recursive_backing ~name ~capacity ~node_len ?(cache_levels = 0) server cipher rand =
+let recursive_backing ~name ~capacity ~node_len server cipher rand =
   let o =
-    Recursive_path_oram.setup ~name ~cache_levels
+    Recursive_path_oram.setup ~name
       { capacity; payload_len = node_len; fanout = 16; top_cutoff = 16 }
       server cipher rand
   in
@@ -47,7 +44,6 @@ let recursive_backing ~name ~capacity ~node_len ?(cache_levels = 0) server ciphe
            other access. *)
         ignore (Recursive_path_oram.read o ~key:0));
     client_bytes = (fun () -> Recursive_path_oram.client_state_bytes o);
-    flush = (fun () -> Recursive_path_oram.flush o);
     destroy = (fun () -> Recursive_path_oram.destroy o);
   }
 
@@ -414,7 +410,5 @@ let to_sorted_list t =
       | None -> acc
   in
   go t.root []
-
-let flush t = t.backing.flush ()
 
 let destroy t = t.backing.destroy ()

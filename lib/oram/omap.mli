@@ -25,20 +25,16 @@ type backing = {
   remove : int -> unit;
   dummy : unit -> unit;
   client_bytes : unit -> int;
-  flush : unit -> unit;
-      (** checkpoint any client-cached tree levels to the server *)
   destroy : unit -> unit;
 }
 
 val path_oram_backing :
-  name:string -> capacity:int -> node_len:int -> ?cache_levels:int ->
+  name:string -> capacity:int -> node_len:int ->
   Servsim.Server.t -> Crypto.Cell_cipher.t -> (int -> int) -> backing
 
 val recursive_backing :
-  name:string -> capacity:int -> node_len:int -> ?cache_levels:int ->
+  name:string -> capacity:int -> node_len:int ->
   Servsim.Server.t -> Crypto.Cell_cipher.t -> (int -> int) -> backing
-(** [cache_levels] (default 0) is the treetop-cache depth handed to the
-    node ORAM — see {!Path_oram.setup} and {!Recursive_path_oram.setup}. *)
 
 type t
 
@@ -70,9 +66,5 @@ val check_invariants : t -> bool
 
 val to_sorted_list : t -> (string * string) list [@@lint.declassify "ORAM boundary: the server-visible trace is independent of key and payload (audited in the implementation); results are the trusted client's own plaintext"]
 (** In-order contents (test use; not oblivious). *)
-
-val flush : t -> unit
-(** Checkpoint the backing ORAM's cached tree levels to the server (see
-    {!Path_oram.flush}); no-op when caching is off. *)
 
 val destroy : t -> unit

@@ -11,8 +11,7 @@
     {!Path_oram} and {!Linear_oram} satisfy this signature (checked
     below); {!Recursive_path_oram} and {!Omap} have integer- and
     budgeted-value-keyed variants of the same shape.  Construction is not
-    part of it: each [setup] takes the parameters its structure needs
-    (a treetop-cache depth for the trees, nothing for the linear scan). *)
+    part of it: each [setup] takes the parameters its structure needs. *)
 
 module type S = sig
   type t
@@ -36,11 +35,6 @@ module type S = sig
   val read : t -> key:string -> string option
   val write : t -> key:string -> string -> unit
   val remove : t -> key:string -> unit
-
-  val flush : t -> unit
-  (** Write any client-side cached tree levels back to the server through
-      the normal encrypted write path (checkpoint before persist/close).
-      No-op when nothing is cached. *)
 
   val live_blocks : t -> int
   val client_state_bytes : t -> int

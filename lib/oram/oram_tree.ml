@@ -1,17 +1,9 @@
-(* One PathORAM tree (Stefanov et al.): bucket layout, stash, treetop
-   cache, path fetch and greedy eviction.  Bucket b (heap order, root =
-   0) occupies slots [b*z .. b*z+z-1] of the block store; every slot
-   always holds a ciphertext of the same fixed-width plaintext
-   [flag | body], where the body layout belongs to the caller's codec.
-
-   Treetop caching (Stefanov et al. §6.1): with [cache_levels] = k > 0
-   the top k levels of the tree — buckets 0 .. 2^k-2, a fixed prefix of
-   the store — are held decrypted client-side and act as an extension of
-   the stash.  An access then reads and rewrites only the path *suffix*,
-   levels k..L, on the uniformly random leaf; the cached prefix is
-   refilled client-side with no I/O.  The residual trace (suffix slots of
-   a uniform leaf) is still independent of the key and operation.  With
-   k = 0 every level is on the server and the cache code does nothing. *)
+(* One PathORAM tree (Stefanov et al.): bucket layout, stash, path
+   fetch and greedy eviction.  Bucket b (heap order, root = 0) occupies
+   slots [b*z .. b*z+z-1] of the block store; every slot always holds a
+   ciphertext of the same fixed-width plaintext [flag | body], where the
+   body layout belongs to the caller's codec.  Every access reads and
+   rewrites one whole root-to-leaf path on the server. *)
 
 let z = 4
 
@@ -27,11 +19,7 @@ type ('k, 'v) t = {
   store : Servsim.Block_store.t;
   cipher : Crypto.Cell_cipher.t;
   levels : int; (* L: leaves = 2^L *)
-  cache_levels : int; (* effective k: top k levels held client-side; 0 = off *)
   stash : ('k, 'v) Hashtbl.t; [@secret] (* decrypted residents off the tree *)
-  topcache : ('k * 'v) option array; [@secret]
-      (* (2^k - 1) * z slots, indexed like the store prefix: decrypted
-         residents of the cached buckets *)
   pbuf : Bytes.t; [@secret]
       (* reused plaintext path buffer, (L+1)*z blocks wide: fetch decrypts
          into it, evict encodes into it — no per-block plaintext copies *)
@@ -50,7 +38,7 @@ let slot_stride codec = (pt_len codec / 16 * 16) + 16
 (* Bucket index at level [lev] (root = level 0) on the path to [leaf]. *)
 let node_at t ~leaf ~lev = (1 lsl lev) - 1 + (leaf lsr (t.levels - lev))
 
-let create server cipher ~name ~capacity ~cache_levels ~stash_size codec =
+let create server cipher ~name ~capacity ~stash_size codec =
   let levels = max 1 (ceil_log2 capacity) in
   let slots = ((2 lsl levels) - 1) * z in
   let store = Servsim.Server.create_store server name in
@@ -58,61 +46,36 @@ let create server cipher ~name ~capacity ~cache_levels ~stash_size codec =
   let dummy = String.make (pt_len codec) '\000' in
   let cts = Crypto.Cell_cipher.encrypt_many cipher (List.init slots (fun _ -> dummy)) in
   Servsim.Block_store.write_many store (List.mapi (fun slot ct -> (slot, ct)) cts);
-  (* Clamp so the leaf level always stays on the server: every access
-     keeps a non-empty, uniformly distributed server-visible suffix. *)
-  let cache_levels = min cache_levels levels in
   {
     codec;
     store;
     cipher;
     levels;
-    cache_levels;
     stash = Hashtbl.create stash_size;
-    topcache = Array.make (((1 lsl cache_levels) - 1) * z) None;
     pbuf = Bytes.create ((levels + 1) * z * slot_stride codec);
   }
 
 let levels t = t.levels
 let leaves t = 1 lsl t.levels
-let cache_levels t = t.cache_levels
 let store t = t.store
 let stash t = t.stash
 
-(* The treetop cache is charged at capacity: every cached slot may hold
-   a decrypted block, and the array itself is resident either way. *)
-let resident_bytes t = (Hashtbl.length t.stash + Array.length t.topcache) * t.codec.body_len
+let resident_bytes t = Hashtbl.length t.stash * t.codec.body_len
 
-(* Slots of the path suffix (levels [cache_levels]..L) to [leaf], root to
-   leaf: the whole path with the cache off.  The pinned trace digests fix
-   this order. *)
+(* Slots of the path to [leaf], root to leaf.  The pinned trace digests
+   fix this order. *)
 let path_slots t leaf =
   List.concat_map
-    (fun i ->
-      let bucket = node_at t ~leaf ~lev:(t.cache_levels + i) in
+    (fun lev ->
+      let bucket = node_at t ~leaf ~lev in
       List.init z (fun s -> (bucket * z) + s))
-    (List.init (t.levels + 1 - t.cache_levels) Fun.id)
+    (List.init (t.levels + 1) Fun.id)
 
-(* Read the path to [leaf] into the stash.  Cached levels move their
-   residents into the stash with no I/O; the suffix is one batched round
-   trip (a single Multi_get frame in remote mode) decrypted into the
-   reused path buffer — per-block work allocates only for live blocks
-   entering the stash, never for dummies. *)
+(* Read the path to [leaf] into the stash: one batched round trip (a
+   single Multi_get frame in remote mode) decrypted into the reused path
+   buffer — per-block work allocates only for live blocks entering the
+   stash, never for dummies. *)
 let fetch t leaf =
-  for lev = 0 to t.cache_levels - 1 do
-    let bucket = node_at t ~leaf ~lev in
-    for s = 0 to z - 1 do
-      let j = (bucket * z) + s in
-      (match
-         (t.topcache.(j)
-         [@lint.declassify
-           "client-local treetop cache refill: every resident of the cached path \
-            buckets moves to the stash; no server I/O is involved"])
-       with
-      | None -> ()
-      | Some (key, v) -> Hashtbl.replace t.stash key v);
-      t.topcache.(j) <- None
-    done
-  done;
   let pt_len = pt_len t.codec in
   let stride = slot_stride t.codec in
   List.iteri
@@ -162,14 +125,14 @@ let encrypt_slot t off =
   (Bytes.unsafe_to_string ct [@lint.allow "R2:bytes-unsafe"])
 
 (* Greedy eviction along the path to [leaf]: deepest buckets first.
-   Suffix blocks are encoded into the path buffer and encrypted out of it
-   in leaf-to-root slot order, which fixes the IV stream and so the
-   pinned ciphertexts.  Cached levels are refilled client-side.  Returns
-   the suffix (slot, ciphertext) writes for the caller to send. *)
+   Blocks are encoded into the path buffer and encrypted out of it in
+   leaf-to-root slot order, which fixes the IV stream and so the pinned
+   ciphertexts.  Returns the (slot, ciphertext) writes for the caller to
+   send. *)
 let evict t leaf =
   let stride = slot_stride t.codec in
-  let nsuffix = (t.levels + 1 - t.cache_levels) * z in
-  let slots = Array.make nsuffix 0 in
+  let nslots = (t.levels + 1) * z in
+  let slots = Array.make nslots 0 in
   let idx = ref 0 in
   for lev = t.levels downto 0 do
     let bucket = node_at t ~leaf ~lev in
@@ -196,20 +159,10 @@ let evict t leaf =
     List.iter (fun (key, _) -> Hashtbl.remove t.stash key) !chosen;
     let blocks = Array.make z None in
     List.iteri (fun i b -> blocks.(i) <- Some b) !chosen;
-    if lev >= t.cache_levels then
-      for s = 0 to z - 1 do
-        encode_slot t (!idx * stride) blocks.(s);
-        slots.(!idx) <- (bucket * z) + s;
-        incr idx
-      done
-    else
-      for s = 0 to z - 1 do
-        t.topcache.((bucket * z) + s) <- blocks.(s)
-      done
+    for s = 0 to z - 1 do
+      encode_slot t (!idx * stride) blocks.(s);
+      slots.(!idx) <- (bucket * z) + s;
+      incr idx
+    done
   done;
-  List.init nsuffix (fun j -> (slots.(j), encrypt_slot t (j * stride)))
-
-let checkpoint t =
-  List.init (Array.length t.topcache) (fun j ->
-      encode_slot t 0 t.topcache.(j);
-      (j, encrypt_slot t 0))
+  List.init nslots (fun j -> (slots.(j), encrypt_slot t (j * stride)))

@@ -1,9 +1,8 @@
 (* Non-recursive PathORAM: one {!Oram_tree} of [key | payload] blocks
    plus the client's position map, which also tells eviction where each
    stash resident is assigned.  The tree owns the bucket layout, the
-   treetop cache (charged to the client ledger with the stash and the
-   map) and the fetch/evict path; this module owns the logical access
-   and its leaf randomness. *)
+   stash and the fetch/evict path; this module owns the logical access,
+   its leaf randomness and the client ledger (stash plus map). *)
 
 type config = {
   capacity : int;
@@ -31,9 +30,8 @@ let client_state_bytes t =
 let sync_client_cost t =
   Servsim.Cost.client_set (Servsim.Server.cost t.server) ~tag:t.name (client_state_bytes t)
 
-let setup ~name ?(cache_levels = 0) cfg server cipher rand_int =
+let setup ~name cfg server cipher rand_int =
   if cfg.capacity < 1 then invalid_arg "Path_oram.setup: capacity must be >= 1";
-  if cache_levels < 0 then invalid_arg "Path_oram.setup: cache_levels must be >= 0";
   let pos = Hashtbl.create (2 * cfg.capacity) in
   let codec =
     {
@@ -49,15 +47,8 @@ let setup ~name ?(cache_levels = 0) cfg server cipher rand_int =
       leaf = (fun key _ -> Option.value (Hashtbl.find_opt pos key) ~default:(-1));
     }
   in
-  let tree =
-    Oram_tree.create server cipher ~name ~capacity:cfg.capacity ~cache_levels ~stash_size:64
-      codec
-  in
-  let t =
-    { cfg; tree; server; name; rand_int; pos; max_stash = 0; overflows = 0; accesses = 0 }
-  in
-  if cache_levels > 0 then sync_client_cost t;
-  t
+  let tree = Oram_tree.create server cipher ~name ~capacity:cfg.capacity ~stash_size:64 codec in
+  { cfg; tree; server; name; rand_int; pos; max_stash = 0; overflows = 0; accesses = 0 }
 
 let evict t leaf =
   Servsim.Block_store.write_many (Oram_tree.store t.tree) (Oram_tree.evict t.tree leaf)
@@ -112,22 +103,12 @@ let dummy_access t =
   evict t leaf;
   finish_access t
 
-(* Write the cached buckets back through the normal encrypted write path
-   (one batched round trip), so the server-side tree is a complete
-   checkpoint of the ORAM state (modulo the stash, which persists
-   client-side like the position map).  The cache stays authoritative —
-   subsequent accesses keep serving the treetop client-side.  A no-op
-   with the cache off: the trace and digests are untouched. *)
-let flush t =
-  Servsim.Block_store.write_many (Oram_tree.store t.tree) (Oram_tree.checkpoint t.tree)
-
 let read t ~key = access t ~key (fun old -> old)
 let write t ~key v = ignore (access t ~key (fun _ -> Some v))
 let remove t ~key = ignore (access t ~key (fun _ -> None))
 
 let live_blocks t = Hashtbl.length t.pos
 let levels t = Oram_tree.levels t.tree
-let cache_levels t = Oram_tree.cache_levels t.tree
 let max_stash_seen t = t.max_stash
 let stash_overflows t = t.overflows
 let access_count t = t.accesses

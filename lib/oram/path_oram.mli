@@ -21,37 +21,17 @@ type config = {
   payload_len : int;
 }
 
-val setup :
-  name:string ->
-  ?cache_levels:int ->
-  config -> Servsim.Server.t -> Crypto.Cell_cipher.t -> (int -> int) -> t
+val setup : name:string -> config -> Servsim.Server.t -> Crypto.Cell_cipher.t -> (int -> int) -> t
 (** [setup ~name cfg server cipher rand_int] builds the encrypted tree on
     [server] in a fresh store [name].  [rand_int bound] must return a
     uniform integer in [[0, bound)] — pass {!Crypto.Rng.int} or
-    {!Crypto.Ctr_prg.int} partially applied.
-
-    [cache_levels] (default 0) keeps the top k levels of the tree
-    decrypted client-side (treetop caching): accesses then read and
-    rewrite only the path suffix below the cache, cutting per-access
-    bandwidth by k/(L+1) while the server-visible suffix trace stays
-    independent of keys and operations.  Clamped to [levels t], so the
-    leaf level is always served by the server.  The cached bytes are
-    charged to the client-memory ledger.  With 0 the behaviour — trace,
-    IV stream, ciphertexts — is bit-identical to the uncached
-    implementation. *)
+    {!Crypto.Ctr_prg.int} partially applied. *)
 
 val access : t -> key:string -> (string option -> string option) -> string option [@@lint.declassify "ORAM boundary: the server-visible trace is independent of key and payload (audited in the implementation); results are the trusted client's own plaintext"]
 val dummy_access : t -> unit
 val read : t -> key:string -> string option [@@lint.declassify "ORAM boundary: the server-visible trace is independent of key and payload (audited in the implementation); results are the trusted client's own plaintext"]
 val write : t -> key:string -> string -> unit [@@lint.declassify "ORAM boundary: the server-visible trace is independent of key and payload (audited in the implementation); results are the trusted client's own plaintext"]
 val remove : t -> key:string -> unit [@@lint.declassify "ORAM boundary: the server-visible trace is independent of key and payload (audited in the implementation); results are the trusted client's own plaintext"]
-
-val flush : t -> unit
-(** Write the treetop cache back to the server through the normal
-    encrypted write path (one batched round trip), making the server-side
-    tree a complete checkpoint.  The cache stays authoritative for
-    subsequent accesses.  No-op (no I/O, no trace events) when
-    [cache_levels] is 0. *)
 
 val live_blocks : t -> int
 val client_state_bytes : t -> int
@@ -61,9 +41,6 @@ val destroy : t -> unit
 
 val levels : t -> int
 (** Tree height L; the tree has 2^L leaves and 2^(L+1)-1 buckets. *)
-
-val cache_levels : t -> int
-(** Effective treetop-cache depth k (after clamping); 0 = cache off. *)
 
 val max_stash_seen : t -> int
 (** High-water mark of stash occupancy (blocks), measured after eviction. *)

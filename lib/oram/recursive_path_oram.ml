@@ -4,19 +4,10 @@
    last tree) is a small client-side array.  Every tree is one
    {!Oram_tree} of [id | leaf | payload] blocks: the assigned leaf rides
    inside the block so eviction can place stash residents without
-   consulting the maps.
-
-   Treetop caching: with [cache_levels] = k > 0 every tree (data and map
-   trees alike) keeps its top min(k, levels) levels decrypted
-   client-side; an access reads only the path suffix of each tree, and
-   all trees' suffix evictions are deferred and flushed in one
-   cross-store [Scatter_put] frame at the end of the access — one write
-   frame per logical access instead of one per tree.  The fetches stay
-   one frame per tree: the leaf of tree i-1 is stored inside tree i's
-   blocks, so the reads form a data-dependent chain that cannot be
-   batched without a different construction.  With k = 0 the code path,
-   trace, IV stream and ciphertexts are bit-identical to the pre-cache
-   implementation. *)
+   consulting the maps.  An access fetches and evicts one path per tree,
+   one read frame and one write frame each: the leaf of tree i-1 is
+   stored inside tree i's blocks, so the reads form a data-dependent
+   chain. *)
 
 type config = {
   capacity : int;
@@ -33,9 +24,6 @@ type t = {
       (* trees.(0) = data; trees.(i) = map of tree i-1; id -> (leaf, payload) *)
   top : int array; (* positions of the last tree's blocks *)
   session_name : string;
-  defer : bool; (* cache on: defer evictions into one Scatter_put per access *)
-  mutable pending : (Servsim.Block_store.t * (int * string) list) list;
-      (* deferred suffix evictions of the in-flight access, newest first *)
   mutable live : int;
 }
 
@@ -65,10 +53,12 @@ let sync_client_cost t =
   Servsim.Cost.client_set (Servsim.Server.cost t.server) ~tag:t.session_name
     (client_state_bytes t)
 
-let setup ~name ?(cache_levels = 0) cfg server cipher rand_int =
+let setup ~name cfg server cipher rand_int =
   if cfg.capacity < 1 then invalid_arg "Recursive_path_oram.setup: capacity must be >= 1";
   if cfg.fanout < 2 then invalid_arg "Recursive_path_oram.setup: fanout must be >= 2";
-  if cache_levels < 0 then invalid_arg "Recursive_path_oram.setup: cache_levels must be >= 0";
+  (* A level of one block still has ⌈1/fanout⌉ = 1 > top_cutoff blocks
+     above it, so the recursion below would never end. *)
+  if cfg.top_cutoff < 1 then invalid_arg "Recursive_path_oram.setup: top_cutoff must be >= 1";
   (* Sizes of the recursion levels: n, ceil(n/f), ceil(n/f^2), ... *)
   let sizes = ref [ cfg.capacity ] in
   while List.hd !sizes > cfg.top_cutoff do
@@ -85,40 +75,20 @@ let setup ~name ?(cache_levels = 0) cfg server cipher rand_int =
         let payload_len = if i = 0 then cfg.payload_len else cfg.fanout * 8 in
         Oram_tree.create server cipher
           ~name:(Printf.sprintf "%s-t%d" name i)
-          ~capacity:sizes.(i) ~cache_levels ~stash_size:32 (codec payload_len))
+          ~capacity:sizes.(i) ~stash_size:32 (codec payload_len))
   in
-  let t =
-    {
-      cfg;
-      server;
-      rand_int;
-      trees;
-      top = Array.make sizes.(ntrees - 1) invalid_pos;
-      session_name = name;
-      defer = cache_levels > 0;
-      pending = [];
-      live = 0;
-    }
-  in
-  if cache_levels > 0 then sync_client_cost t;
-  t
+  {
+    cfg;
+    server;
+    rand_int;
+    trees;
+    top = Array.make sizes.(ntrees - 1) invalid_pos;
+    session_name = name;
+    live = 0;
+  }
 
-(* The suffix writes go out at once with the cache off (one one-store
-   Scatter_put per tree, the historical wire schedule) or are deferred
-   into the access's single cross-store Scatter_put. *)
-let evict t tree leaf =
-  let items = Oram_tree.evict tree leaf in
-  if t.defer then t.pending <- (Oram_tree.store tree, items) :: t.pending
-  else Servsim.Block_store.write_many (Oram_tree.store tree) items
-
-(* Flush the access's deferred evictions: all trees' path suffixes in one
-   cross-store frame, groups in eviction order (deepest map tree first,
-   data tree last). *)
-let flush_pending t =
-  if t.pending <> [] then begin
-    Servsim.Block_store.write_scatter (List.rev t.pending);
-    t.pending <- []
-  end
+(* One write frame per tree, sent as soon as the tree's path is evicted. *)
+let evict tree leaf = Servsim.Block_store.write_many (Oram_tree.store tree) (Oram_tree.evict tree leaf)
 
 (* Read-and-reassign the position of block [idx] of tree [lvl - 1]:
    returns its old leaf and records [new_leaf].  For lvl = depth the
@@ -167,7 +137,7 @@ let rec update_position t ~lvl ~idx ~new_leaf =
     let old = Int64.to_int (Relation.Codec.get_int64_bytes payload (slot * 8)) in
     Relation.Codec.put_int64 payload (slot * 8) (Int64.of_int new_leaf);
     Hashtbl.replace (Oram_tree.stash tree) blk (my_new, payload);
-    evict t tree
+    evict tree
       (my_old
       [@lint.declassify
         "Path ORAM invariant: the fetched leaf is uniformly random and independent \
@@ -211,12 +181,11 @@ let access t ~key update =
   | None ->
       if old <> None then t.live <- t.live - 1;
       Hashtbl.remove stash key);
-  evict t data
+  evict data
     (old_leaf
     [@lint.declassify
       "Path ORAM invariant: the fetched leaf is uniformly random and independent \
        of the access sequence"]);
-  flush_pending t;
   sync_client_cost t;
   old
 
@@ -224,19 +193,7 @@ let read t ~key = access t ~key (fun old -> old)
 let write t ~key v = ignore (access t ~key (fun _ -> Some v))
 let remove t ~key = ignore (access t ~key (fun _ -> None))
 
-(* Write every tree's cached buckets back through the normal encrypted
-   write path — one cross-store frame — so the server-side trees are a
-   complete checkpoint (modulo stashes and the top map, which persist
-   client-side).  The caches stay authoritative.  A no-op with the cache
-   off. *)
-let flush t =
-  Servsim.Block_store.write_scatter
-    (Array.to_list t.trees
-    |> List.map (fun tree -> (Oram_tree.store tree, Oram_tree.checkpoint tree)))
-
 let recursion_depth t = Array.length t.trees
-
-let cache_levels t = Array.fold_left (fun acc tree -> max acc (Oram_tree.cache_levels tree)) 0 t.trees
 
 let live_blocks t = t.live
 

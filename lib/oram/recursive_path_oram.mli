@@ -27,18 +27,10 @@ type config = {
   top_cutoff : int;  (** max entries of the client-held top map (e.g. 64) *)
 }
 
-val setup :
-  name:string ->
-  ?cache_levels:int ->
-  config -> Servsim.Server.t -> Crypto.Cell_cipher.t -> (int -> int) -> t
-(** [cache_levels] (default 0) asks every tree of the recursion — data
-    and position-map trees alike — to keep its top
-    [min cache_levels levels] levels decrypted client-side: accesses
-    read/write only the path suffix below the cached prefix, and all
-    trees' evictions for one logical access are deferred and flushed as
-    a single cross-store write frame.  With [cache_levels = 0] the wire
-    schedule, trace, and ciphertext stream are bit-identical to the
-    uncached implementation. *)
+val setup : name:string -> config -> Servsim.Server.t -> Crypto.Cell_cipher.t -> (int -> int) -> t
+(** Builds one tree per recursion level, each in a fresh store
+    [name-t<i>].  Raises [Invalid_argument] unless [capacity >= 1],
+    [fanout >= 2] and [top_cutoff >= 1]. *)
 
 val access : t -> key:int -> (string option -> string option) -> string option [@@lint.declassify "ORAM boundary: the server-visible trace is independent of key and payload (audited in the implementation); results are the trusted client's own plaintext"]
 val read : t -> key:int -> string option [@@lint.declassify "ORAM boundary: the server-visible trace is independent of key and payload (audited in the implementation); results are the trusted client's own plaintext"]
@@ -47,16 +39,6 @@ val remove : t -> key:int -> unit [@@lint.declassify "ORAM boundary: the server-
 
 val recursion_depth : t -> int
 (** Number of ORAM trees (data tree + map trees). *)
-
-val flush : t -> unit
-(** Write every tree's cached top levels back to the server through the
-    normal encrypted write path (one cross-store frame) so the
-    server-side trees form a complete checkpoint.  The caches stay
-    authoritative; no-op when [cache_levels = 0]. *)
-
-val cache_levels : t -> int
-(** The largest effective treetop-cache depth across the recursion's
-    trees (0 when caching is off). *)
 
 val client_state_bytes : t -> int
 val live_blocks : t -> int

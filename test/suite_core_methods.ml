@@ -392,7 +392,7 @@ let test_golden_sort_discover () =
   ignore
     (Fdbase.Lattice.discover ~m:3 ~n:24 ~check:(Set_level.check session)
        (Sort_method.oracle session db));
-  Suite_oram_cache.check_golden session.Session.server ~full ~shape ~count ~to_server
+  Suite_oram.check_golden session.Session.server ~full ~shape ~count ~to_server
     ~to_client ~trips ~content:"daf292f653fffdfc8141b9b665f97c39"
 
 let test_golden_sort_single () =
@@ -403,7 +403,7 @@ let test_golden_sort_single () =
   Alcotest.(check (list int)) "labels"
     [ 3; 1; 1; 3; 3; 0; 3; 3; 1; 2; 1; 1; 1; 3; 1; 2; 3; 1; 2; 1; 3; 3; 3; 3 ]
     (List.init 24 (fun row -> Sort_method.label_of_row h ~row));
-  Suite_oram_cache.check_golden session.Session.server ~full:0xb40711bdbc599d8dL
+  Suite_oram.check_golden session.Session.server ~full:0xb40711bdbc599d8dL
     ~shape:0x97f5a4b9273c28e5L ~count:2120 ~to_server:68480 ~to_client:65664 ~trips:116
     ~content:"af85bf20c047f121c16ceac0897f6ccf"
 

@@ -281,6 +281,293 @@ let qcheck_path_oram_model =
           | None -> Hashtbl.find_opt model k = Oram.Path_oram.read o ~key)
         ops)
 
+(* {1 Bit-identity pins}: digests, byte counters, round trips and
+   ciphertext contents of fixed workloads.  Every value below predates
+   the shared tree core; changing any of them means the wire behaviour
+   of an ORAM changed.  {!check_golden} is also the pin helper of suite
+   core-methods. *)
+
+let cipher () = Crypto.Cell_cipher.create (String.make 16 'K')
+
+let content_hash server =
+  let names = List.sort String.compare (Servsim.Server.store_names server) in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun name ->
+      let st = Servsim.Server.find_store server name in
+      Buffer.add_string buf name;
+      for i = 0 to Servsim.Block_store.length st - 1 do
+        Buffer.add_string buf (Servsim.Block_store.read st i)
+      done)
+    names;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let check_golden server ~full ~shape ~count ~to_server ~to_client ~trips ~content =
+  let tr = Servsim.Server.trace server in
+  Alcotest.(check int64) "full digest" full (Servsim.Trace.full_digest tr);
+  Alcotest.(check int64) "shape digest" shape (Servsim.Trace.shape_digest tr);
+  Alcotest.(check int) "event count" count (Servsim.Trace.count tr);
+  let c = Servsim.Cost.snapshot (Servsim.Server.cost server) in
+  Alcotest.(check int) "bytes to server" to_server c.Servsim.Cost.bytes_to_server;
+  Alcotest.(check int) "bytes to client" to_client c.Servsim.Cost.bytes_to_client;
+  Alcotest.(check int) "round trips" trips c.Servsim.Cost.round_trips;
+  (* Content last: reading the stores adds trace events. *)
+  Alcotest.(check string) "ciphertext content" content (content_hash server)
+
+let test_golden_path () =
+  let server = Servsim.Server.create () in
+  let rng = Crypto.Rng.create 1 in
+  let o =
+    Oram.Path_oram.setup ~name:"g-path"
+      { capacity = 64; key_len = 8; payload_len = 8 }
+      server (cipher ()) (Crypto.Rng.int rng)
+  in
+  for i = 0 to 19 do
+    Oram.Path_oram.write o ~key:(enc_key i) (enc_val (i * 3))
+  done;
+  for i = 0 to 19 do
+    ignore (Oram.Path_oram.read o ~key:(enc_key i))
+  done;
+  Oram.Path_oram.remove o ~key:(enc_key 5);
+  check_golden server ~full:0x78fae49dc16d03c1L ~shape:0x329acab8edb94975L ~count:2804
+    ~to_server:79488 ~to_client:55104 ~trips:85
+    ~content:"5c6c0c3c0693ded1abe7146b86d4d952"
+
+let test_golden_recursive () =
+  let pad24 i =
+    let b = Bytes.make 24 '\000' in
+    Relation.Codec.put_int64 b 0 (Int64.of_int i);
+    Relation.Codec.put_int64 b 8 (Int64.of_int (i * 7));
+    Bytes.to_string b
+  in
+  let server = Servsim.Server.create () in
+  let rng = Crypto.Rng.create 5 in
+  let o =
+    Oram.Recursive_path_oram.setup ~name:"g-rec"
+      { capacity = 128; payload_len = 24; fanout = 16; top_cutoff = 8 }
+      server (cipher ()) (Crypto.Rng.int rng)
+  in
+  for i = 0 to 19 do
+    Oram.Recursive_path_oram.write o ~key:i (pad24 i)
+  done;
+  for i = 0 to 19 do
+    ignore (Oram.Recursive_path_oram.read o ~key:i)
+  done;
+  Oram.Recursive_path_oram.remove o ~key:5;
+  Alcotest.(check int) "client bytes (top map only)" 64
+    (Oram.Recursive_path_oram.client_state_bytes o);
+  check_golden server ~full:0x50d73f26870f433dL ~shape:0x4d1d65557d0ff665L ~count:5016
+    ~to_server:275264 ~to_client:199424 ~trips:170
+    ~content:"ccc7569fd66c1527445f5969a089c5c5"
+
+let test_golden_linear () =
+  let server = Servsim.Server.create () in
+  let rng = Crypto.Rng.create 3 in
+  let o =
+    Oram.Linear_oram.setup ~name:"g-lin"
+      { capacity = 16; key_len = 8; payload_len = 8 }
+      server (cipher ()) (Crypto.Rng.int rng)
+  in
+  for i = 0 to 9 do
+    Oram.Linear_oram.write o ~key:(enc_key i) (enc_val i)
+  done;
+  ignore (Oram.Linear_oram.read o ~key:(enc_key 3));
+  Oram.Linear_oram.remove o ~key:(enc_key 7);
+  check_golden server ~full:0x604b614fee866265L ~shape:0xc0494717b821b75L ~count:400
+    ~to_server:9984 ~to_client:9216 ~trips:27
+    ~content:"b38fc84d24c4a2be62484a64ac55ea1a"
+
+(* {2 Heavy-workload pins}: the goldens above are too light for eviction
+      to choose among more than Z eligible stash residents.  Here 60 live
+      blocks in a capacity-128 tree make the greedy choice — and so the
+      stash iteration order — decide every ciphertext.  Values captured
+      before both PathORAM variants moved onto one tree core. *)
+
+let heavy_key i = (i * 37) mod 128
+
+let test_heavy_path ~full ~shape ~count ~to_server ~to_client ~trips ~client
+    ~content () =
+  let server = Servsim.Server.create () in
+  let rng = Crypto.Rng.create 31 in
+  let o =
+    Oram.Path_oram.setup ~name:"h-path"
+      { capacity = 128; key_len = 8; payload_len = 8 }
+      server (cipher ()) (Crypto.Rng.int rng)
+  in
+  for i = 0 to 59 do
+    Oram.Path_oram.write o ~key:(enc_key (heavy_key i)) (enc_val (i * 11))
+  done;
+  for i = 0 to 59 do
+    ignore (Oram.Path_oram.read o ~key:(enc_key (heavy_key (59 - i))))
+  done;
+  Oram.Path_oram.remove o ~key:(enc_key (heavy_key 17));
+  Oram.Path_oram.dummy_access o;
+  Alcotest.(check int) "client bytes" client (Oram.Path_oram.client_state_bytes o);
+  check_golden server ~full ~shape ~count ~to_server ~to_client ~trips ~content
+
+let test_heavy_recursive ~full ~shape ~count ~to_server ~to_client ~trips
+    ~client ~content () =
+  let server = Servsim.Server.create () in
+  let rng = Crypto.Rng.create 33 in
+  let o =
+    Oram.Recursive_path_oram.setup ~name:"h-rec"
+      { capacity = 128; payload_len = 8; fanout = 8; top_cutoff = 4 }
+      server (cipher ()) (Crypto.Rng.int rng)
+  in
+  for i = 0 to 59 do
+    Oram.Recursive_path_oram.write o ~key:(heavy_key i) (enc_val (i * 11))
+  done;
+  for i = 0 to 59 do
+    ignore (Oram.Recursive_path_oram.read o ~key:(heavy_key (59 - i)))
+  done;
+  Oram.Recursive_path_oram.remove o ~key:(heavy_key 17);
+  Alcotest.(check int) "client bytes" client (Oram.Recursive_path_oram.client_state_bytes o);
+  check_golden server ~full ~shape ~count ~to_server ~to_client ~trips ~content
+
+(* {2 Data-independence (QCheck)}: two workloads of the same shape (same
+   op kinds, same key indices) but different payload bytes must leave
+   bit-identical full trace digests.  The payloads feed the encrypt path,
+   so this also proves the reused path buffers never leak data into
+   addresses, sizes or event order. *)
+
+type variant = Path | Recursive | Linear
+
+let variant_name = function Path -> "path" | Recursive -> "recursive" | Linear -> "linear"
+
+let run_workload variant ~ops ~payload =
+  let server = Servsim.Server.create () in
+  let rng = Crypto.Rng.create 21 in
+  let c = cipher () in
+  let digest () = Servsim.Trace.full_digest (Servsim.Server.trace server) in
+  match variant with
+  | Path ->
+      let o =
+        Oram.Path_oram.setup ~name:"di"
+          { capacity = 32; key_len = 8; payload_len = 8 }
+          server c (Crypto.Rng.int rng)
+      in
+      List.iter
+        (fun (k, op) ->
+          match op mod 3 with
+          | 0 -> Oram.Path_oram.write o ~key:(enc_key k) (payload k)
+          | 1 -> ignore (Oram.Path_oram.read o ~key:(enc_key k))
+          | _ -> Oram.Path_oram.remove o ~key:(enc_key k))
+        ops;
+      digest ()
+  | Recursive ->
+      let o =
+        Oram.Recursive_path_oram.setup ~name:"di"
+          { capacity = 32; payload_len = 8; fanout = 8; top_cutoff = 4 }
+          server c (Crypto.Rng.int rng)
+      in
+      List.iter
+        (fun (k, op) ->
+          match op mod 3 with
+          | 0 -> Oram.Recursive_path_oram.write o ~key:k (payload k)
+          | 1 -> ignore (Oram.Recursive_path_oram.read o ~key:k)
+          | _ -> Oram.Recursive_path_oram.remove o ~key:k)
+        ops;
+      digest ()
+  | Linear ->
+      let o =
+        Oram.Linear_oram.setup ~name:"di"
+          { capacity = 32; key_len = 8; payload_len = 8 }
+          server c (Crypto.Rng.int rng)
+      in
+      List.iter
+        (fun (k, op) ->
+          match op mod 3 with
+          | 0 -> Oram.Linear_oram.write o ~key:(enc_key k) (payload k)
+          | 1 -> ignore (Oram.Linear_oram.read o ~key:(enc_key k))
+          | _ -> Oram.Linear_oram.remove o ~key:(enc_key k))
+        ops;
+      digest ()
+
+let qcheck_data_independence variant =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "%s data-independent trace" (variant_name variant))
+    ~count:15
+    QCheck.(
+      make
+        Gen.(list_size (1 -- 40) (pair (int_bound 31) (int_bound 2))))
+    (fun ops ->
+      let d1 =
+        run_workload variant ~ops ~payload:(fun k -> enc_val (k * 3))
+      in
+      let d2 =
+        run_workload variant ~ops ~payload:(fun k -> enc_val (1000 - k))
+      in
+      Int64.equal d1 d2)
+
+(* {2 Client-memory ledger}: stash and position map flow into the tagged
+   client ledger; the snapshot must equal the structure's own accounting
+   after a known workload. *)
+
+let test_path_ledger () =
+  let server = Servsim.Server.create () in
+  let rng = Crypto.Rng.create 4 in
+  let o =
+    Oram.Path_oram.setup ~name:"led-path"
+      { capacity = 64; key_len = 8; payload_len = 8 }
+      server (cipher ()) (Crypto.Rng.int rng)
+  in
+  for i = 0 to 15 do
+    Oram.Path_oram.write o ~key:(enc_key i) (enc_val i)
+  done;
+  let c = Servsim.Cost.snapshot (Servsim.Server.cost server) in
+  Alcotest.(check int) "ledger = structure accounting"
+    (Oram.Path_oram.client_state_bytes o)
+    c.Servsim.Cost.client_current_bytes;
+  (* 16 live keys: position map 16*(8+8) = 256 on top of the stash. *)
+  Alcotest.(check bool) "position map charged" true
+    (c.Servsim.Cost.client_current_bytes >= 256)
+
+let test_recursive_ledger () =
+  let server = Servsim.Server.create () in
+  let rng = Crypto.Rng.create 6 in
+  let o =
+    Oram.Recursive_path_oram.setup ~name:"led-rec"
+      { capacity = 64; payload_len = 8; fanout = 8; top_cutoff = 4 }
+      server (cipher ()) (Crypto.Rng.int rng)
+  in
+  for i = 0 to 15 do
+    Oram.Recursive_path_oram.write o ~key:i (enc_val i)
+  done;
+  let c = Servsim.Cost.snapshot (Servsim.Server.cost server) in
+  Alcotest.(check int) "ledger = structure accounting"
+    (Oram.Recursive_path_oram.client_state_bytes o)
+    c.Servsim.Cost.client_current_bytes;
+  Oram.Recursive_path_oram.destroy o;
+  let c = Servsim.Cost.snapshot (Servsim.Server.cost server) in
+  Alcotest.(check int) "ledger cleared on destroy" 0 c.Servsim.Cost.client_current_bytes
+
+(* {2 Remote parity}: the recursive ORAM's per-tree [Scatter_put] writes
+   over the real wire; a remote run must agree with the local run on
+   results, client-side digests and round-trip ledger. *)
+
+let test_remote_scatter_parity () =
+  let run server =
+    let rng = Crypto.Rng.create 17 in
+    let o =
+      Oram.Recursive_path_oram.setup ~name:"rp-rec"
+        { capacity = 64; payload_len = 8; fanout = 8; top_cutoff = 4 }
+        server (cipher ()) (Crypto.Rng.int rng)
+    in
+    for i = 0 to 15 do
+      Oram.Recursive_path_oram.write o ~key:i (enc_val (i * 5))
+    done;
+    let reads = List.init 16 (fun i -> Oram.Recursive_path_oram.read o ~key:i) in
+    let tr = Servsim.Server.trace server in
+    let c = Servsim.Cost.snapshot (Servsim.Server.cost server) in
+    (reads, Servsim.Trace.full_digest tr, c.Servsim.Cost.round_trips)
+  in
+  let local = run (Servsim.Server.create ()) in
+  let remote = Suite_remote.with_remote (fun conn -> run (Servsim.Server.create ~remote:conn ())) in
+  let reads_l, full_l, trips_l = local and reads_r, full_r, trips_r = remote in
+  Alcotest.(check (list (option string))) "same values" reads_l reads_r;
+  Alcotest.(check int64) "same digest" full_l full_r;
+  Alcotest.(check int) "same round trips" trips_l trips_r
+
 let suite =
   [
     Alcotest.test_case "read empty" `Quick test_read_empty;
@@ -301,3 +588,22 @@ let suite =
     Alcotest.test_case "linear oram identical full traces" `Quick test_linear_oram_full_trace_identical;
     QCheck_alcotest.to_alcotest qcheck_path_oram_model;
   ]
+  @ List.map
+      (fun v -> QCheck_alcotest.to_alcotest (qcheck_data_independence v))
+      [ Path; Recursive; Linear ]
+  @ [
+      Alcotest.test_case "golden path digests" `Quick test_golden_path;
+      Alcotest.test_case "golden recursive digests" `Quick test_golden_recursive;
+      Alcotest.test_case "golden linear digests" `Quick test_golden_linear;
+      Alcotest.test_case "heavy path pins" `Quick
+        (test_heavy_path ~full:0xadae205eda86d139L ~shape:0x7f73e62c7b303845L ~count:8828
+           ~to_server:236352 ~to_client:187392 ~trips:247 ~client:944
+           ~content:"423b290160a23ca078c820de62ef1f84");
+      Alcotest.test_case "heavy recursive pins" `Quick
+        (test_heavy_recursive ~full:0xa1119b5ff217d989L ~shape:0x10f4b3bb60c856cdL
+           ~count:15676 ~to_server:629504 ~to_client:565312 ~trips:735 ~client:16
+           ~content:"1ebc664d8586dd172531b6b746003185");
+      Alcotest.test_case "path ledger" `Quick test_path_ledger;
+      Alcotest.test_case "recursive ledger syncs and clears" `Quick test_recursive_ledger;
+      Alcotest.test_case "remote Scatter_put parity" `Quick test_remote_scatter_parity;
+    ]

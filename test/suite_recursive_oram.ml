@@ -107,6 +107,19 @@ let test_bounds_checked () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+let test_top_cutoff_checked () =
+  (* A one-block level still has ⌈1/fanout⌉ = 1 > top_cutoff blocks above
+     it: setup must refuse the config rather than recurse forever. *)
+  List.iter
+    (fun top_cutoff ->
+      Alcotest.(check bool)
+        (Printf.sprintf "top_cutoff %d rejected" top_cutoff)
+        true
+        (match make ~capacity:8 ~fanout:4 ~top_cutoff () with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ 0; -1 ]
+
 let test_destroy () =
   let server, o = make () in
   Alcotest.(check bool) "allocated" true (Servsim.Server.total_bytes server > 0);
@@ -137,6 +150,7 @@ let suite =
     Alcotest.test_case "client memory sublinear" `Quick test_client_memory_sublinear;
     Alcotest.test_case "shape data-independent" `Quick test_shape_data_independent;
     Alcotest.test_case "bounds checked" `Quick test_bounds_checked;
+    Alcotest.test_case "top_cutoff < 1 rejected" `Quick test_top_cutoff_checked;
     Alcotest.test_case "destroy frees storage" `Quick test_destroy;
     QCheck_alcotest.to_alcotest qcheck_model;
   ]

@@ -7,7 +7,6 @@ let () =
       ("relation", Suite_relation.suite);
       ("fdbase", Suite_fdbase.suite);
       ("oram", Suite_oram.suite);
-      ("oram-cache", Suite_oram_cache.suite);
       ("osort", Suite_osort.suite);
       ("datasets", Suite_datasets.suite);
       ("stats", Suite_stats.suite);
