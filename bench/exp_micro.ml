@@ -92,7 +92,8 @@ let tests =
 (* Wire protocol v2: frames per PathORAM access over a real Unix socket
    to an in-process daemon.  v1 sent one synchronous frame per block —
    2·(levels+1)·Z of them per access; since v2 the whole path is one
-   Multi_get plus one Scatter_put. *)
+   batched read frame plus one batched write frame (in v8, a gets-only
+   and a puts-only Exchange). *)
 let remote_frames_report ~accesses () =
   Service.Daemon.with_local @@ fun path _ ->
   let conn = Servsim.Remote.connect_unix path in

@@ -13,9 +13,8 @@ let outsource (session : Session.t) table =
   if n <> session.Session.n || m <> session.Session.m then
     invalid_arg "Enc_db.outsource: table dimensions disagree with session";
   let name = Session.fresh_name session "db" in
-  let store = Servsim.Server.create_store session.Session.server name in
-  Servsim.Block_store.ensure store (n * m);
-  (* The whole upload is one bulk cipher call and one Scatter_put frame /
+  let store = Servsim.Server.create_store session.Session.server name ~slots:(n * m) in
+  (* The whole upload is one bulk cipher call and one Exchange frame /
      round trip. *)
   let pts =
     List.init (n * m) (fun slot ->

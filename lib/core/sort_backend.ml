@@ -96,8 +96,7 @@ let buffer_tag = "sort-buffer"
 let encrypted (session : Session.t) ~n =
   let length = Osort.Network.ceil_pow2 n in
   let name = Session.fresh_name session "sort" in
-  let store = Servsim.Server.create_store session.Session.server name in
-  Servsim.Block_store.ensure store length;
+  let store = Servsim.Server.create_store session.Session.server name ~slots:length in
   let io_with cipher =
     {
       read =

@@ -25,8 +25,7 @@ let slot_stride cfg = (block_pt_len cfg / 16 * 16) + 16
 
 let setup ~name cfg server cipher _rand =
   if cfg.capacity < 1 then invalid_arg "Linear_oram.setup: capacity must be >= 1";
-  let store = Servsim.Server.create_store server name in
-  Servsim.Block_store.ensure store cfg.capacity;
+  let store = Servsim.Server.create_store server name ~slots:cfg.capacity in
   let dummy = String.make (block_pt_len cfg) '\000' in
   let cts = Crypto.Cell_cipher.encrypt_many cipher (List.init cfg.capacity (fun _ -> dummy)) in
   Servsim.Block_store.write_many store (List.mapi (fun slot ct -> (slot, ct)) cts);
@@ -44,7 +43,7 @@ let setup ~name cfg server cipher _rand =
 (* One full scan: decrypt every slot into the reused buffer, apply the
    logical operation to the matching slot (or claim the first free slot
    on insert) in place, re-encrypt all.  The scan is two batched round
-   trips: one Multi_get for the whole array, one Scatter_put to rewrite it.
+   trips: one read of the whole array, one write to rewrite it.
    Per-block work is offset views into the buffer — the only per-block
    allocation is each outgoing ciphertext. *)
 let access t ~key update =

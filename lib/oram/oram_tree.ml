@@ -41,8 +41,7 @@ let node_at t ~leaf ~lev = (1 lsl lev) - 1 + (leaf lsr (t.levels - lev))
 let create server cipher ~name ~capacity ~stash_size codec =
   let levels = max 1 (ceil_log2 capacity) in
   let slots = ((2 lsl levels) - 1) * z in
-  let store = Servsim.Server.create_store server name in
-  Servsim.Block_store.ensure store slots;
+  let store = Servsim.Server.create_store server name ~slots in
   let dummy = String.make (pt_len codec) '\000' in
   let cts = Crypto.Cell_cipher.encrypt_many cipher (List.init slots (fun _ -> dummy)) in
   Servsim.Block_store.write_many store (List.mapi (fun slot ct -> (slot, ct)) cts);
@@ -72,7 +71,7 @@ let path_slots t leaf =
     (List.init (t.levels + 1) Fun.id)
 
 (* Read the path to [leaf] into the stash: one batched round trip (a
-   single Multi_get frame in remote mode) decrypted into the reused path
+   single Exchange frame in remote mode) decrypted into the reused path
    buffer — per-block work allocates only for live blocks entering the
    stash, never for dummies. *)
 let fetch t leaf =

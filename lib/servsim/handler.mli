@@ -98,9 +98,8 @@ val replay : state -> Wire.request -> unit
     trace digests and cost ledger bit-identically to the original run. *)
 
 val export_stores : state -> (string * string array) list
-(** The session's stores as [(name, blocks)] with each block array
-    trimmed to its logical length, sorted by name — a deterministic
-    image for snapshotting. *)
+(** The session's stores as [(name, blocks)], one block per slot, sorted
+    by name — a deterministic image for snapshotting. *)
 
 val trace : state -> Trace.t
 val cost : state -> Cost.t

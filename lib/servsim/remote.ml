@@ -162,22 +162,17 @@ let pipelined t reqs =
   in
   go reqs []
 
-let multi_get t ~store idxs =
-  if idxs = [] then []
+let exchange t ~puts ~gets =
+  let busy groups = List.exists (fun (_, xs) -> xs <> []) groups in
+  if not (busy puts || busy gets) then []
   else
-    match call t (Wire.Multi_get (store, idxs)) with
+    match call t (Wire.Exchange { puts; gets }) with
     | Wire.Values vs ->
-        if List.compare_lengths vs idxs <> 0 then
-          raise (Wire.Protocol_error "Multi_get: value count does not match index count");
+        let wanted = List.fold_left (fun n (_, idxs) -> n + List.length idxs) 0 gets in
+        if List.compare_length_with vs wanted <> 0 then
+          raise (Wire.Protocol_error "Exchange: value count does not match index count");
         vs
-    | _ -> raise (Wire.Protocol_error "unexpected response to Multi_get")
-
-let scatter_put t groups =
-  if List.for_all (fun (_, items) -> items = []) groups then ()
-  else
-    match call t (Wire.Scatter_put groups) with
-    | Wire.Ok -> ()
-    | _ -> raise (Wire.Protocol_error "unexpected response to Scatter_put")
+    | _ -> raise (Wire.Protocol_error "unexpected response to Exchange")
 
 let begin_dynamic t ?(capacity = 0) ?(max_lhs = 0) ~seed ~cols rows =
   match call t (Wire.Begin_dynamic { seed; capacity; max_lhs; cols; rows }) with

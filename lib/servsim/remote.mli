@@ -1,6 +1,6 @@
 (** Client-side connection to a server over a stream socket — in
     practice the multi-tenant daemon ([Service.Daemon]), in this process
-    or another.  Every block read and write is one synchronous
+    or another.  Every block exchange is one synchronous
     request/response frame; only {!pipelined} and the raw
     {!send}/{!recv} pair keep several frames in flight. *)
 
@@ -67,15 +67,16 @@ val recv : t -> Wire.response
     returned, not raised).
     @raise Wire.Protocol_error when nothing is in flight. *)
 
-(** {2 Block data: one read verb, one write verb} *)
+(** {2 Block data: one block verb} *)
 
-val multi_get : t -> store:string -> int list -> string list
-(** One [Multi_get] frame; values in index order.  No-op (no frame) on the
-    empty list. *)
-
-val scatter_put : t -> (string * (int * string) list) list -> unit
-(** One [Scatter_put] frame writing batches to one or more stores.
-    No-op (no frame) when every group is empty. *)
+val exchange :
+  t -> puts:(string * (int * string) list) list -> gets:(string * int list) list -> string list
+(** One [Exchange] frame: the server applies every put, then answers
+    every get; the values come back in get order.  No-op (no frame) when
+    every group is empty.
+    @raise Wire.Protocol_error on an [Error] reply (an unknown store or
+    an index out of bounds anywhere in the frame, in which case nothing
+    changed) or a reply of the wrong length. *)
 
 (** {2 Dynamic FD sessions (protocol v5)}
 

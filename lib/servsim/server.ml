@@ -21,17 +21,18 @@ let remote t = t.remote
 
 let sync_cost t = Cost.set_server_bytes t.cost t.bytes
 
-let create_store t name =
+let create_store t name ~slots =
   if Hashtbl.mem t.stores name then
     invalid_arg (Printf.sprintf "Server.create_store: store %s already exists" name);
+  if slots < 0 then invalid_arg "Server.create_store: negative slot count";
   (match t.remote with
-  | Some conn -> ignore (Remote.call conn (Wire.Create_store name))
+  | Some conn -> ignore (Remote.call conn (Wire.Create_store (name, slots)))
   | None -> ());
   let on_resize delta =
     t.bytes <- t.bytes + delta;
     sync_cost t
   in
-  let store = Block_store.create ~name ~trace:t.trace ~on_resize ?remote:t.remote t.cost in
+  let store = Block_store.create ~name ~slots ~trace:t.trace ~on_resize ?remote:t.remote t.cost in
   Hashtbl.replace t.stores name store;
   (* One wire frame in remote mode; charged identically in the local sim. *)
   if Trace.enabled t.trace then Cost.round_trip t.cost;

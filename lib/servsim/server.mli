@@ -18,9 +18,11 @@ val remote : t -> Remote.t option
 val trace : t -> Trace.t
 val cost : t -> Cost.t
 
-val create_store : t -> string -> Block_store.t
-(** [create_store t name] registers a fresh store.
-    @raise Invalid_argument if [name] is already registered. *)
+val create_store : t -> string -> slots:int -> Block_store.t
+(** [create_store t name ~slots] registers a fresh store of [slots]
+    empty blocks, its size for life: one frame, one round trip.
+    @raise Invalid_argument if [name] is already registered or [slots]
+    is negative. *)
 
 val find_store : t -> string -> Block_store.t
 (** @raise Not_found if no such store. *)

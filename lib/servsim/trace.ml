@@ -66,21 +66,8 @@ let fold_codes d (a : int array) =
 
 let op_tag = function Read -> 1 | Write -> 2
 
-let record t e =
-  if t.enabled then begin
-    t.count <- t.count + 1;
-    if t.keep_events then t.events_rev <- e :: t.events_rev;
-    fold_string t.full e.store;
-    fold_int t.full (op_tag e.op);
-    fold_int t.full e.addr;
-    fold_int t.full e.len;
-    fold_string t.shape e.store;
-    fold_int t.shape (op_tag e.op);
-    fold_int t.shape e.len
-  end
-
-(* Hot path for [Block_store]: identical folds to [record], but the store
-   name arrives pre-interned (its bytes already split into an int array)
+(* The one recorder.  The store name arrives pre-interned (its bytes
+   already split into an int array), so the fold does no string setup,
    and no event record is built unless retention is on. *)
 let record_name t nm op ~addr ~len =
   if t.enabled then begin

@@ -34,11 +34,10 @@ val create : ?keep_events:bool -> unit -> t
 val name : string -> name
 (** [name s] interns [s]; build once per store, not per event. *)
 
-val record : t -> event -> unit
-
 val record_name : t -> name -> op -> addr:int -> len:int -> unit
-(** [record_name t nm op ~addr ~len] is [record t { store; op; addr; len }]
-    with the store name pre-interned — bit-identical digests, no per-event
+(** [record_name t nm op ~addr ~len] records one access to the store
+    interned as [nm]: it folds (store, op, addr, len) into the full
+    digest and (store, op, len) into the shape digest, with no per-event
     allocation (unless [keep_events] retention is on). *)
 
 val mark : t -> string -> unit

@@ -1,10 +1,8 @@
 type request =
   | Hello of string
-  | Create_store of string
+  | Create_store of string * int
   | Drop_store of string
-  | Ensure of string * int
-  | Multi_get of string * int list
-  | Scatter_put of (string * (int * string) list) list
+  | Exchange of { puts : (string * (int * string) list) list; gets : (string * int list) list }
   | Digest
   | Total_bytes
   | Ping
@@ -57,7 +55,7 @@ type response =
 exception Protocol_error of string
 exception Incomplete
 
-let protocol_version = 7
+let protocol_version = 8
 
 (* Hard caps on what a length prefix may claim.  A corrupt or truncated
    stream must fail with [Protocol_error], not drive the reader into a
@@ -184,6 +182,22 @@ let get_list src get_item =
   let n = get_count src in
   List.init n (fun _ -> get_item src)
 
+(* An [Exchange] side: count-prefixed (store, count-prefixed items)
+   groups. *)
+let put_groups k groups put_item =
+  put_count k (List.length groups);
+  List.iter
+    (fun (s, items) ->
+      put_string k s;
+      put_count k (List.length items);
+      List.iter put_item items)
+    groups
+
+let get_groups src get_item =
+  get_list src (fun src ->
+      let s = get_string src in
+      (s, get_list src get_item))
+
 let put_namespace k ns =
   if String.length ns > max_namespace_len then
     raise
@@ -232,37 +246,22 @@ let read_hello ic = Char.code (input_char ic)
 
 let write_request_sink k req =
   match req with
-  | Create_store s ->
-      k.put_char '\001';
-      put_string k s
-  | Drop_store s ->
-      k.put_char '\002';
-      put_string k s
-  | Ensure (s, n) ->
+  | Create_store (s, n) ->
       (* A slot count is capped like a batch count: the server allocates
          every slot it is asked for, and a store wider than the largest
          batch frame is far beyond any real workload. *)
-      k.put_char '\003';
+      k.put_char '\001';
       put_string k s;
       put_count k n
-  | Multi_get (s, idxs) ->
-      k.put_char '\009';
-      put_string k s;
-      put_count k (List.length idxs);
-      List.iter (put_u32 k) idxs
-  | Scatter_put groups ->
-      k.put_char '\018';
-      put_count k (List.length groups);
-      List.iter
-        (fun (s, items) ->
-          put_string k s;
-          put_count k (List.length items);
-          List.iter
-            (fun (i, v) ->
-              put_u32 k i;
-              put_string k v)
-            items)
-        groups
+  | Drop_store s ->
+      k.put_char '\002';
+      put_string k s
+  | Exchange { puts; gets } ->
+      k.put_char '\019';
+      put_groups k puts (fun (i, v) ->
+          put_u32 k i;
+          put_string k v);
+      put_groups k gets (put_u32 k)
   | Hello ns ->
       k.put_char '\011';
       put_namespace k ns
@@ -294,22 +293,17 @@ let write_request_sink k req =
 
 let read_request_src src =
   match src.get_char () with
-  | '\001' -> Create_store (get_string src)
+  | '\001' ->
+      let s = get_string src in
+      Create_store (s, get_count src)
   | '\002' -> Drop_store (get_string src)
-  | '\003' ->
-      let s = get_string src in
-      Ensure (s, get_count src)
-  | '\009' ->
-      let s = get_string src in
-      Multi_get (s, get_list src get_u32)
-  | '\018' ->
-      Scatter_put
-        (get_list src (fun src ->
-             let s = get_string src in
-             ( s,
-               get_list src (fun src ->
-                   let i = get_u32 src in
-                   (i, get_string src)) )))
+  | '\019' ->
+      let puts =
+        get_groups src (fun src ->
+            let i = get_u32 src in
+            (i, get_string src))
+      in
+      Exchange { puts; gets = get_groups src get_u32 }
   | '\011' -> Hello (get_namespace src)
   | '\012' -> Ping
   | '\013' -> Stats

@@ -1,4 +1,4 @@
-(** Wire protocol (v7) between the client and the block-service daemon.
+(** Wire protocol (v8) between the client and the block-service daemon.
 
     Binary, synchronous request/response over any stream socket
     (Unix-domain or TCP).  All
@@ -24,7 +24,10 @@
     read is [Multi_get (s, [i])]) and [Scatter_put] writes (one slot,
     one store or several); the single-slot read and write, their
     one-value reply and the one-store batch write are retired, and
-    [Ensure]'s slot count is capped like a batch count.
+    [Ensure]'s slot count is capped like a batch count.  v8 leaves one
+    block verb: [Exchange] carries a frame's writes and reads together,
+    and [Create_store] names a store's fixed slot count, so [Ensure],
+    [Multi_get] and [Scatter_put] are retired and no store ever grows.
 
     The dynamic verbs are the one place the protocol carries plaintext
     row material: they model the trusted client (or enclave proxy)
@@ -38,21 +41,19 @@ type request =
           store namespace.  Sent once, immediately after the version
           handshake; part of connection setup, so neither side counts it
           as a request frame. *)
-  | Create_store of string
+  | Create_store of string * int
+      (** Create a store with this many empty slots; its size never
+          changes.  Both codec directions reject a count above
+          {!max_list_len}. *)
   | Drop_store of string
-  | Ensure of string * int
-      (** Grow a store to at least this many slots.  Both codec
-          directions reject a count above {!max_list_len}. *)
-  | Multi_get of string * int list
-      (** The one read verb: a batch of slots of one store, in order, in
-          one frame, answered with [Values].  All-or-nothing with respect
-          to bounds checking. *)
-  | Scatter_put of (string * (int * string) list) list
-      (** The one write verb: (slot, ciphertext) batches spanning one or
-          more stores in one frame; groups are applied (and traced) in
-          list order, items in order within each group.  All-or-nothing:
-          every store must exist and every index must be in bounds
-          before anything is mutated. *)
+  | Exchange of { puts : (string * (int * string) list) list; gets : (string * int list) list }
+      (** The one block verb.  [puts] are (slot, ciphertext) groups and
+          [gets] slot groups, each group naming one store.  The server
+          checks every store and every index first; it then applies
+          every put, in group order and item order within a group, and
+          answers every get in one [Values] reply, in the same order
+          (empty for a puts-only frame).  A frame lands whole or not at
+          all. *)
   | Digest  (** ask the server for its own trace digests *)
   | Total_bytes
   | Ping  (** liveness probe; answered with [Pong] *)
@@ -126,7 +127,7 @@ type dyn_fds = {
 
 type response =
   | Ok
-  | Values of string list  (** answers [Multi_get], same order as the indices *)
+  | Values of string list  (** answers [Exchange]: every get, in frame order *)
   | Digests of { full : int64; shape : int64; count : int }
   | Bytes_total of int
   | Pong
@@ -136,7 +137,7 @@ type response =
   | Error of string
 
 val protocol_version : int
-(** Current protocol version (7).  Exchanged once per connection:
+(** Current protocol version (8).  Exchanged once per connection:
     the client sends its version byte, the server always answers with its
     own, and each side rejects a mismatch — a v2 peer fails the handshake
     cleanly instead of misparsing the stream mid-session. *)

@@ -158,7 +158,7 @@ type t = {
    would double-count it. *)
 let apply_reconstruction state req =
   match Handler.handle state req with
-  | Wire.Ok -> ()
+  | Wire.Ok | Wire.Values [] -> ()
   | Wire.Error e -> corruptf "snapshot reconstruction rejected: %s" e
   | _ -> corruptf "snapshot reconstruction: unexpected response"
   | exception Wire.Protocol_error e -> corruptf "snapshot reconstruction failed: %s" e
@@ -258,14 +258,13 @@ let snapshot t state =
   Segment.add_record buf (encode_meta meta);
   List.iter
     (fun (name, blocks) ->
-      Segment.add_record buf (encode_req (Wire.Create_store name));
-      let n = Array.length blocks in
-      if n > 0 then Segment.add_record buf (encode_req (Wire.Ensure (name, n)));
+      Segment.add_record buf (encode_req (Wire.Create_store (name, Array.length blocks)));
       (* One record per non-empty slot keeps each record one block wide. *)
       Array.iteri
         (fun i c ->
           if c <> "" then
-            Segment.add_record buf (encode_req (Wire.Scatter_put [ (name, [ (i, c) ]) ])))
+            Segment.add_record buf
+              (encode_req (Wire.Exchange { puts = [ (name, [ (i, c) ]) ]; gets = [] })))
         blocks)
     (Handler.export_stores state);
   (* The dynamic session, if any, is persisted as its full update

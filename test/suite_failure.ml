@@ -19,7 +19,7 @@ let test_corrupted_cell_detected () =
     let c = Bytes.of_string (Servsim.Block_store.read store idx) in
     let pos = Crypto.Rng.int rng (Bytes.length c) in
     Bytes.set c pos (Char.chr (Char.code (Bytes.get c pos) lxor (1 + Crypto.Rng.int rng 254)));
-    Servsim.Block_store.write store idx (Bytes.to_string c);
+    Servsim.Block_store.write_many store [ (idx, Bytes.to_string c) ];
     (match Core.Enc_db.read_cell db ~row:(idx / 3) ~col:(idx mod 3) with
     | exception Invalid_argument _ -> incr detected
     | v ->
@@ -51,7 +51,7 @@ let test_oram_corruption_detected () =
       (fun name ->
         let store = Servsim.Server.find_store server name in
         for i = 0 to Servsim.Block_store.length store - 1 do
-          Servsim.Block_store.write store i (String.make 64 'Z')
+          Servsim.Block_store.write_many store [ (i, String.make 64 'Z') ]
         done)
       (Servsim.Server.store_names server)
   in
@@ -153,11 +153,11 @@ let test_dead_server_process () =
       ~config:{ Service.Daemon.default_config with drain_grace = 0. }
       (fun path _ ->
         let conn = Servsim.Remote.connect_unix path in
-        ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
+        ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store ("s", 1)));
         conn)
   in
   Alcotest.(check bool) "typed error after server death" true
-    (match Servsim.Remote.call conn (Servsim.Wire.Multi_get ("s", [ 0 ])) with
+    (match Servsim.Remote.exchange conn ~puts:[] ~gets:[ ("s", [ 0 ]) ] with
     | exception Servsim.Wire.Protocol_error _ -> true
     | _ -> false);
   Servsim.Remote.close conn

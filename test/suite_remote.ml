@@ -15,13 +15,18 @@ let with_remote f =
 
 let test_wire_roundtrip () =
   with_remote (fun conn ->
-      (match Servsim.Remote.call conn (Servsim.Wire.Create_store "s") with
+      (match Servsim.Remote.call conn (Servsim.Wire.Create_store ("s", 4)) with
       | Servsim.Wire.Ok -> ()
       | _ -> Alcotest.fail "create");
-      ignore (Servsim.Remote.call conn (Servsim.Wire.Ensure ("s", 4)));
-      ignore
-        (Servsim.Remote.call conn (Servsim.Wire.Scatter_put [ ("s", [ (2, "ciphertext!") ]) ]));
-      (match Servsim.Remote.call conn (Servsim.Wire.Multi_get ("s", [ 2 ])) with
+      (match
+         Servsim.Remote.call conn
+           (Servsim.Wire.Exchange { puts = [ ("s", [ (2, "ciphertext!") ]) ]; gets = [] })
+       with
+      | Servsim.Wire.Values [] -> ()
+      | _ -> Alcotest.fail "put");
+      (match
+         Servsim.Remote.call conn (Servsim.Wire.Exchange { puts = []; gets = [ ("s", [ 2 ]) ] })
+       with
       | Servsim.Wire.Values [ v ] -> Alcotest.(check string) "payload" "ciphertext!" v
       | _ -> Alcotest.fail "get");
       match Servsim.Remote.call conn Servsim.Wire.Total_bytes with
@@ -31,26 +36,25 @@ let test_wire_roundtrip () =
 let test_wire_errors () =
   with_remote (fun conn ->
       Alcotest.(check bool) "missing store" true
-        (match Servsim.Remote.call conn (Servsim.Wire.Multi_get ("nope", [ 0 ])) with
+        (match Servsim.Remote.exchange conn ~puts:[] ~gets:[ ("nope", [ 0 ]) ] with
         | exception Servsim.Wire.Protocol_error _ -> true
         | _ -> false);
-      ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
+      ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store ("s", 0)));
       Alcotest.(check bool) "duplicate store" true
-        (match Servsim.Remote.call conn (Servsim.Wire.Create_store "s") with
+        (match Servsim.Remote.call conn (Servsim.Wire.Create_store ("s", 0)) with
         | exception Servsim.Wire.Protocol_error _ -> true
         | _ -> false);
       Alcotest.(check bool) "out of bounds" true
-        (match Servsim.Remote.call conn (Servsim.Wire.Multi_get ("s", [ 99 ])) with
+        (match Servsim.Remote.exchange conn ~puts:[] ~gets:[ ("s", [ 99 ]) ] with
         | exception Servsim.Wire.Protocol_error _ -> true
         | _ -> false))
 
 let test_block_store_over_wire () =
   with_remote (fun conn ->
       let server = Servsim.Server.create ~remote:conn () in
-      let store = Servsim.Server.create_store server "blocks" in
-      Servsim.Block_store.ensure store 8;
-      Servsim.Block_store.write store 3 "abc";
-      Servsim.Block_store.write store 3 "defgh";
+      let store = Servsim.Server.create_store server "blocks" ~slots:8 in
+      Servsim.Block_store.write_many store [ (3, "abc") ];
+      Servsim.Block_store.write_many store [ (3, "defgh") ];
       Alcotest.(check string) "read back" "defgh" (Servsim.Block_store.read store 3);
       Alcotest.(check int) "local byte mirror" 5 (Servsim.Block_store.size_bytes store);
       match Servsim.Remote.call conn Servsim.Wire.Total_bytes with

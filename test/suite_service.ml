@@ -24,6 +24,10 @@ let raw_connect path =
   Unix.connect fd (Unix.ADDR_UNIX path);
   (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
 
+(* One-slot [Exchange] frames. *)
+let put s i c = Servsim.Wire.Exchange { puts = [ (s, [ (i, c) ]) ]; gets = [] }
+let get s i = Servsim.Wire.Exchange { puts = []; gets = [ (s, [ i ]) ] }
+
 let discover_fds conn table =
   let r = Core.Protocol.discover ~seed:99 ~remote:conn Core.Protocol.Sort table in
   String.concat ";" (List.map (Format.asprintf "%a" Fdbase.Fd.pp) r.Core.Protocol.fds)
@@ -68,17 +72,16 @@ let test_concurrent_tenants_match_single_client () =
 let test_tenant_state_survives_reconnect () =
   with_daemon (fun path _ ->
       with_client ~namespace:"durable" path (fun conn ->
-          ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
-          ignore (Servsim.Remote.call conn (Servsim.Wire.Ensure ("s", 4)));
-          ignore (Servsim.Remote.call conn (Servsim.Wire.Scatter_put [ ("s", [ (1, "kept") ]) ])));
+          ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store ("s", 4)));
+          ignore (Servsim.Remote.call conn (put "s" 1 "kept")));
       with_client ~namespace:"durable" path (fun conn ->
-          match Servsim.Remote.call conn (Servsim.Wire.Multi_get ("s", [ 1 ])) with
+          match Servsim.Remote.call conn (get "s" 1) with
           | Servsim.Wire.Values [ v ] -> Alcotest.(check string) "value survives" "kept" v
           | _ -> Alcotest.fail "get after reconnect");
       (* ...but another namespace sees none of it. *)
       with_client ~namespace:"stranger" path (fun conn ->
           Alcotest.(check bool) "other tenant has no store" true
-            (match Servsim.Remote.call conn (Servsim.Wire.Multi_get ("s", [ 1 ])) with
+            (match Servsim.Remote.call conn (get "s" 1) with
             | exception Servsim.Wire.Protocol_error _ -> true
             | _ -> false)))
 
@@ -87,10 +90,9 @@ let test_tenant_state_survives_reconnect () =
 let test_frames_match_session_ledger () =
   with_daemon (fun path _ ->
       with_client ~namespace:"ledger" path (fun conn ->
-          ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
-          ignore (Servsim.Remote.call conn (Servsim.Wire.Ensure ("s", 8)));
+          ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store ("s", 8)));
           for i = 0 to 7 do
-            ignore (Servsim.Remote.call conn (Servsim.Wire.Scatter_put [ ("s", [ (i, "x") ]) ]))
+            ignore (Servsim.Remote.call conn (put "s" i "x"))
           done;
           Servsim.Remote.ping conn;
           let stats = Servsim.Remote.stats conn in
@@ -109,11 +111,10 @@ let test_frames_match_session_ledger () =
 let test_mid_frame_disconnect_leaves_others_served () =
   with_daemon (fun path _ ->
       with_client ~namespace:"survivor" path (fun conn ->
-          ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
-          ignore (Servsim.Remote.call conn (Servsim.Wire.Ensure ("s", 2)));
-          (* A second client dies mid-frame: version byte, Hello, then a
-             Scatter_put whose group-count prefix is cut short by an
-             abrupt close. *)
+          ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store ("s", 2)));
+          (* A second client dies mid-frame: version byte, Hello, then an
+             Exchange whose puts-count prefix is cut short by an abrupt
+             close. *)
           let fd, ic, oc = raw_connect path in
           output_char oc (Char.chr Servsim.Wire.protocol_version);
           flush oc;
@@ -123,12 +124,12 @@ let test_mid_frame_disconnect_leaves_others_served () =
           (match Servsim.Wire.read_response ic with
           | Servsim.Wire.Ok -> ()
           | _ -> Alcotest.fail "hello");
-          output_string oc "\018\002";
+          output_string oc "\019\002";
           flush oc;
           Unix.close fd;
           (* The survivor is still served by the same daemon. *)
-          ignore (Servsim.Remote.call conn (Servsim.Wire.Scatter_put [ ("s", [ (0, "alive") ]) ]));
-          match Servsim.Remote.call conn (Servsim.Wire.Multi_get ("s", [ 0 ])) with
+          ignore (Servsim.Remote.call conn (put "s" 0 "alive"));
+          match Servsim.Remote.call conn (get "s" 0) with
           | Servsim.Wire.Values [ v ] -> Alcotest.(check string) "served after kill" "alive" v
           | _ -> Alcotest.fail "get"))
 
@@ -157,44 +158,40 @@ let test_malformed_frame_closes_only_offender () =
           Unix.close fd;
           Servsim.Remote.ping conn))
 
-(* An [Ensure] claiming more slots than any batch could fill would make
-   the daemon allocate (and a snapshot re-allocate) that many: it is a
-   malformed frame, so only the offending connection is dropped. *)
-let test_oversized_ensure_isolated () =
+(* A [Create_store] claiming more slots than any batch could fill would
+   make the daemon allocate (and a snapshot re-allocate) that many: it
+   is a malformed frame, so only the offending connection is dropped. *)
+let test_oversized_create_store_isolated () =
   with_daemon (fun path _ ->
       with_client ~namespace:"bystander" path (fun conn ->
-          ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
-          ignore (Servsim.Remote.call conn (Servsim.Wire.Ensure ("s", 4)));
+          ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store ("s", 4)));
           let fd, ic, oc = raw_connect path in
           output_char oc (Char.chr Servsim.Wire.protocol_version);
           flush oc;
           ignore (input_char ic);
-          List.iter
-            (fun req ->
-              Servsim.Wire.write_request oc req;
-              match Servsim.Wire.read_response ic with
-              | Servsim.Wire.Ok -> ()
-              | _ -> Alcotest.fail "setup")
-            [ Servsim.Wire.Hello "hostile"; Servsim.Wire.Create_store "s" ];
-          (* Ensure ("s", max_list_len + 1), hand-encoded: the client
-             codec refuses to write it. *)
+          Servsim.Wire.write_request oc (Servsim.Wire.Hello "hostile");
+          (match Servsim.Wire.read_response ic with
+          | Servsim.Wire.Ok -> ()
+          | _ -> Alcotest.fail "hello");
+          (* Create_store ("s", max_list_len + 1), hand-encoded: the
+             client codec refuses to write it. *)
           let claim = Servsim.Wire.max_list_len + 1 in
-          output_string oc "\003\001\000\000\000s";
+          output_string oc "\001\001\000\000\000s";
           for k = 0 to 3 do
             output_char oc (Char.chr ((claim lsr (k * 8)) land 0xff))
           done;
           flush oc;
           (match Servsim.Wire.read_response ic with
           | Servsim.Wire.Error _ -> ()
-          | _ -> Alcotest.fail "expected Error for an oversized Ensure");
+          | _ -> Alcotest.fail "expected Error for an oversized Create_store");
           Alcotest.(check bool) "offender hung up" true
             (match input_char ic with
             | _ -> false
             | exception End_of_file -> true);
           Unix.close fd;
-          Servsim.Remote.scatter_put conn [ ("s", [ (3, "still served") ]) ];
+          ignore (Servsim.Remote.exchange conn ~puts:[ ("s", [ (3, "still served") ]) ] ~gets:[]);
           Alcotest.(check (list string)) "bystander still served" [ "still served" ]
-            (Servsim.Remote.multi_get conn ~store:"s" [ 3 ])))
+            (Servsim.Remote.exchange conn ~puts:[] ~gets:[ ("s", [ 3 ]) ])))
 
 let test_hello_required_first () =
   with_daemon (fun path _ ->
@@ -255,10 +252,10 @@ let test_graceful_drain () =
   in
   let th = Thread.create Service.Daemon.run daemon in
   let conn = Servsim.Remote.connect_unix ~namespace:"draining" path in
-  ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
+  ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store ("s", 2)));
   Service.Daemon.stop daemon;
   (* Already-connected clients keep being served during the drain... *)
-  ignore (Servsim.Remote.call conn (Servsim.Wire.Ensure ("s", 2)));
+  ignore (Servsim.Remote.call conn (put "s" 1 "drained"));
   Servsim.Remote.ping conn;
   (* ...and once the last one leaves, the daemon exits. *)
   Servsim.Remote.close conn;
@@ -308,10 +305,9 @@ let test_tcp_listener () =
       in
       let conn = Servsim.Remote.connect_tcp ~namespace:"tcp" ~host:"127.0.0.1" ~port () in
       Servsim.Remote.ping conn;
-      ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
-      ignore (Servsim.Remote.call conn (Servsim.Wire.Ensure ("s", 1)));
-      ignore (Servsim.Remote.call conn (Servsim.Wire.Scatter_put [ ("s", [ (0, "over tcp") ]) ]));
-      (match Servsim.Remote.call conn (Servsim.Wire.Multi_get ("s", [ 0 ])) with
+      ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store ("s", 1)));
+      ignore (Servsim.Remote.call conn (put "s" 0 "over tcp"));
+      (match Servsim.Remote.call conn (get "s" 0) with
       | Servsim.Wire.Values [ v ] -> Alcotest.(check string) "tcp roundtrip" "over tcp" v
       | _ -> Alcotest.fail "get");
       Servsim.Remote.close conn)
@@ -359,7 +355,7 @@ let test_pipelined_behind_hello () =
       Buffer.add_char buf (Char.chr Servsim.Wire.protocol_version);
       List.iter
         (Servsim.Wire.write_request_sink (Servsim.Wire.buffer_sink buf))
-        Servsim.Wire.[ Hello "burst"; Create_store "s"; Ping; Ping ];
+        Servsim.Wire.[ Hello "burst"; Create_store ("s", 1); Ping; Ping ];
       let burst = Buffer.contents buf in
       Alcotest.(check int) "one write carries the whole burst" (String.length burst)
         (Unix.write_substring fd burst 0 (String.length burst));
@@ -380,12 +376,11 @@ let test_handshake_flood_bounded () =
       output_char oc (Char.chr Servsim.Wire.protocol_version);
       flush oc;
       ignore (input_char ic);
-      (* A well-formed Scatter_put frame much larger than the pre-hello budget,
+      (* A well-formed Exchange frame much larger than the pre-hello budget,
          sent all but its last byte so it never completes. *)
       let buf = Buffer.create 16_384 in
       Servsim.Wire.write_request_sink (Servsim.Wire.buffer_sink buf)
-        (Servsim.Wire.Scatter_put
-           [ ("s", [ (0, String.make (4 * Service.Conn.pre_hello_max) 'x') ]) ]);
+        (put "s" 0 (String.make (4 * Service.Conn.pre_hello_max) 'x'));
       let frame = Buffer.contents buf in
       output_string oc (String.sub frame 0 (String.length frame - 1));
       flush oc;
@@ -438,13 +433,11 @@ let test_fanout_past_fd_setsize () =
 let test_pipelined_ordered () =
   with_daemon (fun path _ ->
       with_client ~namespace:"pipe" ~depth:8 path (fun conn ->
-          ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store "s"));
-          ignore (Servsim.Remote.call conn (Servsim.Wire.Ensure ("s", 32)));
+          ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store ("s", 32)));
           let reqs =
             List.concat_map
               (fun i ->
-                [ Servsim.Wire.Scatter_put [ ("s", [ (i, Printf.sprintf "v%d" i) ]) ];
-                  Servsim.Wire.Multi_get ("s", [ i ]) ])
+                [ put "s" i (Printf.sprintf "v%d" i); get "s" i ])
               (List.init 32 Fun.id)
           in
           let resps = Servsim.Remote.pipelined conn reqs in
@@ -453,7 +446,7 @@ let test_pipelined_ordered () =
           List.iteri
             (fun i r ->
               match (i mod 2, r) with
-              | 0, Servsim.Wire.Ok -> ()
+              | 0, Servsim.Wire.Values [] -> ()
               | 1, Servsim.Wire.Values [ v ] ->
                   Alcotest.(check string) "responses in request order"
                     (Printf.sprintf "v%d" (i / 2))
@@ -527,16 +520,15 @@ let test_same_namespace_shares_state () =
   with_daemon (fun path _ ->
       with_client ~namespace:"pinned" path (fun c1 ->
           with_client ~namespace:"pinned" path (fun c2 ->
-              ignore (Servsim.Remote.call c1 (Servsim.Wire.Create_store "s"));
-              ignore (Servsim.Remote.call c1 (Servsim.Wire.Ensure ("s", 2)));
-              Servsim.Remote.scatter_put c1 [ ("s", [ (0, "via c1") ]) ];
+              ignore (Servsim.Remote.call c1 (Servsim.Wire.Create_store ("s", 2)));
+              ignore (Servsim.Remote.exchange c1 ~puts:[ ("s", [ (0, "via c1") ]) ] ~gets:[]);
               (* c2 sees c1's write: same tenant state. *)
-              match Servsim.Remote.call c2 (Servsim.Wire.Multi_get ("s", [ 0 ])) with
+              match Servsim.Remote.call c2 (get "s" 0) with
               | Servsim.Wire.Values [ v ] ->
                   Alcotest.(check string) "shared session state" "via c1" v
               | _ -> Alcotest.fail "get via second connection"));
       with_client ~namespace:"pinned" path (fun c3 ->
-          match Servsim.Remote.call c3 (Servsim.Wire.Multi_get ("s", [ 0 ])) with
+          match Servsim.Remote.call c3 (get "s" 0) with
           | Servsim.Wire.Values [ v ] ->
               Alcotest.(check string) "state survives reconnect" "via c1" v
           | _ -> Alcotest.fail "get after reconnect"))
@@ -638,7 +630,7 @@ let test_dynamic_session_matches_library () =
 (* {2 Frame decoder unit tests (byte-at-a-time reassembly)} *)
 
 let test_decoder_byte_at_a_time () =
-  let req = Servsim.Wire.Scatter_put [ ("store", [ (7, String.make 100 'z') ]) ] in
+  let req = put "store" 7 (String.make 100 'z') in
   let buf = Buffer.create 64 in
   Servsim.Wire.write_request_sink (Servsim.Wire.buffer_sink buf) req;
   let encoded = Buffer.to_bytes buf in
@@ -661,8 +653,8 @@ let test_decoder_byte_at_a_time () =
 
 let test_decoder_pipelined_frames () =
   let reqs =
-    [ Servsim.Wire.Ping; Servsim.Wire.Multi_get ("a", [ 1 ]);
-      Servsim.Wire.Scatter_put [ ("b", [ (2, "vv") ]) ];
+    [ Servsim.Wire.Ping; get "a" 1;
+      put "b" 2 "vv";
       Servsim.Wire.Stats ]
   in
   let buf = Buffer.create 64 in
@@ -682,7 +674,7 @@ let test_decoder_pipelined_frames () =
    draining n frames costs O(1) compactions. *)
 let test_decoder_burst_compactions_bounded () =
   let n = 500 in
-  let req i = Servsim.Wire.Scatter_put [ ("burst", [ (i mod 32, String.make 40 'x') ]) ] in
+  let req i = put "burst" (i mod 32) (String.make 40 'x') in
   let buf = Buffer.create (n * 64) in
   for i = 0 to n - 1 do
     Servsim.Wire.write_request_sink (Servsim.Wire.buffer_sink buf) (req i)
@@ -708,7 +700,7 @@ let test_decoder_burst_compactions_bounded () =
     (Service.Frame_decoder.compactions dec < 20)
 
 let test_decoder_trickled_large_frame () =
-  let req = Servsim.Wire.Scatter_put [ ("big", [ (0, String.make 20_000 'y') ]) ] in
+  let req = put "big" 0 (String.make 20_000 'y') in
   let buf = Buffer.create 32_000 in
   Servsim.Wire.write_request_sink (Servsim.Wire.buffer_sink buf) req;
   let encoded = Buffer.to_bytes buf in
@@ -802,7 +794,8 @@ let suite =
       test_frames_match_session_ledger;
     Alcotest.test_case "malformed frame isolated" `Quick
       test_malformed_frame_closes_only_offender;
-    Alcotest.test_case "oversized Ensure isolated" `Quick test_oversized_ensure_isolated;
+    Alcotest.test_case "oversized Create_store isolated" `Quick
+      test_oversized_create_store_isolated;
     Alcotest.test_case "hello required first" `Quick test_hello_required_first;
     Alcotest.test_case "v2 handshake rejected" `Quick test_v2_handshake_rejected;
     Alcotest.test_case "connection cap" `Quick test_connection_cap;
