@@ -26,16 +26,23 @@ let outsource (session : Session.t) table =
        (Crypto.Cell_cipher.encrypt_many session.Session.cipher pts));
   { session; store; name; n; m }
 
-let read_cell t ~row ~col =
-  if row < 0 || row >= t.n || col < 0 || col >= t.m then
-    invalid_arg "Enc_db.read_cell: out of bounds";
-  let c = Servsim.Block_store.read t.store ((row * t.m) + col) in
+let slot t ~row ~col =
+  if row < 0 || row >= t.n || col < 0 || col >= t.m then invalid_arg "Enc_db: cell out of bounds";
+  (row * t.m) + col
+
+let decode_cell t c =
   Codec.decode_value
     (Crypto.Cell_cipher.decrypt t.session.Session.cipher c
     [@lint.declassify
       "client-side decode of the fetched plaintext; its shape depends only on the \
        plaintext length, public under Size(DB)"])
 
+let read_cells t ~col rows =
+  List.map (decode_cell t)
+    (Servsim.Block_store.read_many t.store (List.map (fun row -> slot t ~row ~col) rows))
+
+let read_cell t ~row ~col = List.hd (read_cells t ~col [ row ])
+let store t = t.store
 let n t = t.n
 let m t = t.m
 let store_name t = t.name

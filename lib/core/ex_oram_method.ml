@@ -73,66 +73,58 @@ let alloc_label h =
       h.next_label <- l + 1;
       l
 
-(* Algorithm 4 inner step: one O^KLF read, one O^IKL write, one O^KLF
-   write — unconditional, as in the paper's branch-free formulation. *)
-let process_key h ~row key =
-  let prev = Oram.Path_oram.read h.klf ~key in
-  let fresh = prev = None in
-  let label, fre =
-    match prev with Some p -> klf_decode p | None -> (alloc_label h, 0)
-  in
-  let fre = fre + 1 in
-  Oram.Path_oram.write h.ikl ~key:(Codec.encode_int row) (ikl_payload ~key ~label);
-  Oram.Path_oram.write h.klf ~key (klf_payload ~label ~fre);
-  if fresh then h.card <- h.card + 1;
-  h.live <- h.live + 1
+(* Algorithm 4's inner step, fused: the O^KLF read and O^KLF write are
+   one access whose update bumps fre_X (allocating a label for a fresh
+   key), and the O^IKL write stores (key_X, label_X) under r[ID] —
+   unconditional, as in the paper's branch-free formulation. *)
+let target h =
+  {
+    Oram_rows.kl = h.klf;
+    il = h.ikl;
+    record =
+      (fun ~key prev ->
+        let label, fre =
+          match prev with
+          | Some p -> klf_decode p
+          | None ->
+              h.card <- h.card + 1;
+              (alloc_label h, 0)
+        in
+        h.live <- h.live + 1;
+        (klf_payload ~label ~fre:(fre + 1), ikl_payload ~key ~label));
+  }
 
 let insert_value h ~row v =
   if Attrset.cardinal h.attrs <> 1 then
     invalid_arg "Ex_oram_method.insert_value: handle is not single-attribute";
-  process_key h ~row (Compression.key_of_value v)
-
-let insert_single h db ~row =
-  let v = Enc_db.read_cell db ~row ~col:(Attrset.min_elt h.attrs) in
-  insert_value h ~row
-    (v
-    [@lint.declassify
-      "trusted-client FD state; the server sees only the oblivious Ex-ORAM accesses \
-       and the result reveals only FD(DB)"])
+  Oram_rows.run (Oram_rows.Given (fun _ -> v)) (target h) [ row ]
 
 let label_of_row h ~row =
   match Oram.Path_oram.read h.ikl ~key:(Codec.encode_int row) with
   | Some p -> Some (snd (ikl_decode ~key_len:h.key_len p))
   | None -> None
 
-let insert_combined h ~gen1 ~gen2 ~row =
-  let l1 =
-    match label_of_row gen1 ~row with
-    | Some l -> l
-    | None -> invalid_arg "Ex_oram_method.insert_combined: record missing in generator 1"
-  in
-  let l2 =
-    match label_of_row gen2 ~row with
-    | Some l -> l
-    | None -> invalid_arg "Ex_oram_method.insert_combined: record missing in generator 2"
-  in
-  process_key h ~row (Compression.key_of_labels ~n:h.base l1 l2)
+let generator h =
+  { Oram_rows.ids = h.ikl; label = (fun p -> snd (ikl_decode ~key_len:h.key_len p)) }
+
+let insert_combined h ~gen1 ~gen2 rows =
+  Oram_rows.run
+    (Oram_rows.Generators { gen1 = generator gen1; gen2 = generator gen2; base = h.base })
+    (target h) rows
+
+let all_rows session = List.init session.Session.n Fun.id
 
 let single db ?capacity col =
   let session = Enc_db.session db in
   let capacity = Option.value ~default:session.Session.n capacity in
   let h = create session (Attrset.singleton col) ~capacity in
-  for row = 0 to session.Session.n - 1 do
-    insert_single h db ~row
-  done;
+  Oram_rows.run (Oram_rows.Column (db, col)) (target h) (all_rows session);
   h
 
 let combine session ?capacity x h1 h2 =
   let capacity = Option.value ~default:session.Session.n capacity in
   let h = create session x ~capacity in
-  for row = 0 to session.Session.n - 1 do
-    insert_combined h ~gen1:h1 ~gen2:h2 ~row
-  done;
+  insert_combined h ~gen1:h1 ~gen2:h2 (all_rows session);
   h
 
 (* Algorithm 5: two reads then two writes; the fre = 1 / fre > 1 branch

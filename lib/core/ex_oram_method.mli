@@ -37,14 +37,15 @@ val combine : Session.t -> ?capacity:int -> Attrset.t -> handle -> handle -> han
     as in Algorithm 2). *)
 
 val insert_value : handle -> row:int -> Value.t -> unit
-(** Insert one record given its value under the (single) attribute. *)
+(** Insert one record given its value under the (single) attribute: two
+    frames ({!Oram_rows}). *)
 
-val insert_single : handle -> Enc_db.t -> row:int -> unit
-
-val insert_combined : handle -> gen1:handle -> gen2:handle -> row:int -> unit
-(** The generators must already contain the record.  Combined keys use the
-    handle's capacity as the public multiplier base, so labels stay unique
-    even after the live count grows past the initial n. *)
+val insert_combined : handle -> gen1:handle -> gen2:handle -> int list -> unit
+(** [insert_combined h ~gen1 ~gen2 rows] inserts [rows], in order, in one
+    row schedule of [List.length rows + 2] frames ({!Oram_rows}).  The
+    generators must already contain the records.  Combined keys use the
+    handle's capacity as the public multiplier base, so labels stay
+    unique even after the live count grows past the initial n. *)
 
 val delete : handle -> row:int -> unit
 (** Algorithm 5: remove record [row]'s contribution to (π_X, |π_X|).

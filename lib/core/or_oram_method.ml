@@ -27,34 +27,34 @@ let make_orams session attrs ~key_len =
   in
   { attrs; kl; il; card = 0; session }
 
-(* The shared inner step of Algorithms 1 and 2 (lines 5-10 / 7-12): one
-   O^KL read, one O^IL write, one O^KL write — unconditionally, so the
+(* The inner step of Algorithms 1 and 2 (lines 5-10 / 7-12), fused: the
+   O^KL read and O^KL write are one access whose update assigns the
+   label (the key's old one, or the next fresh one), and the O^IL write
+   stores it under r[ID].  The accesses are unconditional, so the
    server's view does not depend on whether key_X was seen before. *)
-let process_key h ~row key =
-  let prev = Oram.Path_oram.read h.kl ~key in
-  let fresh = prev = None in
-  let label =
-    match prev with Some p -> Compression.label_of_payload p | None -> h.card
-  in
-  Oram.Path_oram.write h.il ~key:(Codec.encode_int row) (Compression.payload_of_label label);
-  Oram.Path_oram.write h.kl ~key (Compression.payload_of_label label);
-  if fresh then h.card <- h.card + 1
+let target h =
+  {
+    Oram_rows.kl = h.kl;
+    il = h.il;
+    record =
+      (fun ~key:_ prev ->
+        let label =
+          match prev with
+          | Some p -> Compression.label_of_payload p
+          | None ->
+              h.card <- h.card + 1;
+              h.card - 1
+        in
+        let p = Compression.payload_of_label label in
+        (p, p));
+  }
 
-let insert_single h db ~row =
-  let v = Enc_db.read_cell db ~row ~col:(Attrset.min_elt h.attrs) in
-  process_key h ~row
-    (Compression.key_of_value
-       (v
-       [@lint.declassify
-         "trusted-client FD state; the server sees only the oblivious OR-ORAM \
-          accesses and the result reveals only FD(DB)"]))
+let all_rows session = List.init session.Session.n Fun.id
 
 let single db col =
   let session = Enc_db.session db in
   let h = make_orams session (Attrset.singleton col) ~key_len:Compression.single_key_len in
-  for row = 0 to session.Session.n - 1 do
-    insert_single h db ~row
-  done;
+  Oram_rows.run (Oram_rows.Column (db, col)) (target h) (all_rows session);
   h
 
 let label_of_row h ~row =
@@ -62,16 +62,13 @@ let label_of_row h ~row =
   | Some p -> Compression.label_of_payload p
   | None -> invalid_arg "Or_oram_method.label_of_row: record not present"
 
-let insert_combined session h ~gen1 ~gen2 ~row =
-  let l1 = label_of_row gen1 ~row in
-  let l2 = label_of_row gen2 ~row in
-  process_key h ~row (Compression.key_of_labels ~n:session.Session.n l1 l2)
+let generator h = { Oram_rows.ids = h.il; label = Compression.label_of_payload }
 
 let combine session x h1 h2 =
   let h = make_orams session x ~key_len:Compression.multi_key_len in
-  for row = 0 to session.Session.n - 1 do
-    insert_combined session h ~gen1:h1 ~gen2:h2 ~row
-  done;
+  Oram_rows.run
+    (Oram_rows.Generators { gen1 = generator h1; gen2 = generator h2; base = session.Session.n })
+    (target h) (all_rows session);
   h
 
 let release h =

@@ -7,11 +7,13 @@
     - the ID-Label ORAM O^IL_X mapping r[ID] → label_X (it preserves π_X
       and feeds the computation of supersets).
 
-    Every record is processed with exactly one O^KL read, one O^IL write
-    and one O^KL write (plus, for |X| ≥ 2, one read in each generator's
-    O^IL), so the server-visible access sequence is a function of n
-    alone.  Supports appending new records (insertion); deletion needs
-    the extended method ({!Ex_oram_method}). *)
+    Every record is processed with exactly one O^KL access (the paper's
+    O^KL read and O^KL write, fused into one read-modify-write) and one
+    O^IL write, plus, for |X| ≥ 2, one read in each generator's O^IL.
+    The server-visible access sequence is a function of n alone; the
+    accesses travel one frame per record ({!Oram_rows}).  Streaming
+    updates, deletion included, use the extended method
+    ({!Ex_oram_method}). *)
 
 open Relation
 
@@ -28,14 +30,6 @@ val single : Enc_db.t -> int -> handle
 val combine : Session.t -> Attrset.t -> handle -> handle -> handle
 (** Algorithm 2: build the ORAMs for X = X1 ∪ X2 from the generators'
     ID-Label ORAMs (Property 1). *)
-
-val insert_single : handle -> Enc_db.t -> row:int -> unit
-(** Continue Algorithm 1 on one new record (ORAM methods "inherently
-    support insertions", §IV-C(c)). *)
-
-val insert_combined : Session.t -> handle -> gen1:handle -> gen2:handle -> row:int -> unit
-(** Continue Algorithm 2 on one new record; the generators must already
-    contain the record. *)
 
 val label_of_row : handle -> row:int -> int
 (** Client-side lookup of label_X for a record (one O^IL access). *)

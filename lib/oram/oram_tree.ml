@@ -70,13 +70,15 @@ let path_slots t leaf =
       List.init z (fun s -> (bucket * z) + s))
     (List.init (t.levels + 1) Fun.id)
 
-(* Read the path to [leaf] into the stash: one batched round trip (a
-   single Exchange frame in remote mode) decrypted into the reused path
-   buffer — per-block work allocates only for live blocks entering the
-   stash, never for dummies. *)
-let fetch t leaf =
+(* Move a fetched path (its blocks in [path_slots] order) into the
+   stash, decrypted into the reused path buffer: per-block work
+   allocates only for live blocks entering the stash, never for
+   dummies. *)
+let absorb t blocks =
   let pt_len = pt_len t.codec in
   let stride = slot_stride t.codec in
+  if List.compare_length_with blocks ((t.levels + 1) * z) <> 0 then
+    invalid_arg ("Oram_tree.absorb: not one path of store " ^ Servsim.Block_store.name t.store);
   List.iteri
     (fun j ct ->
       let off = j * stride in
@@ -98,7 +100,10 @@ let fetch t leaf =
         let key, v = t.codec.decode t.pbuf (off + 1) in
         Hashtbl.replace t.stash key v
       end)
-    (Servsim.Block_store.read_many t.store (path_slots t leaf))
+    blocks
+
+(* One batched round trip: a single Exchange frame in remote mode. *)
+let fetch t leaf = absorb t (Servsim.Block_store.read_many t.store (path_slots t leaf))
 
 (* Slot plaintext at [off]: all zeros for a dummy, else flag 1 and the
    codec body. *)

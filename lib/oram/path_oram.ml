@@ -50,59 +50,74 @@ let setup ~name cfg server cipher rand_int =
   let tree = Oram_tree.create server cipher ~name ~capacity:cfg.capacity ~stash_size:64 codec in
   { cfg; tree; server; name; rand_int; pos; max_stash = 0; overflows = 0; accesses = 0 }
 
-let evict t leaf =
-  Servsim.Block_store.write_many (Oram_tree.store t.tree) (Oram_tree.evict t.tree leaf)
+(* An access in flight: planned (its leaf chosen), not yet completed. *)
+type pending = {
+  oram : t;
+  accessed : string option; (* the key, or [None] for a dummy access *)
+  leaf : int;
+}
 
-let finish_access t =
+let plan t ~key =
+  if String.length key <> t.cfg.key_len then
+    invalid_arg
+      (Printf.sprintf "Path_oram.plan: key length %d, expected %d (store %s)"
+         (String.length key) t.cfg.key_len t.name);
+  let leaf =
+    match Hashtbl.find_opt t.pos key with
+    | Some l -> l
+    | None -> t.rand_int (Oram_tree.leaves t.tree)
+  in
+  { oram = t; accessed = Some key; leaf }
+
+let plan_dummy t = { oram = t; accessed = None; leaf = t.rand_int (Oram_tree.leaves t.tree) }
+
+let fetch_slots p = (Oram_tree.store p.oram.tree, Oram_tree.path_slots p.oram.tree p.leaf)
+
+let complete p blocks update =
+  let t = p.oram in
+  Oram_tree.absorb t.tree blocks;
+  let old =
+    match p.accessed with
+    | None -> None
+    | Some key ->
+        let stash = Oram_tree.stash t.tree in
+        let old =
+          (Hashtbl.find_opt stash key
+          [@lint.declassify
+            "client-local stash hit check; the surrounding fetch/evict trace is one full\
+              path either way"])
+        in
+        (match update old with
+        | Some v ->
+            if String.length v <> t.cfg.payload_len then
+              invalid_arg
+                (Printf.sprintf "Path_oram.complete: payload length %d, expected %d (store %s)"
+                   (String.length v) t.cfg.payload_len t.name);
+            Hashtbl.replace stash key v;
+            Hashtbl.replace t.pos key (t.rand_int (Oram_tree.leaves t.tree))
+        | None ->
+            Hashtbl.remove stash key;
+            Hashtbl.remove t.pos key);
+        old
+  in
+  let writes = Oram_tree.evict t.tree p.leaf in
   let occupancy = Hashtbl.length (Oram_tree.stash t.tree) in
   if occupancy > t.max_stash then t.max_stash <- occupancy;
   if occupancy > stash_limit t then t.overflows <- t.overflows + 1;
   t.accesses <- t.accesses + 1;
-  (* Round trips are counted by the block store: one for the batched
-     fetch, one for the batched evict — exactly the two wire frames a
-     remote access performs. *)
-  sync_client_cost t
+  sync_client_cost t;
+  (old, (Oram_tree.store t.tree, writes))
 
-let access t ~key update =
-  if String.length key <> t.cfg.key_len then
-    invalid_arg
-      (Printf.sprintf "Path_oram.access: key length %d, expected %d (store %s)"
-         (String.length key) t.cfg.key_len t.name);
-  let leaves = Oram_tree.leaves t.tree in
-  let leaf =
-    match Hashtbl.find_opt t.pos key with
-    | Some l -> l
-    | None -> t.rand_int leaves
-  in
-  Oram_tree.fetch t.tree leaf;
-  let stash = Oram_tree.stash t.tree in
-  let old =
-    (Hashtbl.find_opt stash key
-    [@lint.declassify
-      "client-local stash hit check; the surrounding fetch/evict trace is one full\
-        path either way"])
-  in
-  (match update old with
-  | Some v ->
-      if String.length v <> t.cfg.payload_len then
-        invalid_arg
-          (Printf.sprintf "Path_oram.access: payload length %d, expected %d (store %s)"
-             (String.length v) t.cfg.payload_len t.name);
-      Hashtbl.replace stash key v;
-      Hashtbl.replace t.pos key (t.rand_int leaves)
-  | None ->
-      Hashtbl.remove stash key;
-      Hashtbl.remove t.pos key);
-  evict t leaf;
-  finish_access t;
+(* A stand-alone access: its two halves as two frames, the fetch and
+   the eviction. *)
+let run p update =
+  let store, slots = fetch_slots p in
+  let old, (_, writes) = complete p (Servsim.Block_store.read_many store slots) update in
+  Servsim.Block_store.write_many store writes;
   old
 
-let dummy_access t =
-  let leaf = t.rand_int (Oram_tree.leaves t.tree) in
-  Oram_tree.fetch t.tree leaf;
-  evict t leaf;
-  finish_access t
-
+let access t ~key update = run (plan t ~key) update
+let dummy_access t = ignore (run (plan_dummy t) (fun _ -> None))
 let read t ~key = access t ~key (fun old -> old)
 let write t ~key v = ignore (access t ~key (fun _ -> Some v))
 let remove t ~key = ignore (access t ~key (fun _ -> None))

@@ -160,6 +160,133 @@ let test_ex_oram_insert_delete_shape () =
   Alcotest.(check int64) "same shape" s1 s2;
   Alcotest.(check int) "same count" c1 c2
 
+(* --- Per-store projection: the row schedule packs accesses to many
+   trees into one frame, but each ORAM store, on its own, must still see
+   a dummy-filled tree, then accesses that each read one whole
+   root-to-leaf path, (L+1)·Z slots, and write the same slots back
+   before the next access begins. --- *)
+
+let z = 4
+
+let is_oram name =
+  List.exists (fun p -> String.starts_with ~prefix:p name) [ "or-kl-"; "or-il-"; "ex-klf-"; "ex-ikl-" ]
+
+(* The slots of a root-to-leaf path, root first, Z per bucket. *)
+let is_path slots =
+  let buckets = List.length slots / z in
+  let rec go b k = function
+    | [] -> k = buckets
+    | s :: _ as rest ->
+        let bucket = s / z in
+        let ok = if k = 0 then bucket = 0 else bucket = (2 * b) + 1 || bucket = (2 * b) + 2 in
+        let own, rest = List.partition (fun x -> x / z = bucket) rest in
+        ok && own = List.init z (fun i -> (bucket * z) + i) && go bucket (k + 1) rest
+  in
+  List.length slots mod z = 0 && go 0 0 slots
+
+(* The events of [events] on each ORAM store, in order; asserts the
+   closed form on each and returns the total number of accesses.
+   [created] says whether a store's dummy upload is part of [events]. *)
+let project ~created events =
+  let by_store = Hashtbl.create 16 in
+  List.iter
+    (fun (e : Servsim.Trace.event) ->
+      if is_oram e.store then
+        Hashtbl.replace by_store e.store
+          (e :: Option.value ~default:[] (Hashtbl.find_opt by_store e.store)))
+    events;
+  Hashtbl.fold
+    (fun store evs total ->
+      let evs = List.rev evs in
+      let rec split_run op acc = function
+        | (e : Servsim.Trace.event) :: rest when e.op = op -> split_run op (e.addr :: acc) rest
+        | rest -> (List.rev acc, rest)
+      in
+      let evs =
+        if created store then begin
+          let setup, rest = split_run Servsim.Trace.Write [] evs in
+          let buckets = List.length setup / z in
+          Alcotest.(check bool) (store ^ ": dummy upload fills the tree") true
+            (setup = List.init (buckets * z) Fun.id && (buckets + 1) land buckets = 0);
+          rest
+        end
+        else evs
+      in
+      let rec accesses n = function
+        | [] -> n
+        | evs ->
+            let reads, rest = split_run Servsim.Trace.Read [] evs in
+            let writes, rest = split_run Servsim.Trace.Write [] rest in
+            if not (is_path reads) then Alcotest.failf "%s: access %d does not read one path" store n;
+            if List.sort compare writes <> List.sort compare reads then
+              Alcotest.failf "%s: access %d does not write back the path it read" store n;
+            accesses (n + 1) rest
+      in
+      total + accesses 0 evs)
+    by_store 0
+
+let traced_db table =
+  let n = Table.rows table and m = Table.cols table in
+  let session = Session.create ~seed:55 ~keep_events:true ~n ~m () in
+  (session, Enc_db.outsource session table)
+
+let events session = Servsim.Trace.events (Session.trace session)
+
+(* The ORAM accesses of [f ()], from the events it adds: the trees it
+   creates start with their dummy upload. *)
+let call_accesses session f =
+  let before = events session in
+  let seen = Hashtbl.create 16 in
+  List.iter (fun (e : Servsim.Trace.event) -> Hashtbl.replace seen e.store ()) before;
+  let h = f () in
+  let added = List.filteri (fun i _ -> i >= List.length before) (events session) in
+  (h, project ~created:(fun store -> not (Hashtbl.mem seen store)) added)
+
+let test_per_store_projection () =
+  let n = 24 in
+  let table = Datasets.Rnd.generate_with_domain ~seed:9 ~rows:n ~cols:3 ~domain:3 () in
+  let x = Attrset.of_list [ 0; 1 ] in
+  let discover oracle =
+    let session, db = traced_db table in
+    let (), accesses =
+      call_accesses session (fun () ->
+          ignore
+            (Fdbase.Lattice.discover ~m:3 ~n ~check:(Set_level.check session)
+               (oracle session db)))
+    in
+    Alcotest.(check bool) "discovery made accesses" true (accesses > 0)
+  in
+  discover Or_oram_method.oracle;
+  discover Ex_oram_method.oracle;
+  (* Accesses per row: the key and ID ORAMs for a single attribute, plus
+     one read of each generator's ID ORAM for a combined set. *)
+  let per_row name single combine =
+    let session, db = traced_db table in
+    let h0, a = call_accesses session (fun () -> single db 0) in
+    Alcotest.(check int) (name ^ " single: 2 accesses per row") (2 * n) a;
+    let h1, _ = call_accesses session (fun () -> single db 1) in
+    let _, a = call_accesses session (fun () -> combine session x h0 h1) in
+    Alcotest.(check int) (name ^ " combine: 4 accesses per row") (4 * n) a
+  in
+  per_row "Or-ORAM" Or_oram_method.single Or_oram_method.combine;
+  per_row "Ex-ORAM"
+    (fun db col -> Ex_oram_method.single db col)
+    (fun session x h1 h2 -> Ex_oram_method.combine session x h1 h2);
+  (* A streaming insert and delete, set by set as [Dynamic] runs them:
+     2 accesses per single set, 4 per combined set, and Algorithm 5's 4
+     per set for the delete. *)
+  let session, db = traced_db table in
+  let a = Ex_oram_method.single db ~capacity:64 0 and b = Ex_oram_method.single db ~capacity:64 1 in
+  let ab = Ex_oram_method.combine session ~capacity:64 x a b in
+  let (), accesses =
+    call_accesses session (fun () ->
+        Ex_oram_method.insert_value a ~row:n (Value.Int 1);
+        Ex_oram_method.insert_value b ~row:n (Value.Int 2);
+        Ex_oram_method.insert_combined ab ~gen1:a ~gen2:b [ n ];
+        List.iter (fun h -> Ex_oram_method.delete h ~row:3) [ ab; a; b ])
+  in
+  Alcotest.(check int) "insert + delete accesses" (2 + 2 + 4 + (3 * 4)) accesses
+
 let suite =
   [
     Alcotest.test_case "Sort: identical traces across datasets" `Quick
@@ -177,6 +304,8 @@ let suite =
     Alcotest.test_case "full protocol (ORAM) same shape for equal leakage" `Quick
       test_protocol_oram_same_shape_for_equal_leakage;
     Alcotest.test_case "ORAM leaves vary across seeds" `Quick test_oram_leaves_vary_across_seeds;
+    Alcotest.test_case "ORAM per-store projection: one path per access" `Quick
+      test_per_store_projection;
     Alcotest.test_case "Ex-ORAM update shape data-independent" `Quick
       test_ex_oram_insert_delete_shape;
   ]
