@@ -111,9 +111,9 @@ let single ?network ?domains ?backend db col =
   let b = make ~n in
   with_buffers ?domains b (fun () ->
       load ~width:buffer_slots b (fun lo hi ->
-          List.init (hi - lo) (fun k ->
-              let row = lo + k in
-              { key = V (Enc_db.read_cell db ~row ~col); id = row }));
+          List.mapi
+            (fun k v -> { key = V v; id = lo + k })
+            (Enc_db.read_cells db ~col (range lo hi)));
       compute ?network ?domains b (Attrset.singleton col))
 
 let label_of_elt fname e =

@@ -55,8 +55,8 @@ val compute : ?network:network -> ?domains:int -> Sort_backend.t -> Attrset.t ->
 val single :
   ?network:network -> ?domains:int -> ?backend:(n:int -> Sort_backend.t) ->
   Enc_db.t -> int -> handle
-(** Build the pair array from an encrypted column (B slots per write
-    batch), then {!compute}.
+(** Build the pair array from an encrypted column (B cells per read
+    frame and B slots per write batch), then {!compute}.
     [backend] defaults to {!Sort_backend.encrypted} on the database's
     session; pass [fun ~n -> Sort_backend.enclave ~n] for the SGX mode. *)
 
