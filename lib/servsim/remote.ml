@@ -1,6 +1,7 @@
 type t = {
   ic : in_channel;
   oc : out_channel;
+  frame : Buffer.t; (* one request, encoded whole before it reaches [oc] *)
   depth : int; (* max in-flight frames; 1 = strict request/response *)
   mutable frames : int;
   mutable closed : bool;
@@ -31,7 +32,8 @@ let connect_fd ?(namespace = default_namespace) ?(depth = default_depth) fd =
      process-killing SIGPIPE. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let t =
-    { ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd; depth;
+    { ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd;
+      frame = Buffer.create 256; depth;
       frames = 0; closed = false; inflight = 0; unflushed = false }
   in
   (* Version handshake: both sides announce; a stale client against a new
@@ -98,9 +100,17 @@ let inflight t = t.inflight
 (* Buffered send: frames queue in the channel buffer and hit the wire
    in one write when something needs a response — that batching, plus
    the server draining the whole burst in one wakeup, is where
-   pipelining's syscall savings come from. *)
+   pipelining's syscall savings come from.  A request is encoded whole
+   into [t.frame] first: one whose encoding raises (a negative index, an
+   over-long list) leaves nothing in the channel to corrupt the next. *)
 let send_nf t req =
-  Wire.write_request_sink (Wire.channel_sink t.oc) req;
+  Buffer.clear t.frame;
+  Wire.write_request_sink (Wire.buffer_sink t.frame) req;
+  on_io_error ~closed:"server closed the connection" (fun () ->
+      Buffer.output_buffer t.oc t.frame);
+  (* Keep the buffer for small frames only: a bulk upload's would
+     otherwise stay allocated for the connection's life. *)
+  if Buffer.length t.frame > 65536 then Buffer.reset t.frame;
   t.frames <- t.frames + 1;
   t.unflushed <- true
 

@@ -24,7 +24,9 @@ let sync_cost t = Cost.set_server_bytes t.cost t.bytes
 let create_store t name ~slots =
   if Hashtbl.mem t.stores name then
     invalid_arg (Printf.sprintf "Server.create_store: store %s already exists" name);
-  if slots < 0 then invalid_arg "Server.create_store: negative slot count";
+  if slots < 0 || slots > Wire.max_list_len then
+    invalid_arg
+      (Printf.sprintf "Server.create_store: slot count %d outside [0, %d]" slots Wire.max_list_len);
   (match t.remote with
   | Some conn -> ignore (Remote.call conn (Wire.Create_store (name, slots)))
   | None -> ());

@@ -22,7 +22,8 @@ val create_store : t -> string -> slots:int -> Block_store.t
 (** [create_store t name ~slots] registers a fresh store of [slots]
     empty blocks, its size for life: one frame, one round trip.
     @raise Invalid_argument if [name] is already registered or [slots]
-    is negative. *)
+    is negative or above {!Wire.max_list_len}, in local and remote mode
+    alike, before anything is sent. *)
 
 val find_store : t -> string -> Block_store.t
 (** @raise Not_found if no such store. *)

@@ -49,6 +49,35 @@ let test_wire_errors () =
         | exception Servsim.Wire.Protocol_error _ -> true
         | _ -> false))
 
+(* A request refused while it is being encoded sends nothing: the next
+   frame on the connection is read as sent.  Over-long stores are
+   refused before any frame, in local and remote mode alike. *)
+let test_refused_frame_leaves_connection_clean () =
+  with_remote (fun conn ->
+      ignore (Servsim.Remote.call conn (Servsim.Wire.Create_store ("s", 2)));
+      ignore (Servsim.Remote.exchange conn ~puts:[ ("s", [ (0, "zero"); (1, "one") ]) ] ~gets:[]);
+      let frames = Servsim.Remote.frames conn in
+      Alcotest.(check bool) "index -1 refused" true
+        (match Servsim.Remote.exchange conn ~puts:[] ~gets:[ ("s", [ -1 ]) ] with
+        | exception Servsim.Wire.Protocol_error _ -> true
+        | _ -> false);
+      Alcotest.(check int) "refused frame not counted" frames (Servsim.Remote.frames conn);
+      Alcotest.(check (list string)) "next get reads slot 0" [ "zero" ]
+        (Servsim.Remote.exchange conn ~puts:[] ~gets:[ ("s", [ 0 ]) ]);
+      let too_big server =
+        match Servsim.Server.create_store server "big" ~slots:(Servsim.Wire.max_list_len + 1) with
+        | exception Invalid_argument _ -> true
+        | _ -> false
+      in
+      Alcotest.(check bool) "local: over-long store refused" true
+        (too_big (Servsim.Server.create ()));
+      let frames = Servsim.Remote.frames conn in
+      Alcotest.(check bool) "remote: over-long store refused" true
+        (too_big (Servsim.Server.create ~remote:conn ()));
+      Alcotest.(check int) "nothing sent" frames (Servsim.Remote.frames conn);
+      Alcotest.(check (list string)) "connection still clean" [ "one" ]
+        (Servsim.Remote.exchange conn ~puts:[] ~gets:[ ("s", [ 1 ]) ]))
+
 let test_block_store_over_wire () =
   with_remote (fun conn ->
       let server = Servsim.Server.create ~remote:conn () in
@@ -151,6 +180,8 @@ let suite =
   [
     Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
     Alcotest.test_case "wire errors" `Quick test_wire_errors;
+    Alcotest.test_case "refused frame leaves the connection clean" `Quick
+      test_refused_frame_leaves_connection_clean;
     Alcotest.test_case "block store over wire" `Quick test_block_store_over_wire;
     Alcotest.test_case "path oram over wire" `Quick test_oram_over_wire;
     Alcotest.test_case "full protocol over wire" `Quick test_full_protocol_over_wire;
