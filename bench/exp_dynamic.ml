@@ -16,9 +16,10 @@
    against the average incremental insert/delete, the §V motivation for
    maintaining the lattice online instead of re-running Algorithm 1.
 
-   Emits BENCH_dynamic.json: updates/s across the fleet, revalidate
-   latency percentiles, parity verdict, and the incremental-vs-rerun
-   speedup. *)
+   Emits BENCH_dynamic.json (schema v2): updates/s across the fleet,
+   revalidate latency percentiles, parity verdict, and the
+   incremental-vs-rerun speedup, stamped with [git_rev] and
+   [host_cores]. *)
 
 open Relation
 
@@ -211,6 +212,9 @@ let speedup ~n =
 
 let run (opts : Bench_util.opts) =
   Bench_util.header "DYNAMIC: streaming Ex-ORAM insert/delete over the wire";
+  (* Read before a full run rewrites BENCH_dynamic.json, which would mark
+     the checkout dirty. *)
+  let git_rev = Bench_util.git_rev () in
   let tenants = if opts.smoke then 2 else 8 in
   let ops_per_tenant = if opts.smoke then 48 else if opts.full then 2000 else 1000 in
   let initial_rows = if opts.smoke then 8 else 24 in
@@ -311,8 +315,10 @@ let run (opts : Bench_util.opts) =
   Bench_util.write_bench_json opts "BENCH_dynamic.json" (fun oc ->
       Printf.fprintf oc
         "{\n\
-        \  \"schema\": \"sfdd-bench-dynamic/1\",\n\
+        \  \"schema\": \"sfdd-bench-dynamic/2\",\n\
         \  \"smoke\": %b,\n\
+        \  \"git_rev\": %S,\n\
+        \  \"host_cores\": %d,\n\
         \  \"transport\": \"unix-domain socket\",\n\
         \  \"tenants\": %d,\n\
         \  \"ops_per_tenant\": %d,\n\
@@ -329,6 +335,8 @@ let run (opts : Bench_util.opts) =
         \  \"update_s\": %.6f,\n\
         \  \"incremental_speedup\": %.1f\n\
          }\n"
-        opts.smoke tenants ops_per_tenant depth total_updates
+        opts.smoke git_rev
+        (Domain.recommended_domain_count ())
+        tenants ops_per_tenant depth total_updates
         (float_of_int total_updates /. !wall)
         (us p50) (us p95) (us p99) !parity reval_n full_s update_s ratio)
