@@ -312,6 +312,24 @@ let test_non_lattice_set_not_tracked () =
     (Dynamic.cardinality d (Attrset.of_list [ 0 ]));
   Dynamic.release d
 
+(* A set that [revalidate] materialises outside the lattice plan (the
+   pair of a key-pruned FD) must be maintained by every later update,
+   or the next [revalidate] reads a stale |π_X|. *)
+let test_materialised_set_maintained () =
+  let schema = Schema.make [| "A"; "B" |] in
+  let t = Table.make schema [| [| v 1; v 9 |]; [| v 2; v 8 |] |] in
+  let d = Dynamic.start ~capacity:16 t in
+  let a_to_b () =
+    List.assoc { Fdbase.Fd.lhs = Attrset.singleton 0; rhs = 1 } (Dynamic.revalidate d)
+  in
+  ignore (Dynamic.insert d [| v 1; v 9 |]);
+  Alcotest.(check bool) "A -> B holds with A no longer a key" true (a_to_b ());
+  ignore (Dynamic.insert d [| v 1; v 7 |]);
+  Alcotest.(check (option int)) "|π_AB| maintained" (Some 3)
+    (Dynamic.cardinality d (Attrset.of_list [ 0; 1 ]));
+  Alcotest.(check bool) "A -> B broken by (1, 7)" false (a_to_b ());
+  Dynamic.release d
+
 let suite =
   [
     Alcotest.test_case "start matches TANE" `Quick test_start_matches_tane;
@@ -329,4 +347,5 @@ let suite =
     Alcotest.test_case "capacity enforced" `Quick test_capacity_enforced;
     Alcotest.test_case "grow a small table" `Quick test_grow_small_table;
     Alcotest.test_case "pruned sets are not tracked" `Quick test_non_lattice_set_not_tracked;
+    Alcotest.test_case "materialised set maintained" `Quick test_materialised_set_maintained;
   ]
