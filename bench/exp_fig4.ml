@@ -53,7 +53,8 @@ let run (opts : Bench_util.opts) =
     "\n\
      Expected shape (paper Fig. 4, the 'net' columns): Sort grows fastest\n\
      (O(n log^2 n) round trips vs the ORAM methods' O(n)); with W = 32\n\
-     comparators per frame pair it stays below Or-ORAM at these sizes, where\n\
-     the paper, messaging every comparator, has it above past n ~ 2^11;\n\
-     Ex-ORAM costs more than Or-ORAM (bigger payloads); the ORAM methods pay\n\
-     extra in the |X| >= 2 case for the generator O^IL lookups.\n%!"
+     comparators per frame pair for Sort and one frame per row for the ORAM\n\
+     methods, the ORAM methods drop below Sort from n ~ 2^7-2^8, where the\n\
+     paper, messaging every comparator and every access, has them below past\n\
+     n ~ 2^11; Ex-ORAM costs more than Or-ORAM (bigger payloads); the ORAM\n\
+     methods pay extra in the |X| >= 2 case for the generator O^IL lookups.\n%!"
