@@ -85,8 +85,8 @@ let tests =
           fun () ->
             let id = !i mod 200 in
             incr i;
-            Core.Ex_oram_method.insert_value h ~row:id (Relation.Value.Int id);
-            Core.Ex_oram_method.delete h ~row:id));
+            Core.Ex_oram_method.insert [ h ] ~row:id [| Relation.Value.Int id |];
+            Core.Ex_oram_method.delete [ h ] ~row:id));
   ]
 
 (* Wire protocol v2: frames per PathORAM access over a real Unix socket

@@ -56,37 +56,25 @@ let cardinality t x =
   if Attrset.is_empty x then Some (min 1 (live_records t))
   else Option.map Ex_oram_method.cardinality (Hashtbl.find_opt t.handles x)
 
-let generator_handles t x =
-  let x1, x2 = Attrset.choose_two_generators x in
-  match (Hashtbl.find_opt t.handles x1, Hashtbl.find_opt t.handles x2) with
-  | Some h1, Some h2 -> (h1, h2)
-  | _ ->
-      invalid_arg
-        (Format.asprintf "Dynamic: generators of %a not materialised" Attrset.pp x)
+let retained t = List.map (Hashtbl.find t.handles) t.order
 
+(* One frame schedule over every retained set: max|X| + 1 frames
+   (Ex_oram_method.insert). *)
 let insert t values =
   if Array.length values <> t.m then invalid_arg "Dynamic.insert: arity mismatch";
   if live_records t >= t.capacity then invalid_arg "Dynamic.insert: capacity exceeded";
   let id = t.next_id in
   Log.debug (fun f -> f "dynamic insert: id=%d (%d sets to update)" id (List.length t.order));
+  Ex_oram_method.insert (retained t) ~row:id values;
   t.next_id <- id + 1;
-  List.iter
-    (fun x ->
-      let h = Hashtbl.find t.handles x in
-      match Attrset.elements x with
-      | [ col ] -> Ex_oram_method.insert_value h ~row:id values.(col)
-      | _ ->
-          let gen1, gen2 = generator_handles t x in
-          Ex_oram_method.insert_combined h ~gen1 ~gen2 [ id ])
-    t.order;
   Hashtbl.replace t.live_ids id ();
   id
 
+(* Deletions for distinct attribute sets are independent (§V-C), so every
+   set's Algorithm 5 shares the same three frames (Ex_oram_method.delete). *)
 let delete t ~id =
   Log.debug (fun f -> f "dynamic delete: id=%d" id);
-  (* Deletions for distinct attribute sets are independent (§V-C); we run
-     them sequentially in plan order. *)
-  List.iter (fun x -> Ex_oram_method.delete (Hashtbl.find t.handles x) ~row:id) t.order;
+  Ex_oram_method.delete (retained t) ~row:id;
   Hashtbl.remove t.live_ids id
 
 (* Materialise π_X for a set outside the retained lattice (needed when a
@@ -99,9 +87,11 @@ let rec ensure t x =
         invalid_arg "Dynamic.ensure: single attributes are always materialised";
       let x1, x2 = Attrset.choose_two_generators x in
       let gen1 = ensure t x1 and gen2 = ensure t x2 in
-      let h = Ex_oram_method.create t.session x ~capacity:t.capacity in
-      Ex_oram_method.insert_combined h ~gen1 ~gen2
-        (List.rev (Hashtbl.fold (fun id () acc -> id :: acc) t.live_ids []));
+      let h =
+        Ex_oram_method.combine t.session ~capacity:t.capacity
+          ~rows:(List.rev (Hashtbl.fold (fun id () acc -> id :: acc) t.live_ids []))
+          x gen1 gen2
+      in
       Hashtbl.replace t.handles x h;
       (* Maintained from now on, after its generators. *)
       t.order <- t.order @ [ x ];

@@ -3,11 +3,14 @@
     deletions cost O(log n · polyloglog n) per attribute set instead of a
     full re-run — the paper's "non-trivial" criterion (Definition 5).
 
-    [insert] cascades a new record through the retained attribute sets in
-    lattice order (single attributes first, so Property 1's generators are
-    always up to date); [delete] removes a record from every set (these
-    could run in parallel, §V-C).  [revalidate] re-checks each currently
-    tracked FD from the maintained cardinalities.
+    [insert] cascades a new record through the retained attribute sets
+    stage by stage, |X| = 1 first, so that each combined set keys the
+    record by the labels its Property 1 generators gave it one stage
+    earlier: max|X| + 1 frames per insert.  [delete] removes a record
+    from every set at once (the sets are independent, §V-C): 3 frames
+    per delete.  Both schedules depend on the retained set list alone.
+    [revalidate] re-checks each currently tracked FD from the maintained
+    cardinalities.
 
     Deletions can create {e new} FDs that were invalid before; finding
     those requires re-running discovery over the pruned parts of the

@@ -32,27 +32,42 @@ val create : Session.t -> Attrset.t -> capacity:int -> handle
 val single : Enc_db.t -> ?capacity:int -> int -> handle
 (** Algorithm 4 over a column of the encrypted database. *)
 
-val combine : Session.t -> ?capacity:int -> Attrset.t -> handle -> handle -> handle
+val combine :
+  Session.t -> ?capacity:int -> ?rows:int list -> Attrset.t -> handle -> handle -> handle
 (** The |X| ≥ 2 variant of Algorithm 4 (keys from the generators' O^IKL,
-    as in Algorithm 2). *)
-
-val insert_value : handle -> row:int -> Value.t -> unit
-(** Insert one record given its value under the (single) attribute: two
-    frames ({!Oram_rows}). *)
-
-val insert_combined : handle -> gen1:handle -> gen2:handle -> int list -> unit
-(** [insert_combined h ~gen1 ~gen2 rows] inserts [rows], in order, in one
-    row schedule of [List.length rows + 2] frames ({!Oram_rows}).  The
-    generators must already contain the records.  Combined keys use the
+    as in Algorithm 2), over [rows] (default: the session's n rows), in
+    one row schedule of [List.length rows + 2] frames ({!Oram_rows}).
+    The generators must already contain the rows.  Combined keys use the
     handle's capacity as the public multiplier base, so labels stay
     unique even after the live count grows past the initial n. *)
 
-val delete : handle -> row:int -> unit
-(** Algorithm 5: remove record [row]'s contribution to (π_X, |π_X|).
-    A no-op (but physically identical) if the record is absent. *)
+(** {2 Streaming updates}
 
-val label_of_row : handle -> row:int -> int option
-(** label_X of a record (one O^IKL access); [None] if absent/deleted. *)
+    Both calls update every set of a list at once, in one frame schedule
+    fixed by the list alone (never by the row or its values), and do two
+    accesses per set, one to each of its ORAMs.  No frame carries two
+    accesses to one ORAM, and each ORAM still sees one path read, then
+    the same path written back.  Both check the list first and raise
+    [Invalid_argument], before any frame is sent, on a set listed twice. *)
+
+val insert : handle list -> row:int -> Value.t array -> unit
+(** [insert hs ~row values] runs Algorithm 4 for one new record over every
+    set in [hs], staged by |X|: frame k puts stage k−1's evictions and
+    gets the O^KLF and O^IKL paths of every set of size k, and a
+    puts-only frame follows, so the call is max|X| + 1 frames.  A
+    singleton {c}'s key is [values.(c)]; a combined set's key is
+    {!Compression.key_of_labels} of the labels its two generators gave
+    the record one stage earlier, so no generator O^IKL is read.
+    @raise Invalid_argument if a combined set's generator is not in
+    [hs] or [values] lacks a singleton's column. *)
+
+val delete : handle list -> row:int -> unit
+(** Algorithm 5: remove record [row]'s contribution to (π_X, |π_X|) for
+    every set in [hs], as two fused accesses per set in three frames:
+    every O^IKL path (the access removes r[ID] and yields key_X), then
+    every O^KLF path (the access decrements fre_X or removes key_X), then
+    a puts-only frame.  A record absent from a set costs the same: its
+    O^KLF access is a dummy one. *)
 
 val release : handle -> unit
 

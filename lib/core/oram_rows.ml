@@ -1,8 +1,6 @@
 (* The ORAM methods' row schedule: split-phase Path ORAM accesses packed
    one frame per row (see the interface for the frame layout). *)
 
-open Relation
-
 type generator = {
   ids : Oram.Path_oram.t;
   label : string -> int;
@@ -10,7 +8,6 @@ type generator = {
 
 type source =
   | Column of Enc_db.t * int
-  | Given of (int -> Value.t)
   | Generators of { gen1 : generator; gen2 : generator; base : int }
 
 type target = {
@@ -29,7 +26,7 @@ type lookup = {
   finish : string list list -> string * puts;
 }
 
-let id_key row = Codec.encode_int row
+let id_key row = Relation.Codec.encode_int row
 
 let lookup source row =
   match source with
@@ -46,8 +43,6 @@ let lookup source row =
                    schedule of oblivious ORAM accesses and the result reveals only FD(DB)"]),
               [] ));
       }
-  | Given value ->
-      { gets = []; finish = (fun _ -> (Compression.key_of_value (value row), [])) }
   | Generators { gen1; gen2; base } ->
       let p1 = Oram.Path_oram.plan gen1.ids ~key:(id_key row) in
       let p2 = Oram.Path_oram.plan gen2.ids ~key:(id_key row) in

@@ -4,8 +4,8 @@
     Each row r of a call does one access to the key ORAM ([kl], Ex-ORAM's
     KLF), which reads and updates the row's key in one go, and one write
     to the ID ORAM ([il], Ex-ORAM's IKL).  Its key comes from a lookup:
-    its cell of the encrypted database, two reads of the generators' ID
-    ORAMs, or a value the client already holds.  Frame r carries
+    its cell of the encrypted database, or two reads of the generators'
+    ID ORAMs.  Frame r carries
     - puts: row r's lookup evictions, then row r−1's [kl] and [il]
       evictions;
     - gets: row r's [kl] and [il] paths, then row r+1's lookup (its
@@ -13,9 +13,9 @@
 
     A frame before the first row fetches row 0's lookup, and a puts-only
     frame after the last row writes its evictions back, so a call over k
-    rows is k + 2 frames (k + 1 when the client holds the values).  The
-    schedule is fixed by k alone.  Every ORAM still sees one path read,
-    then the same path written back, per access: a frame applies its
+    rows is k + 2 frames.  The schedule is fixed by k alone.  Every ORAM
+    still sees one path read, then the same path written back, per
+    access: a frame applies its
     puts before its gets, and an access is planned only after the
     previous one on its ORAM has completed.  Each call builds and sends
     its own frames; nothing stays in flight when it returns. *)
@@ -28,8 +28,6 @@ type generator = {
 type source =
   | Column of Enc_db.t * int
       (** Algorithms 1 and 4: the row's key is its cell in this column. *)
-  | Given of (int -> Relation.Value.t)
-      (** The client already holds the row's value (a streaming insert). *)
   | Generators of { gen1 : generator; gen2 : generator; base : int }
       (** Algorithms 2 and 4 for |X| ≥ 2 (Property 1): the row's key is
           {!Compression.key_of_labels} [~n:base] of its two generator
@@ -44,6 +42,13 @@ type target = {
           payload and the row's [il] payload; the method updates its
           counters here.  Called once per row. *)
 }
+
+type gets = (Servsim.Block_store.t * int list) list
+type puts = (Servsim.Block_store.t * (int * string) list) list
+
+val exchange : puts:puts -> gets:gets -> string list list
+(** One [Exchange] frame: [puts] applied first, then every get answered,
+    cut into one block list per get group. *)
 
 val run : source -> target -> int list -> unit
 (** [run source target rows] inserts [rows], in order.  A call that

@@ -47,6 +47,10 @@ type pending
 val plan : t -> key:string -> pending
 (** @raise Invalid_argument on a key of the wrong length. *)
 
+val plan_dummy : t -> pending
+(** A dummy access: a uniformly random leaf, whose {!complete} reads the
+    path and writes it back without calling its update. *)
+
 val fetch_slots : pending -> Servsim.Block_store.t * int list
 (** The path's slots, root to leaf: the get to carry. *)
 

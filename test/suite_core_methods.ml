@@ -365,8 +365,8 @@ let test_sort_client_memory () =
    schedule of k + 2 frames (a lookup frame before the first row, one
    frame per row, a puts-only frame after the last) behind its two
    trees' setup, a [Create_store] frame and a dummy upload each.  A
-   streaming insert holds its value, so a single-attribute set costs
-   2 frames and a combined one 3. *)
+   streaming insert stages every retained set by |X|, one frame per
+   stage plus a puts-only frame: max|X| + 1 frames. *)
 let test_oram_frame_count () =
   let setup = 4 in
   List.iter
@@ -399,9 +399,7 @@ let test_oram_frame_count () =
       (fun x -> Dynamic.cardinality d x <> None)
       (List.map Attrset.of_list [ [ 0 ]; [ 1 ]; [ 2 ]; [ 0; 1 ]; [ 0; 2 ]; [ 1; 2 ]; [ 0; 1; 2 ] ])
   in
-  let frames =
-    List.fold_left (fun acc x -> acc + if Attrset.cardinal x = 1 then 2 else 3) 0 retained
-  in
+  let frames = 1 + List.fold_left (fun acc x -> max acc (Attrset.cardinal x)) 0 retained in
   let session = Dynamic.session d in
   let t0 = trips session in
   ignore (Dynamic.insert d [| Value.Int 1; Value.Int 2; Value.Int 0 |]);

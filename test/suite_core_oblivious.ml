@@ -272,20 +272,20 @@ let test_per_store_projection () =
   per_row "Ex-ORAM"
     (fun db col -> Ex_oram_method.single db col)
     (fun session x h1 h2 -> Ex_oram_method.combine session x h1 h2);
-  (* A streaming insert and delete, set by set as [Dynamic] runs them:
-     2 accesses per single set, 4 per combined set, and Algorithm 5's 4
-     per set for the delete. *)
+  (* A streaming insert and delete over the set list {A, B, AB}, as
+     [Dynamic] runs them: two accesses per set for each. *)
   let session, db = traced_db table in
   let a = Ex_oram_method.single db ~capacity:64 0 and b = Ex_oram_method.single db ~capacity:64 1 in
   let ab = Ex_oram_method.combine session ~capacity:64 x a b in
   let (), accesses =
     call_accesses session (fun () ->
-        Ex_oram_method.insert_value a ~row:n (Value.Int 1);
-        Ex_oram_method.insert_value b ~row:n (Value.Int 2);
-        Ex_oram_method.insert_combined ab ~gen1:a ~gen2:b [ n ];
-        List.iter (fun h -> Ex_oram_method.delete h ~row:3) [ ab; a; b ])
+        Ex_oram_method.insert [ a; b; ab ] ~row:n [| Value.Int 1; Value.Int 2; Value.Int 0 |])
   in
-  Alcotest.(check int) "insert + delete accesses" (2 + 2 + 4 + (3 * 4)) accesses
+  Alcotest.(check int) "insert: 2 accesses per set" (3 * 2) accesses;
+  let (), accesses =
+    call_accesses session (fun () -> Ex_oram_method.delete [ ab; a; b ] ~row:3)
+  in
+  Alcotest.(check int) "delete: 2 accesses per set" (3 * 2) accesses
 
 let suite =
   [

@@ -159,9 +159,9 @@ let test_ex_oram_dynamic_over_wire () =
       let db = Enc_db.outsource session table in
       let h = Ex_oram_method.single db 0 in
       Alcotest.(check int) "card" 2 (Ex_oram_method.cardinality h);
-      Ex_oram_method.delete h ~row:0;
+      Ex_oram_method.delete [ h ] ~row:0;
       Alcotest.(check int) "card after delete" 2 (Ex_oram_method.cardinality h);
-      Ex_oram_method.delete h ~row:2;
+      Ex_oram_method.delete [ h ] ~row:2;
       Alcotest.(check int) "card after second delete" 1 (Ex_oram_method.cardinality h))
 
 (* The percentile definition behind every [Stats] reply the daemon
