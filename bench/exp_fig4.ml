@@ -10,13 +10,13 @@ open Relation
    report both the measured computation time and the modeled deployment
    time = computation + round_trips * RTT + bytes / bandwidth (see
    EXPERIMENTS.md).  Sort runs ~(n/4) log^2 n compare-exchanges per
-   network, W = 32 of them per frame pair, so a call costs about
-   n log^2 n / 32 frames against the ORAM methods' ~6-10 n (~3n accesses
-   or more, two frames each).  Sort's modeled time so grows fastest but
-   stays below Or-ORAM's throughout the --full sweep (n <= 2^11); the
-   paper's ordering, Sort above Or-ORAM past n ~ 2^11, came from one
-   message pair per comparator, which the chunks remove without changing
-   what the server sees. *)
+   network, W = 32 of them per frame (a chunk's write batch rides in the
+   next chunk's read frame), so a call costs about n log^2 n / 64 frames
+   against the ORAM methods' n + 2 (one per row).  Sort's modeled time
+   so grows fastest and passes the ORAM methods' from n ~ 2^7-2^8
+   (|X| = 1) and 2^9-2^10 (|X| >= 2); the paper's crossover, past
+   n ~ 2^11, came from one message pair per comparator, which the
+   chunks remove without changing what the server sees. *)
 
 let measure method_ table x =
   let _, r = Protocol.partition_cardinality method_ table x in
@@ -53,8 +53,9 @@ let run (opts : Bench_util.opts) =
     "\n\
      Expected shape (paper Fig. 4, the 'net' columns): Sort grows fastest\n\
      (O(n log^2 n) round trips vs the ORAM methods' O(n)); with W = 32\n\
-     comparators per frame pair for Sort and one frame per row for the ORAM\n\
-     methods, the ORAM methods drop below Sort from n ~ 2^7-2^8, where the\n\
-     paper, messaging every comparator and every access, has them below past\n\
-     n ~ 2^11; Ex-ORAM costs more than Or-ORAM (bigger payloads); the ORAM\n\
-     methods pay extra in the |X| >= 2 case for the generator O^IL lookups.\n%!"
+     comparators per frame for Sort and one frame per row for the ORAM\n\
+     methods, the ORAM methods drop below Sort from n ~ 2^7-2^8 (|X| = 1)\n\
+     and 2^9-2^10 (|X| >= 2), where the paper, messaging every comparator\n\
+     and every access, has them below past n ~ 2^11; Ex-ORAM costs more\n\
+     than Or-ORAM (bigger payloads); the ORAM methods pay extra in the\n\
+     |X| >= 2 case for the generator O^IL lookups.\n%!"

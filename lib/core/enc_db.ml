@@ -37,11 +37,13 @@ let decode_cell t c =
       "client-side decode of the fetched plaintext; its shape depends only on the \
        plaintext length, public under Size(DB)"])
 
-let read_cells t ~col rows =
-  List.map (decode_cell t)
-    (Servsim.Block_store.read_many t.store (List.map (fun row -> slot t ~row ~col) rows))
+let cells t ~col rows =
+  {
+    Frame.gets = [ (t.store, List.map (fun row -> slot t ~row ~col) rows) ];
+    finish = (fun blocks -> List.map (decode_cell t) (List.concat blocks));
+  }
 
-let read_cell t ~row ~col = List.hd (read_cells t ~col [ row ])
+let read_cell t ~row ~col = decode_cell t (Servsim.Block_store.read t.store (slot t ~row ~col))
 let store t = t.store
 let n t = t.n
 let m t = t.m

@@ -19,10 +19,12 @@ val read_cell : t -> row:int -> col:int -> Value.t [@@secret]
 (** Client-side: fetch the ciphertext of one cell from S (one frame) and
     decrypt. *)
 
-val read_cells : t -> col:int -> int list -> Value.t list [@@secret]
-(** [read_cells t ~col rows]: the cells of [rows] in column [col], in
-    one frame.  Callers keep a frame to a bounded number of cells (Sort
-    loads B = {!Sort_backend.buffer_slots} at a time). *)
+val cells : t -> col:int -> int list -> Value.t list Frame.read
+(** [cells t ~col rows]: the cells of [rows] in column [col], read by
+    the frame that carries it.  Its get group is public (the slots);
+    its values come from {!decode_cell}.  Callers keep a frame to a bounded
+    number of cells (Sort loads B = {!Sort_backend.buffer_slots} at a
+    time). *)
 
 (** {2 Cells carried in a caller's frame}
 

@@ -21,8 +21,9 @@ let partition_cardinality table x =
   let rec build x =
     let b = Sort_backend.enclave ~n in
     let load key =
-      b.Sort_backend.io.write
-        (List.init n (fun row -> (row, { Sort_backend.key = key row; id = row })))
+      Frame.send
+        (b.Sort_backend.io.write
+           (List.init n (fun row -> (row, { Sort_backend.key = key row; id = row }))))
     in
     (match Attrset.elements x with
     | [] -> invalid_arg "Enclave.partition_cardinality: empty attribute set"

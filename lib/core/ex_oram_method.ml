@@ -193,7 +193,7 @@ let insert hs ~row values =
           wk :: wi :: complete planned answers
       | _ -> assert false
     in
-    let evictions = complete planned (Oram_rows.exchange ~puts:held ~gets) in
+    let evictions = complete planned (Frame.exchange ~puts:held ~gets) in
     if k <= depth then stage (k + 1) evictions
   in
   if hs <> [] then stage 1 []
@@ -221,7 +221,7 @@ let delete hs ~row =
         in
         (h, pk, wi))
       planned
-      (Oram_rows.exchange ~puts:[]
+      (Frame.exchange ~puts:[]
          ~gets:(List.map (fun (_, pi) -> Oram.Path_oram.fetch_slots pi) planned))
   in
   let evictions =
@@ -239,11 +239,11 @@ let delete hs ~row =
                   None
                 end)))
       found
-      (Oram_rows.exchange
+      (Frame.exchange
          ~puts:(List.map (fun (_, _, wi) -> wi) found)
          ~gets:(List.map (fun (_, pk, _) -> Oram.Path_oram.fetch_slots pk) found))
   in
-  ignore (Oram_rows.exchange ~puts:evictions ~gets:[])
+  Frame.send evictions
 
 let release h =
   Oram.Path_oram.destroy h.klf;

@@ -16,23 +16,17 @@ type target = {
   record : key:string -> string option -> string * string;
 }
 
-type gets = (Servsim.Block_store.t * int list) list
-type puts = (Servsim.Block_store.t * (int * string) list) list
-
 (* A row's key lookup, carried one frame ahead of the row: its gets, and
    how their blocks give the key and the evictions to put. *)
-type lookup = {
-  gets : gets;
-  finish : string list list -> string * puts;
-}
+type lookup = (string * Frame.puts) Frame.read
 
 let id_key row = Relation.Codec.encode_int row
 
-let lookup source row =
+let lookup source row : lookup =
   match source with
   | Column (db, col) ->
       {
-        gets = [ (Enc_db.store db, [ Enc_db.slot db ~row ~col ]) ];
+        Frame.gets = [ (Enc_db.store db, [ Enc_db.slot db ~row ~col ]) ];
         finish =
           (fun blocks ->
             let v = Enc_db.decode_cell db (List.hd (List.hd blocks)) in
@@ -47,7 +41,7 @@ let lookup source row =
       let p1 = Oram.Path_oram.plan gen1.ids ~key:(id_key row) in
       let p2 = Oram.Path_oram.plan gen2.ids ~key:(id_key row) in
       {
-        gets = [ Oram.Path_oram.fetch_slots p1; Oram.Path_oram.fetch_slots p2 ];
+        Frame.gets = [ Oram.Path_oram.fetch_slots p1; Oram.Path_oram.fetch_slots p2 ];
         finish =
           (fun blocks ->
             let b1, b2 =
@@ -62,32 +56,16 @@ let lookup source row =
             (Compression.key_of_labels ~n:base (label gen1 l1) (label gen2 l2), [ w1; w2 ]));
       }
 
-(* A frame's answer, cut into one block list per get group. *)
-let split (gets : gets) values =
-  let rec take k vs acc =
-    if k = 0 then (List.rev acc, vs)
-    else match vs with v :: vs -> take (k - 1) vs (v :: acc) | [] -> assert false
-  in
-  List.rev
-    (fst
-       (List.fold_left
-          (fun (acc, vs) (_, slots) ->
-            let mine, vs = take (List.length slots) vs [] in
-            (mine :: acc, vs))
-          ([], values) gets))
-
-let exchange ~puts ~gets = split gets (Servsim.Block_store.exchange ~puts ~gets)
-
 (* Row [row] whose lookup [lk] came back as [answers], with the previous
    row's evictions [held] still to put. *)
 let rec step source target ~held row lk answers rest =
-  let key, lookup_puts = lk.finish answers in
+  let key, lookup_puts = lk.Frame.finish answers in
   let pk = Oram.Path_oram.plan target.kl ~key in
   let pi = Oram.Path_oram.plan target.il ~key:(id_key row) in
   let next = match rest with r :: rest -> Some (r, lookup source r, rest) | [] -> None in
-  let next_gets = match next with Some (_, l, _) -> l.gets | None -> [] in
+  let next_gets = match next with Some (_, l, _) -> l.Frame.gets | None -> [] in
   match
-    exchange ~puts:(lookup_puts @ held)
+    Frame.exchange ~puts:(lookup_puts @ held)
       ~gets:(Oram.Path_oram.fetch_slots pk :: Oram.Path_oram.fetch_slots pi :: next_gets)
   with
   | bk :: bi :: next_answers -> (
@@ -101,11 +79,11 @@ let rec step source target ~held row lk answers rest =
       let _, wi = Oram.Path_oram.complete pi bi (fun _ -> Some !il_payload) in
       match next with
       | Some (r, l, rest) -> step source target ~held:[ wk; wi ] r l next_answers rest
-      | None -> ignore (exchange ~puts:[ wk; wi ] ~gets:[]))
+      | None -> Frame.send [ wk; wi ])
   | _ -> assert false
 
 let run source target = function
   | [] -> ()
   | row :: rest ->
       let lk = lookup source row in
-      step source target ~held:[] row lk (exchange ~puts:[] ~gets:lk.gets) rest
+      step source target ~held:[] row lk (Frame.exchange ~puts:[] ~gets:lk.Frame.gets) rest

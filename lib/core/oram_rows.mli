@@ -43,13 +43,6 @@ type target = {
           counters here.  Called once per row. *)
 }
 
-type gets = (Servsim.Block_store.t * int list) list
-type puts = (Servsim.Block_store.t * (int * string) list) list
-
-val exchange : puts:puts -> gets:gets -> string list list
-(** One [Exchange] frame: [puts] applied first, then every get answered,
-    cut into one block list per get group. *)
-
 val run : source -> target -> int list -> unit
 (** [run source target rows] inserts [rows], in order.  A call that
     raises (a corrupt block, a generator without the row, a lost

@@ -76,8 +76,8 @@ let decode_elt s =
   { key; id }
 
 type io = {
-  read : int list -> elt list;
-  write : (int * elt) list -> unit;
+  fetch : int list -> elt list Frame.read;
+  write : (int * elt) list -> Frame.puts;
 }
 
 type t = {
@@ -99,16 +99,20 @@ let encrypted (session : Session.t) ~n =
   let store = Servsim.Server.create_store session.Session.server name ~slots:length in
   let io_with cipher =
     {
-      read =
+      fetch =
         (fun idxs ->
-          List.map decode_elt
-            (Crypto.Cell_cipher.decrypt_many cipher (Servsim.Block_store.read_many store idxs)));
+          {
+            Frame.gets = [ (store, idxs) ];
+            finish =
+              (fun blocks ->
+                List.map decode_elt (Crypto.Cell_cipher.decrypt_many cipher (List.concat blocks)));
+          });
       write =
         (fun items ->
           let cts =
             Crypto.Cell_cipher.encrypt_many cipher (List.map (fun (_, e) -> encode_elt e) items)
           in
-          Servsim.Block_store.write_many store (List.map2 (fun (i, _) ct -> (i, ct)) items cts));
+          [ (store, List.map2 (fun (i, _) ct -> (i, ct)) items cts) ]);
     }
   in
   let io = io_with session.Session.cipher in
@@ -141,8 +145,11 @@ let enclave ~n =
   let arr = Array.make length pad_elt in
   let io =
     {
-      read = (fun idxs -> List.map (fun i -> arr.(i)) idxs);
-      write = (fun items -> List.iter (fun (i, e) -> arr.(i) <- e) items);
+      fetch = (fun idxs -> { Frame.gets = []; finish = (fun _ -> List.map (fun i -> arr.(i)) idxs) });
+      write =
+        (fun items ->
+          List.iter (fun (i, e) -> arr.(i) <- e) items;
+          []);
     }
   in
   { length; n; io; worker = (fun _ -> io); charge_buffers = ignore; destroy = ignore }
