@@ -13,12 +13,17 @@ let stddev a =
   in
   sqrt var
 
-let median a =
+(* Linear interpolation between order statistics. *)
+let quantile a q =
   check a;
   let s = Array.copy a in
-  Array.sort compare s;
+  Array.sort Float.compare s;
   let n = Array.length s in
-  if n mod 2 = 1 then s.(n / 2) else (s.((n / 2) - 1) +. s.(n / 2)) /. 2.0
+  let pos = q *. float_of_int (n - 1) in
+  let i = int_of_float pos in
+  if i >= n - 1 then s.(n - 1) else s.(i) +. ((pos -. float_of_int i) *. (s.(i + 1) -. s.(i)))
+
+let median a = quantile a 0.5
 
 let min a =
   check a;

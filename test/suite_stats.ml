@@ -49,7 +49,11 @@ let test_summary () =
   Alcotest.(check (float 1e-9)) "min" 1.0 (Stats.Summary.min a);
   Alcotest.(check (float 1e-9)) "max" 4.0 (Stats.Summary.max a);
   Alcotest.(check (float 1e-6)) "stddev" (sqrt 1.25) (Stats.Summary.stddev a);
-  Alcotest.(check (float 1e-9)) "median odd" 2.0 (Stats.Summary.median [| 3.0; 1.0; 2.0 |])
+  Alcotest.(check (float 1e-9)) "median odd" 2.0 (Stats.Summary.median [| 3.0; 1.0; 2.0 |]);
+  Alcotest.(check (float 1e-9)) "p25" 1.75 (Stats.Summary.quantile a 0.25);
+  Alcotest.(check (float 1e-9)) "p75" 3.25 (Stats.Summary.quantile [| 4.0; 2.0; 3.0; 1.0 |] 0.75);
+  Alcotest.(check (float 1e-9)) "p0" 1.0 (Stats.Summary.quantile a 0.);
+  Alcotest.(check (float 1e-9)) "p100" 4.0 (Stats.Summary.quantile a 1.)
 
 let qcheck_ks_symmetric =
   QCheck.Test.make ~name:"KS statistic is symmetric" ~count:100
