@@ -21,10 +21,10 @@ let sort_fixture =
     (let session = Core.Session.create ~n:256 ~m:1 () in
      Servsim.Trace.set_enabled (Core.Session.trace session) false;
      let b = Core.Sort_backend.encrypted session ~n:256 in
-     Core.Frame.send
+     Servsim.Frame.send
        (b.Core.Sort_backend.io.write
           (List.init 256 (fun i -> (i, { Core.Sort_backend.key = Core.Sort_backend.L i; id = i }))));
-     (b, Core.Frame.create ()))
+     b)
 
 (* One chunk of W comparators out of a bitonic stage at n = 256. *)
 let sort_chunk =
@@ -53,14 +53,15 @@ let tests =
            Oram.Path_oram.write o ~key:(Relation.Codec.encode_int 7)
              (Relation.Codec.encode_int 7)));
     (* Fig. 4/6 Sort curve: one encrypted chunk of W compare-exchanges,
-       the unit Sort runs: one frame that carries the previous chunk's
-       write batch and reads this chunk, then this chunk's write batch,
-       encrypted and held for the next run. *)
+       the unit Sort runs, in a write-behind batch of its own: one frame
+       that reads the chunk, then its write batch, encrypted and sent
+       in a puts-only frame. *)
     Test.make ~name:"fig4-fig6/sort-compare-exchange"
       (Staged.stage (fun () ->
-           let b, frames = Lazy.force sort_fixture in
-           Core.Sort_method.exchange ~compare:Core.Sort_backend.compare_by_key
-             b.Core.Sort_backend.io frames sort_chunk));
+           let b = Lazy.force sort_fixture in
+           Servsim.Frame.with_batch (fun frames ->
+               Core.Sort_method.exchange ~compare:Core.Sort_backend.compare_by_key
+                 b.Core.Sort_backend.io frames sort_chunk)));
     (* Fig. 5 storage accounting driver: partition product (plaintext). *)
     Test.make ~name:"fig5/partition-product"
       (Staged.stage (fun () ->
@@ -72,14 +73,14 @@ let tests =
          (let net = Osort.Network.bitonic 256 in
           fun () ->
             let io = (Core.Sort_backend.enclave ~n:256).Core.Sort_backend.io in
-            Core.Frame.send
+            Servsim.Frame.send
               (io.Core.Sort_backend.write
                  (List.init 256 (fun i ->
                       (i, { Core.Sort_backend.key = Core.Sort_backend.L (255 - i); id = i }))));
-            Osort.Driver.run net
-              ~exchange:
-                (Core.Sort_method.exchange ~compare:Core.Sort_backend.compare_by_key io
-                   (Core.Frame.create ()))));
+            Servsim.Frame.with_batch (fun frames ->
+                Osort.Driver.run net
+                  ~exchange:
+                    (Core.Sort_method.exchange ~compare:Core.Sort_backend.compare_by_key io frames))));
     (* Fig. 7: one Ex-ORAM insert+delete pair. *)
     Test.make ~name:"fig7/ex-oram-insert-delete"
       (Staged.stage

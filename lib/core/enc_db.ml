@@ -39,12 +39,11 @@ let decode_cell t c =
 
 let cells t ~col rows =
   {
-    Frame.gets = [ (t.store, List.map (fun row -> slot t ~row ~col) rows) ];
-    finish = (fun blocks -> List.map (decode_cell t) (List.concat blocks));
+    Servsim.Frame.gets = [ (t.store, List.map (fun row -> slot t ~row ~col) rows) ];
+    finish = (fun blocks -> List.map (decode_cell t) blocks);
   }
 
 let read_cell t ~row ~col = decode_cell t (Servsim.Block_store.read t.store (slot t ~row ~col))
-let store t = t.store
 let n t = t.n
 let m t = t.m
 let store_name t = t.name

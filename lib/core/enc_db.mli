@@ -19,26 +19,13 @@ val read_cell : t -> row:int -> col:int -> Value.t [@@secret]
 (** Client-side: fetch the ciphertext of one cell from S (one frame) and
     decrypt. *)
 
-val cells : t -> col:int -> int list -> Value.t list Frame.read
+val cells : t -> col:int -> int list -> Value.t list Servsim.Frame.read
 (** [cells t ~col rows]: the cells of [rows] in column [col], read by
-    the frame that carries it.  Its get group is public (the slots);
-    its values come from {!decode_cell}.  Callers keep a frame to a bounded
-    number of cells (Sort loads B = {!Sort_backend.buffer_slots} at a
-    time). *)
-
-(** {2 Cells carried in a caller's frame}
-
-    A caller that builds its own [Exchange] frames (the ORAM methods'
-    row schedule) gets a cell's block as [(store t, slot t ~row ~col)]
-    and turns the block read there into the value with {!decode_cell}. *)
-
-val store : t -> Servsim.Block_store.t
-
-val slot : t -> row:int -> col:int -> int
-(** @raise Invalid_argument if the cell is out of bounds. *)
-
-val decode_cell : t -> string -> Value.t [@@secret]
-(** Decrypt and decode one cell's block. *)
+    the frame that carries it.  Its get group is public (the slots).
+    Callers keep a frame to a bounded number of cells (Sort loads
+    B = {!Sort_backend.buffer_slots} at a time, the ORAM row schedule
+    one).
+    @raise Invalid_argument if a cell is out of bounds. *)
 
 val n : t -> int
 val m : t -> int

@@ -21,7 +21,7 @@ let partition_cardinality table x =
   let rec build x =
     let b = Sort_backend.enclave ~n in
     let load key =
-      Frame.send
+      Servsim.Frame.send
         (b.Sort_backend.io.write
            (List.init n (fun row -> (row, { Sort_backend.key = key row; id = row }))))
     in

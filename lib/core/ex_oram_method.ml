@@ -1,4 +1,5 @@
 open Relation
+module Frame = Servsim.Frame
 
 type handle = {
   attrs : Attrset.t;
@@ -142,7 +143,7 @@ let insert hs ~row values =
   distinct "insert" hs;
   let labels = Hashtbl.create 16 in
   let label x = Hashtbl.find labels x in
-  (* Each set's key, as a thunk to force once its stage is planned. *)
+  (* Each set's key, as a thunk to force once its stage is built. *)
   let keyed =
     List.map
       (fun h ->
@@ -160,43 +161,29 @@ let insert hs ~row values =
   in
   let depth = List.fold_left (fun d h -> max d (Attrset.cardinal h.attrs)) 0 hs in
   let id = Codec.encode_int row in
-  let rec stage k held =
-    let planned =
-      List.filter_map
-        (fun (h, key) ->
-          if Attrset.cardinal h.attrs <> k then None
-          else
-            let key = key () in
-            Some (h, key, Oram.Path_oram.plan h.klf ~key, Oram.Path_oram.plan h.ikl ~key:id))
-        keyed
+  (* A set's two accesses, the IKL leaf drawn first; once answered
+     (the KLF access first), its label is the row's. *)
+  let accesses (h, key) =
+    let key = key () in
+    let label = ref 0 in
+    let ikl = Oram.Path_oram.fetch h.ikl ~key:id (fun _ -> Some (ikl_payload ~key ~label:!label)) in
+    let klf =
+      Oram.Path_oram.fetch h.klf ~key (fun prev ->
+          let l, klf = count h prev in
+          label := l;
+          Some klf)
     in
-    let gets =
-      List.concat_map
-        (fun (_, _, pk, pi) -> [ Oram.Path_oram.fetch_slots pk; Oram.Path_oram.fetch_slots pi ])
-        planned
-    in
-    let rec complete planned answers =
-      match (planned, answers) with
-      | [], [] -> []
-      | (h, key, pk, pi) :: planned, bk :: bi :: answers ->
-          let label = ref 0 in
-          let _, wk =
-            Oram.Path_oram.complete pk bk (fun prev ->
-                let l, klf = count h prev in
-                label := l;
-                Some klf)
-          in
-          let _, wi =
-            Oram.Path_oram.complete pi bi (fun _ -> Some (ikl_payload ~key ~label:!label))
-          in
-          Hashtbl.replace labels h.attrs !label;
-          wk :: wi :: complete planned answers
-      | _ -> assert false
-    in
-    let evictions = complete planned (Frame.exchange ~puts:held ~gets) in
-    if k <= depth then stage (k + 1) evictions
+    Frame.map
+      (fun ((_, wk), (_, wi)) ->
+        Hashtbl.replace labels h.attrs !label;
+        wk @ wi)
+      (Frame.both klf ikl)
   in
-  if hs <> [] then stage 1 []
+  Frame.with_batch (fun frames ->
+      for k = 1 to depth do
+        let stage = List.filter (fun (h, _) -> Attrset.cardinal h.attrs = k) keyed in
+        Frame.put frames (List.concat (Frame.read frames (Frame.all (List.map accesses stage))))
+      done)
 
 (* Algorithm 5 for row [row] over every set in [hs], as two fused
    accesses per set in three frames: frame 1 gets every IKL path (the
@@ -207,43 +194,35 @@ let insert hs ~row values =
    client writes, never which paths it reads or how many. *)
 let delete hs ~row =
   distinct "delete" hs;
-  let planned = List.map (fun h -> (h, Oram.Path_oram.plan h.ikl ~key:(Codec.encode_int row))) hs in
-  let found =
-    List.map2
-      (fun (h, pi) blocks ->
-        let old, wi = Oram.Path_oram.complete pi blocks (fun _ -> None) in
-        let pk =
-          match old with
-          | Some p ->
-              h.live <- h.live - 1;
-              Oram.Path_oram.plan h.klf ~key:(fst (ikl_decode ~key_len:h.key_len p))
-          | None -> Oram.Path_oram.plan_dummy h.klf
-        in
-        (h, pk, wi))
-      planned
-      (Frame.exchange ~puts:[]
-         ~gets:(List.map (fun (_, pi) -> Oram.Path_oram.fetch_slots pi) planned))
+  let decrement h = function
+    | None -> invalid_arg "Ex_oram_method.delete: KLF entry missing (corrupt state)"
+    | Some q ->
+        let label, fre = klf_decode q in
+        if fre > 1 then Some (klf_payload ~label ~fre:(fre - 1))
+        else begin
+          h.card <- h.card - 1;
+          h.free_labels <- label :: h.free_labels;
+          None
+        end
   in
-  let evictions =
-    List.map2
-      (fun (h, pk, _) blocks ->
-        snd
-          (Oram.Path_oram.complete pk blocks (function
-            | None -> invalid_arg "Ex_oram_method.delete: KLF entry missing (corrupt state)"
-            | Some q ->
-                let label, fre = klf_decode q in
-                if fre > 1 then Some (klf_payload ~label ~fre:(fre - 1))
-                else begin
-                  h.card <- h.card - 1;
-                  h.free_labels <- label :: h.free_labels;
-                  None
-                end)))
-      found
-      (Frame.exchange
-         ~puts:(List.map (fun (_, _, wi) -> wi) found)
-         ~gets:(List.map (fun (_, pk, _) -> Oram.Path_oram.fetch_slots pk) found))
+  (* The KLF access for the IKL payload [old] found: its key's, or a
+     dummy one. *)
+  let klf_access h = function
+    | Some p ->
+        h.live <- h.live - 1;
+        Oram.Path_oram.fetch h.klf ~key:(fst (ikl_decode ~key_len:h.key_len p)) (decrement h)
+    | None -> Oram.Path_oram.fetch_dummy h.klf
   in
-  Frame.send evictions
+  let ikl_access h =
+    Frame.map
+      (fun (old, wi) -> (klf_access h old, wi))
+      (Oram.Path_oram.fetch h.ikl ~key:(Codec.encode_int row) (fun _ -> None))
+  in
+  Frame.with_batch (fun frames ->
+      let found = Frame.read frames (Frame.all (List.map ikl_access hs)) in
+      Frame.put frames (List.concat_map snd found);
+      let evicted = Frame.read frames (Frame.all (List.map fst found)) in
+      Frame.put frames (List.concat_map snd evicted))
 
 let release h =
   Oram.Path_oram.destroy h.klf;

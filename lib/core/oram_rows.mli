@@ -13,12 +13,13 @@
 
     A frame before the first row fetches row 0's lookup, and a puts-only
     frame after the last row writes its evictions back, so a call over k
-    rows is k + 2 frames.  The schedule is fixed by k alone.  Every ORAM
-    still sees one path read, then the same path written back, per
-    access: a frame applies its
-    puts before its gets, and an access is planned only after the
-    previous one on its ORAM has completed.  Each call builds and sends
-    its own frames; nothing stays in flight when it returns. *)
+    rows is k + 2 frames.  The schedule is fixed by k alone.  Every
+    access is a {!Oram.Path_oram.fetch} read, and every ORAM still sees
+    one path read, then the same path written back, per access: a frame
+    applies its puts before its gets, and an access is built only after
+    the previous one on its ORAM has been answered.  The evictions ride
+    in the call's one write-behind batch ({!Servsim.Frame.with_batch}),
+    so nothing stays in flight when it returns. *)
 
 type generator = {
   ids : Oram.Path_oram.t;  (** the generator's ID ORAM, r[ID] → payload *)

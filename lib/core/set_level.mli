@@ -11,6 +11,3 @@
 val check : Session.t -> int -> int -> bool
 (** [check session c1 c2] — [true] iff the FD holds ([c1 = c2]); charges
     two cardinality-ciphertext transfers and one round trip. *)
-
-val cardinality_ct_len : int
-(** Length of one encrypted cardinality (fixed-width 8-byte plaintext). *)

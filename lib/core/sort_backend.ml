@@ -76,8 +76,8 @@ let decode_elt s =
   { key; id }
 
 type io = {
-  fetch : int list -> elt list Frame.read;
-  write : (int * elt) list -> Frame.puts;
+  fetch : int list -> elt list Servsim.Frame.read;
+  write : (int * elt) list -> Servsim.Frame.puts;
 }
 
 type t = {
@@ -102,10 +102,9 @@ let encrypted (session : Session.t) ~n =
       fetch =
         (fun idxs ->
           {
-            Frame.gets = [ (store, idxs) ];
+            Servsim.Frame.gets = [ (store, idxs) ];
             finish =
-              (fun blocks ->
-                List.map decode_elt (Crypto.Cell_cipher.decrypt_many cipher (List.concat blocks)));
+              (fun blocks -> List.map decode_elt (Crypto.Cell_cipher.decrypt_many cipher blocks));
           });
       write =
         (fun items ->
@@ -145,7 +144,9 @@ let enclave ~n =
   let arr = Array.make length pad_elt in
   let io =
     {
-      fetch = (fun idxs -> { Frame.gets = []; finish = (fun _ -> List.map (fun i -> arr.(i)) idxs) });
+      fetch =
+        (fun idxs ->
+          { Servsim.Frame.gets = []; finish = (fun _ -> List.map (fun i -> arr.(i)) idxs) });
       write =
         (fun items ->
           List.iter (fun (i, e) -> arr.(i) <- e) items;

@@ -31,11 +31,8 @@ val compare_by_key : elt -> elt -> int
 val compare_by_id : elt -> elt -> int
 val pad_elt : elt
 
-val encode_elt : elt -> string
-(** Fixed width ({!elt_width} bytes). *)
-
-val decode_elt : string -> elt
 val elt_width : int
+(** Bytes of one encoded element: every element has this width. *)
 
 val chunk_width : int
 (** W = 32: the most comparators of one network stage that Sort runs as
@@ -49,7 +46,7 @@ val buffer_slots : int
     memory stays O(1) (§IV-D(c)). *)
 
 (** Batched access to the array, in the frames of a caller's
-    {!Frame.t}.  A chunk of W comparators reads its 2W slots with one
+    {!Servsim.Frame.t}.  A chunk of W comparators reads its 2W slots with one
     [fetch] and writes them back with one [write].  On the encrypted
     backend, [write] encrypts at once and returns the batch, which the
     caller sends as the puts of its next frame, ahead of that frame's
@@ -58,8 +55,8 @@ val buffer_slots : int
     nothing).  The enclave backend reads in place (a [fetch]
     with no get groups) and writes in place (an empty batch). *)
 type io = {
-  fetch : int list -> elt list Frame.read;  (** elements at the given slots, in order *)
-  write : (int * elt) list -> Frame.puts;
+  fetch : int list -> elt list Servsim.Frame.read;  (** elements at the given slots, in order *)
+  write : (int * elt) list -> Servsim.Frame.puts;
       (** (slot, element) pairs, in order, encrypted now and sent by the
           caller's next frame *)
 }

@@ -1,5 +1,6 @@
 open Relation
 open Sort_backend
+module Frame = Servsim.Frame
 
 type network =
   | Bitonic
@@ -52,17 +53,6 @@ let exchange ~compare (io : io) frames slice =
                    if up then [ (i, lo); (j, hi) ] else [ (i, hi); (j, lo) ])
                  chunk))))
 
-(* The write-behind batch of one Sort call: every frame of the call
-   carries the write batch before it, and a puts-only frame sends the
-   last one, so nothing is in flight when the call returns.  A call
-   that raises leaves its last batch unsent; its array is not used
-   again. *)
-let with_frames f =
-  let frames = Frame.create () in
-  let y = f frames in
-  Frame.flush frames;
-  y
-
 (* A parallel worker holds a batch of its own for each slice of a
    stage and sends its last write before the stage barrier.  The
    call's held batch is sent before any worker starts. *)
@@ -72,7 +62,7 @@ let oblivious_sort ?(domains = 1) net backend frames ~compare =
     Frame.flush frames;
     Osort.Driver.run_parallel net ~domains ~make_exchange:(fun w ->
         let io = backend.worker w in
-        fun slice -> with_frames (fun frames -> exchange ~compare io frames slice))
+        fun slice -> Frame.with_batch (fun frames -> exchange ~compare io frames slice))
   end
 
 let range lo hi = List.init (hi - lo) (fun k -> lo + k)
@@ -114,7 +104,7 @@ let sort_and_label ?(network = Bitonic) ?domains backend frames x =
   { attrs = x; backend; card = !card + 1 }
 
 let compute ?network ?domains backend x =
-  with_frames (fun frames -> sort_and_label ?network ?domains backend frames x)
+  Frame.with_batch (fun frames -> sort_and_label ?network ?domains backend frames x)
 
 (* Fill the fresh array [b], [width] slots per write batch: rows
    [lo, hi) of a chunk come from the read [rows lo hi] (one frame, which
@@ -136,7 +126,7 @@ let single ?network ?domains ?backend db col =
   let make = Option.value ~default:(fun ~n -> Sort_backend.encrypted session ~n) backend in
   let b = make ~n in
   with_buffers ?domains b (fun () ->
-      with_frames (fun frames ->
+      Frame.with_batch (fun frames ->
           load ~width:buffer_slots b frames (fun lo hi ->
               Frame.map
                 (List.mapi (fun k v -> { key = V v; id = lo + k }))
@@ -173,7 +163,7 @@ let combine ?network ?domains ?backend session x h1 h2 =
   let make = Option.value ~default:(fun ~n -> Sort_backend.encrypted session ~n) backend in
   let b = make ~n in
   with_buffers ?domains b (fun () ->
-      with_frames (fun frames ->
+      Frame.with_batch (fun frames ->
           (* W rows at a time: one frame reads both generators' labels
              (2W = B decrypted elements), and the pairs' write batch
              rides in the next frame. *)

@@ -20,7 +20,7 @@
     that to the session's cost ledger while it runs.
 
     A call holds each write batch, encrypted, and sends it as the puts
-    of its next frame, ahead of that frame's gets (a {!Frame.t} per
+    of its next frame, ahead of that frame's gets (a {!Servsim.Frame.t} per
     call), and ends with one puts-only frame: one frame per read batch,
     with the same blocks, trace events and ciphertexts as a frame per
     batch.  At most one batch is held: a load chunk of pads only reads
@@ -48,7 +48,7 @@ val attrs : handle -> Attrset.t
 val cardinality : handle -> int
 
 val exchange :
-  compare:(Sort_backend.elt -> Sort_backend.elt -> int) -> Sort_backend.io -> Frame.t ->
+  compare:(Sort_backend.elt -> Sort_backend.elt -> int) -> Sort_backend.io -> Servsim.Frame.t ->
   Osort.Network.comparator array -> unit
 (** [exchange ~compare io frames slice] runs a slice of one network
     stage (pairwise-disjoint comparators, as {!Osort.Driver} hands them

@@ -50,36 +50,14 @@ let setup ~name cfg server cipher rand_int =
   let tree = Oram_tree.create server cipher ~name ~capacity:cfg.capacity ~stash_size:64 codec in
   { cfg; tree; server; name; rand_int; pos; max_stash = 0; overflows = 0; accesses = 0 }
 
-(* An access in flight: planned (its leaf chosen), not yet completed. *)
-type pending = {
-  oram : t;
-  accessed : string option; (* the key, or [None] for a dummy access *)
-  leaf : int;
-}
-
-let plan t ~key =
-  if String.length key <> t.cfg.key_len then
-    invalid_arg
-      (Printf.sprintf "Path_oram.plan: key length %d, expected %d (store %s)"
-         (String.length key) t.cfg.key_len t.name);
-  let leaf =
-    match Hashtbl.find_opt t.pos key with
-    | Some l -> l
-    | None -> t.rand_int (Oram_tree.leaves t.tree)
-  in
-  { oram = t; accessed = Some key; leaf }
-
-let plan_dummy t = { oram = t; accessed = None; leaf = t.rand_int (Oram_tree.leaves t.tree) }
-
-let fetch_slots p = (Oram_tree.store p.oram.tree, Oram_tree.path_slots p.oram.tree p.leaf)
-
-let complete p blocks update =
-  let t = p.oram in
+(* The answer to the access of [accessed] (its key and update, or
+   [None] for a dummy) along the path to [leaf]. *)
+let complete t ~leaf accessed blocks =
   Oram_tree.absorb t.tree blocks;
   let old =
-    match p.accessed with
+    match accessed with
     | None -> None
-    | Some key ->
+    | Some (key, update) ->
         let stash = Oram_tree.stash t.tree in
         let old =
           (Hashtbl.find_opt stash key
@@ -91,7 +69,7 @@ let complete p blocks update =
         | Some v ->
             if String.length v <> t.cfg.payload_len then
               invalid_arg
-                (Printf.sprintf "Path_oram.complete: payload length %d, expected %d (store %s)"
+                (Printf.sprintf "Path_oram.fetch: payload length %d, expected %d (store %s)"
                    (String.length v) t.cfg.payload_len t.name);
             Hashtbl.replace stash key v;
             Hashtbl.replace t.pos key (t.rand_int (Oram_tree.leaves t.tree))
@@ -100,24 +78,42 @@ let complete p blocks update =
             Hashtbl.remove t.pos key);
         old
   in
-  let writes = Oram_tree.evict t.tree p.leaf in
+  let writes = Oram_tree.evict t.tree leaf in
   let occupancy = Hashtbl.length (Oram_tree.stash t.tree) in
   if occupancy > t.max_stash then t.max_stash <- occupancy;
   if occupancy > stash_limit t then t.overflows <- t.overflows + 1;
   t.accesses <- t.accesses + 1;
   sync_client_cost t;
-  (old, (Oram_tree.store t.tree, writes))
+  (old, [ (Oram_tree.store t.tree, writes) ])
 
-(* A stand-alone access: its two halves as two frames, the fetch and
-   the eviction. *)
-let run p update =
-  let store, slots = fetch_slots p in
-  let old, (_, writes) = complete p (Servsim.Block_store.read_many store slots) update in
-  Servsim.Block_store.write_many store writes;
+let path_read t ~leaf accessed =
+  {
+    Servsim.Frame.gets = [ (Oram_tree.store t.tree, Oram_tree.path_slots t.tree leaf) ];
+    finish = complete t ~leaf accessed;
+  }
+
+let fetch t ~key update =
+  if String.length key <> t.cfg.key_len then
+    invalid_arg
+      (Printf.sprintf "Path_oram.fetch: key length %d, expected %d (store %s)"
+         (String.length key) t.cfg.key_len t.name);
+  let leaf =
+    match Hashtbl.find_opt t.pos key with
+    | Some l -> l
+    | None -> t.rand_int (Oram_tree.leaves t.tree)
+  in
+  path_read t ~leaf (Some (key, update))
+
+let fetch_dummy t = path_read t ~leaf:(t.rand_int (Oram_tree.leaves t.tree)) None
+
+(* A stand-alone access: the fetch and the eviction, two frames. *)
+let run r =
+  let old, evictions = Servsim.Frame.get r in
+  Servsim.Frame.send evictions;
   old
 
-let access t ~key update = run (plan t ~key) update
-let dummy_access t = ignore (run (plan_dummy t) (fun _ -> None))
+let access t ~key update = run (fetch t ~key update)
+let dummy_access t = ignore (run (fetch_dummy t))
 let read t ~key = access t ~key (fun old -> old)
 let write t ~key v = ignore (access t ~key (fun _ -> Some v))
 let remove t ~key = ignore (access t ~key (fun _ -> None))

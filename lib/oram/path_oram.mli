@@ -27,49 +27,40 @@ val setup : name:string -> config -> Servsim.Server.t -> Crypto.Cell_cipher.t ->
     uniform integer in [[0, bound)] — pass {!Crypto.Rng.int} or
     {!Crypto.Ctr_prg.int} partially applied. *)
 
-(** {2 Split-phase access}
+(** {2 Accesses}
 
-    An access is two halves around the server: {!plan} picks the leaf
+    An access is a {!Servsim.Frame.read}.  Building it picks the leaf
     (the key's assigned leaf, or a uniformly random one for a key not in
-    the ORAM), and {!complete} absorbs the fetched path, applies the
-    update, remaps the key and returns the path's re-encrypted eviction.
-    The caller carries {!fetch_slots} and the eviction in whatever
-    frames it likes, under one rule: an access's eviction must reach the
-    server before the next access on the same ORAM is fetched (a frame
-    applies its puts before its gets, so the same frame will do), and no
-    access may be planned before the previous one on the same ORAM has
-    completed.  Each ORAM then sees, per access, one path read followed
-    by the same path written back. *)
+    the ORAM), and its one get is that path.  When the frame answers,
+    the access absorbs the path, applies the update, remaps the key and
+    gives the path's re-encrypted eviction, leaf to root, to put.  The
+    caller sends the eviction in whatever frame it likes, under one
+    rule: it must reach the server before the next access on the same
+    ORAM is fetched (a frame applies its puts before its gets, so the
+    same frame will do), and no access may be built before the previous
+    one on the same ORAM has been answered.  Each ORAM then sees, per
+    access, one path read followed by the same path written back. *)
 
-type pending
-(** One access in flight. *)
-
-val plan : t -> key:string -> pending
-(** @raise Invalid_argument on a key of the wrong length. *)
-
-val plan_dummy : t -> pending
-(** A dummy access: a uniformly random leaf, whose {!complete} reads the
-    path and writes it back without calling its update. *)
-
-val fetch_slots : pending -> Servsim.Block_store.t * int list
-(** The path's slots, root to leaf: the get to carry. *)
-
-val complete :
-  pending ->
-  string list ->
+val fetch :
+  t ->
+  key:string ->
   (string option -> string option) ->
-  string option * (Servsim.Block_store.t * (int * string) list)
+  (string option * Servsim.Frame.puts) Servsim.Frame.read
 [@@lint.declassify "ORAM boundary: the server-visible trace is independent of key and payload (audited in the implementation); results are the trusted client's own plaintext"]
-(** [complete p blocks update] takes the blocks read at {!fetch_slots},
-    calls [update] once on the key's current payload, stores [Some v]
-    or removes the key on [None], and returns the old payload and the
-    eviction writes, leaf to root, to put.
-    @raise Invalid_argument on a payload of the wrong length or a
-    corrupt block. *)
+(** [fetch t ~key update]: once answered, calls [update] once on the
+    key's current payload, stores [Some v] or removes the key on
+    [None], and gives the old payload and the eviction.
+    @raise Invalid_argument on a key of the wrong length, or (when
+    answered) on a payload of the wrong length or a corrupt block. *)
+
+val fetch_dummy : t -> (string option * Servsim.Frame.puts) Servsim.Frame.read
+(** A dummy access: a uniformly random leaf, whose path is read and
+    written back unchanged.  Its payload is [None]. *)
 
 (** {2 Stand-alone accesses}
 
-    Each is {!plan}, one fetch frame, {!complete}, one eviction frame. *)
+    Each is {!Servsim.Frame.get} of the access, then
+    {!Servsim.Frame.send} of its eviction: two frames. *)
 
 val access : t -> key:string -> (string option -> string option) -> string option [@@lint.declassify "ORAM boundary: the server-visible trace is independent of key and payload (audited in the implementation); results are the trusted client's own plaintext"]
 val dummy_access : t -> unit
@@ -96,5 +87,6 @@ val stash_overflows : t -> int
 (** Number of accesses after which the stash exceeded {!stash_limit}. *)
 
 val access_count : t -> int
-(** Physical accesses so far: one per {!complete} (so one per {!access}
-    and per {!dummy_access} call).  Setup writes are not counted. *)
+(** Physical accesses so far: one per answered {!fetch} or
+    {!fetch_dummy} (so one per {!access} and per {!dummy_access} call).
+    Setup writes are not counted. *)

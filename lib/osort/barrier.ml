@@ -4,23 +4,43 @@ type t = {
   parties : int;
   mutable waiting : int;
   mutable phase : int;
+  mutable broken : bool;
 }
+
+exception Broken
 
 let create parties =
   if parties < 1 then invalid_arg "Barrier.create: parties must be >= 1";
-  { mutex = Mutex.create (); cond = Condition.create (); parties; waiting = 0; phase = 0 }
+  {
+    mutex = Mutex.create ();
+    cond = Condition.create ();
+    parties;
+    waiting = 0;
+    phase = 0;
+    broken = false;
+  }
 
 let wait t =
-  Mutex.lock t.mutex;
-  let phase = t.phase in
-  t.waiting <- t.waiting + 1;
-  if t.waiting = t.parties then begin
-    t.waiting <- 0;
-    t.phase <- phase + 1;
-    Condition.broadcast t.cond
-  end
-  else
-    while t.phase = phase do
-      Condition.wait t.cond t.mutex
-    done;
-  Mutex.unlock t.mutex
+  let passed =
+    Mutex.protect t.mutex (fun () ->
+        let phase = t.phase in
+        if not t.broken then begin
+          t.waiting <- t.waiting + 1;
+          if t.waiting = t.parties then begin
+            t.waiting <- 0;
+            t.phase <- phase + 1;
+            Condition.broadcast t.cond
+          end
+          else
+            while t.phase = phase && not t.broken do
+              Condition.wait t.cond t.mutex
+            done
+        end;
+        t.phase <> phase)
+  in
+  if not passed then raise Broken
+
+let break t =
+  Mutex.protect t.mutex (fun () ->
+      t.broken <- true;
+      Condition.broadcast t.cond)

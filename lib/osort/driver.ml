@@ -14,18 +14,27 @@ let run_parallel (net : Network.t) ~domains ~make_exchange =
     let exchanges = Array.init domains make_exchange in
     let stages = net.Network.stages in
     let barrier = Barrier.create domains in
+    (* The first exception a worker raised; the others then raise
+       [Barrier.Broken] and are not recorded. *)
+    let failed = Atomic.make None in
     let worker w () =
       let exchange = exchanges.(w) in
-      Array.iter
-        (fun stage ->
-          let len = Array.length stage in
-          let share = (len + domains - 1) / domains in
-          let lo = min len (w * share) and hi = min len ((w + 1) * share) in
-          if lo < hi then exchange (Array.sub stage lo (hi - lo));
-          Barrier.wait barrier)
-        stages
+      try
+        Array.iter
+          (fun stage ->
+            let len = Array.length stage in
+            let share = (len + domains - 1) / domains in
+            let lo = min len (w * share) and hi = min len ((w + 1) * share) in
+            if lo < hi then exchange (Array.sub stage lo (hi - lo));
+            Barrier.wait barrier)
+          stages
+      with e ->
+        let bt = Printexc.get_raw_backtrace () in
+        ignore (Atomic.compare_and_set failed None (Some (e, bt)));
+        Barrier.break barrier
     in
     let spawned = Array.init (domains - 1) (fun w -> Domain.spawn (worker (w + 1))) in
     worker 0 ();
-    Array.iter Domain.join spawned
+    Array.iter Domain.join spawned;
+    Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) (Atomic.get failed)
   end

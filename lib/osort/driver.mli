@@ -25,5 +25,7 @@ val run_parallel :
     [make_exchange w] builds worker [w]'s private exchange closure; it is
     called once for each [w] in [0 .. domains - 1], in order, in the
     calling domain, before any worker starts.  With [domains = 1] this is
-    {!run}.
+    {!run}.  A worker whose exchange raises breaks the stage barrier, so
+    the others stop at their next stage; every domain is joined, then
+    the first exception is raised again.
     @raise Invalid_argument if [domains < 1]. *)

@@ -385,6 +385,54 @@ let test_remote_local_equivalence () =
       Alcotest.(check bool) "server digests match client mirror" true
         (Servsim.Remote.digests conn ~full:rf ~shape:rs ~count:rc))
 
+(* [Frame]'s combinators: one frame carries every read's groups, each
+   read finishes on its own blocks, and finishes run in the order the
+   reads were given (they complete ORAM accesses, which draw leaves and
+   IVs).  A write-behind batch rides in the next read's frame. *)
+let test_frame_finish_order () =
+  let module F = Servsim.Frame in
+  let server = Servsim.Server.create () in
+  let s = Servsim.Server.create_store server "s" ~slots:6 in
+  Servsim.Block_store.write_many s (List.init 6 (fun i -> (i, string_of_int i)));
+  let trips () = (Servsim.Cost.snapshot (Servsim.Server.cost server)).Servsim.Cost.round_trips in
+  let log = ref [] in
+  let logged name slots =
+    {
+      F.gets = (if slots = [] then [] else [ (s, slots) ]);
+      finish =
+        (fun blocks ->
+          log := name :: !log;
+          String.concat "" blocks);
+    }
+  in
+  let frame name read =
+    log := [];
+    let t0 = trips () in
+    let v = F.get read in
+    Alcotest.(check int) (name ^ ": one frame") 1 (trips () - t0);
+    (v, List.rev !log)
+  in
+  Alcotest.(check (pair (pair string string) (list string)))
+    "both" (("01", "5"), [ "first"; "second" ])
+    (frame "both" (F.both (logged "first" [ 0; 1 ]) (logged "second" [ 5 ])));
+  Alcotest.(check (pair (list string) (list string)))
+    "all" ([ "3"; ""; "42" ], [ "a"; "b"; "c" ])
+    (frame "all" (F.all [ logged "a" [ 3 ]; logged "b" []; logged "c" [ 4; 2 ] ]));
+  Alcotest.(check (pair (pair (list string) string) (list string)))
+    "nested" (([ "1"; "2" ], "0"), [ "x"; "y"; "z" ])
+    (frame "nested" (F.both (F.all [ logged "x" [ 1 ]; logged "y" [ 2 ] ]) (logged "z" [ 0 ])));
+  let t0 = trips () in
+  let v =
+    F.with_batch (fun batch ->
+        F.put batch [ (s, [ (0, "p") ]) ];
+        let v = F.read batch (logged "r" [ 0 ]) in
+        F.put batch [ (s, [ (1, "q") ]) ];
+        v)
+  in
+  Alcotest.(check string) "a held put lands before the read" "p" v;
+  Alcotest.(check int) "read frame and puts-only flush" 2 (trips () - t0);
+  Alcotest.(check string) "the last batch is flushed" "q" (Servsim.Block_store.read s 1)
+
 (* Every [Block_store] entry point, driven identically against a local
    and a remote server: both run through the one core, so digests,
    ledgers, contents and byte totals must agree, and the server's own
@@ -551,6 +599,7 @@ let suite =
     Alcotest.test_case "block store local-remote equivalence" `Quick
       test_block_store_local_remote;
     Alcotest.test_case "frames match ledger" `Quick test_frames_match_ledger;
+    Alcotest.test_case "frame reads finish in order" `Quick test_frame_finish_order;
     Alcotest.test_case "cost underflow counter" `Quick test_cost_underflow_counter;
     Alcotest.test_case "trace digests pinned" `Quick test_trace_digest_pinned;
   ]
