@@ -722,6 +722,36 @@ let test_decoder_trickled_large_frame () =
   Alcotest.(check bool) "frame completed" true !got;
   Alcotest.(check int) "only on full arrival" (Bytes.length encoded) !off
 
+(* A frame cut inside a 32-bit count, index or length field decodes to
+   nothing until the rest arrives, then to exactly the frame.  Byte
+   offsets: tag 0, put-group count 1-4, store-name length 5-8, item
+   count 11-14, slot index 15-18, value length 19-22, get-group count
+   29-32. *)
+let test_decoder_split_in_word () =
+  let req =
+    Servsim.Wire.Exchange
+      { puts = [ ("st", [ (0x01020304, "abcdef") ]) ]; gets = [ ("st", [ 7 ]) ] }
+  in
+  let buf = Buffer.create 64 in
+  Servsim.Wire.write_request_sink (Servsim.Wire.buffer_sink buf) req;
+  let encoded = Buffer.to_bytes buf in
+  let len = Bytes.length encoded in
+  List.iter
+    (fun cut ->
+      let what = Printf.sprintf "cut at %d" cut in
+      let dec = Service.Frame_decoder.create () in
+      Service.Frame_decoder.feed dec encoded ~off:0 ~len:cut;
+      Alcotest.(check bool) (what ^ ": no frame yet") true (Service.Frame_decoder.next dec = None);
+      Service.Frame_decoder.feed dec encoded ~off:cut ~len:(len - cut);
+      match Service.Frame_decoder.next dec with
+      | Some (r, n) ->
+          Alcotest.(check bool) (what ^ ": frame decoded") true (r = req);
+          Alcotest.(check int) (what ^ ": consumed the frame") len n;
+          Alcotest.(check int) (what ^ ": no residue") 0
+            (Service.Frame_decoder.pending_bytes dec)
+      | None -> Alcotest.fail (what ^ ": frame never completed"))
+    [ 2; 3; 4; 6; 12; 17; 20; 30 ]
+
 (* {2 Metrics: bounded tracking and eviction folding} *)
 
 let test_metrics_tracking_bounded () =
@@ -810,6 +840,7 @@ let suite =
     Alcotest.test_case "decoder pipelined frames" `Quick test_decoder_pipelined_frames;
     Alcotest.test_case "decoder burst compactions bounded" `Quick
       test_decoder_burst_compactions_bounded;
+    Alcotest.test_case "decoder split inside a word" `Quick test_decoder_split_in_word;
     Alcotest.test_case "decoder trickled large frame" `Quick
       test_decoder_trickled_large_frame;
     Alcotest.test_case "metrics tracking bounded" `Quick test_metrics_tracking_bounded;
