@@ -28,7 +28,7 @@ type t = {
   peer : string;
   decoder : Frame_decoder.t;
   out : outbuf;
-  out_sink : Wire.sink; (* cached closure pair appending to [out] *)
+  out_sink : Wire.sink; (* cached closures appending to [out] *)
   mutable phase : phase;
   mutable bound : Session.tenant option;
       (* set when [Hello] binds the tenant and kept through [Closing], so
@@ -76,6 +76,11 @@ let out_add_string o s =
   Bytes.blit_string s 0 o.buf o.hi n;
   o.hi <- o.hi + n
 
+let out_add_u32 o v =
+  out_reserve o 4;
+  Bytes.set_int32_le o.buf o.hi (Int32.of_int v);
+  o.hi <- o.hi + 4
+
 let create ~id ~peer ~now fd =
   let out = { buf = Bytes.create 512; lo = 0; hi = 0 } in
   {
@@ -84,7 +89,8 @@ let create ~id ~peer ~now fd =
     peer;
     decoder = Frame_decoder.create ();
     out;
-    out_sink = { Wire.put_char = out_add_char out; put_str = out_add_string out };
+    out_sink =
+      { Wire.put_char = out_add_char out; put_str = out_add_string out; put_u32 = out_add_u32 out };
     phase = Handshake;
     bound = None;
     last_active = now;

@@ -165,8 +165,13 @@ val max_row_cells : int
     of the buffer: the frame is merely not fully received yet, and the
     caller should retry once more bytes arrive. *)
 
-type sink = { put_char : char -> unit; put_str : string -> unit }
-type source = { get_char : unit -> char; get_exact : int -> string }
+type sink = { put_char : char -> unit; put_str : string -> unit; put_u32 : int -> unit }
+(** [put_u32 v] writes [v] (in 0..2^32-1, checked by the codec) as one
+    32-bit little-endian word: every count, index, string length and
+    half of a 64-bit field goes through it whole. *)
+
+type source = { get_char : unit -> char; get_exact : int -> string; get_u32 : unit -> int }
+(** [get_u32 ()] reads one 32-bit little-endian word, 0..2^32-1. *)
 
 val channel_sink : out_channel -> sink
 val buffer_sink : Buffer.t -> sink
