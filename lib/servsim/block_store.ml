@@ -6,7 +6,6 @@ type storage =
 
 type t = {
   name : string;
-  tname : Trace.name; (* interned once; the recorder folds it per event *)
   trace : Trace.t;
   cost : Cost.t;
   on_resize : int -> unit; (* notify owner of byte-count delta *)
@@ -25,7 +24,7 @@ let create ~name ~slots ~trace ~on_resize ?remote cost =
     | Some conn -> Remote_conn { conn; lengths = Array.make slots 0 }
     | None -> Local_mem (Array.make slots "")
   in
-  { name; tname = Trace.name name; trace; cost; on_resize; storage; len = slots; bytes = 0 }
+  { name; trace; cost; on_resize; storage; len = slots; bytes = 0 }
 
 let check_bounds t i =
   if i < 0 || i >= t.len then
@@ -97,7 +96,7 @@ let exchange ~puts ~gets =
           (fun (i, c) ->
             put t i c;
             if traced then begin
-              Trace.record_name t.trace t.tname Trace.Write ~addr:i ~len:(String.length c);
+              Trace.record_name t.trace t.name Trace.Write ~addr:i ~len:(String.length c);
               Cost.sent_to_server t.cost (String.length c)
             end)
           items)
@@ -117,7 +116,7 @@ let exchange ~puts ~gets =
                (fun vs i ->
                  match vs with
                  | c :: rest ->
-                     Trace.record_name t.trace t.tname Trace.Read ~addr:i ~len:(String.length c);
+                     Trace.record_name t.trace t.name Trace.Read ~addr:i ~len:(String.length c);
                      Cost.sent_to_client t.cost (String.length c);
                      rest
                  | [] -> [])

@@ -1,5 +1,5 @@
 (* A store's slot count is fixed when it is created. *)
-type store = { blocks : string array; tname : Trace.name }
+type store = { blocks : string array; name : string }
 
 (* A live dynamic FD session, behind closures so this module (which the
    discovery engine itself depends on for its block stores) needs no
@@ -121,7 +121,7 @@ let handle st = function
   | Wire.Create_store (name, n) ->
       if Hashtbl.mem st.stores name then Wire.Error ("store exists: " ^ name)
       else begin
-        Hashtbl.replace st.stores name { blocks = Array.make n ""; tname = Trace.name name };
+        Hashtbl.replace st.stores name { blocks = Array.make n ""; name };
         Wire.Ok
       end
   | Wire.Drop_store name ->
@@ -147,14 +147,14 @@ let handle st = function
               (fun (i, c) ->
                 st.bytes <- st.bytes - String.length s.blocks.(i) + String.length c;
                 s.blocks.(i) <- c;
-                Trace.record_name st.trace s.tname Trace.Write ~addr:i ~len:(String.length c))
+                Trace.record_name st.trace s.name Trace.Write ~addr:i ~len:(String.length c))
               items)
           puts;
         let read (s, idxs) =
           List.map
             (fun i ->
               let c = s.blocks.(i) in
-              Trace.record_name st.trace s.tname Trace.Read ~addr:i ~len:(String.length c);
+              Trace.record_name st.trace s.name Trace.Read ~addr:i ~len:(String.length c);
               c)
             idxs
         in
