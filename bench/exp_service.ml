@@ -10,7 +10,7 @@
    ([service-daemon] / [service-client]) dispatched in [main] before
    normal argument parsing.
 
-   Emits BENCH_service.json (schema v5): ops/s, service-latency
+   Emits BENCH_service.json (schema v6): ops/s, service-latency
    percentiles and daemon-side syscalls-per-op for each (client count x
    pipeline depth) point, and for one client at depth 1 while the
    harness holds [idle_conns] handshaken connections open and silent.
@@ -18,7 +18,9 @@
    descriptor on each wait (DESIGN.md §14).  Syscalls-per-op comes from a
    probe connection reading the daemon's loop counters (read(2) +
    write(2) attempts) before and after each round — the direct measure
-   of what response coalescing and client pipelining batch away.
+   of what response coalescing and client pipelining batch away.  Each
+   point runs [repeats] times (5; 1 in a smoke run) and every figure is
+   written as its median, quartiles and extremes over those rounds.
    [host_cores] and [git_rev] are recorded alongside: the daemon serves
    on one loop, so it is the client processes that extra cores help
    (EXPERIMENTS.md). *)
@@ -134,22 +136,22 @@ let loop_syscalls probe =
   let s = Servsim.Remote.stats probe in
   s.Servsim.Wire.loop_reads + s.Servsim.Wire.loop_writes
 
-let run_round ~path ~probe ~clients ~depth ~idle ~ops =
+let run_round ~path ~probe ~clients ~depth ~idle ~ops ~rep =
   let outs =
     List.init clients (fun i -> Filename.temp_file (Printf.sprintf "svc%d" i) ".lat")
   in
   let sys0 = loop_syscalls probe in
-  (* One fresh namespace per (round, client): the server's cost ledger is
-     per-tenant and outlives connections, and each client asserts it
-     against its own per-connection frame counter — exact only on a
-     tenant's first connection. *)
+  (* One fresh namespace per (point, repeat, client): the server's cost
+     ledger is per-tenant and outlives connections, and each client
+     asserts it against its own per-connection frame counter — exact
+     only on a tenant's first connection. *)
   let pids =
     List.mapi
       (fun i out ->
         spawn
           [|
             "service-client"; path;
-            Printf.sprintf "c%02d-d%02d-i%04d-tenant-%02d" clients depth idle i;
+            Printf.sprintf "c%02d-d%02d-i%04d-r%d-tenant-%02d" clients depth idle rep i;
             string_of_int ops; string_of_int depth; out;
           |])
       outs
@@ -201,7 +203,7 @@ let open_idle path =
    the idle point, then SIGTERM — the graceful drain is part of what
    the harness exercises.  The daemon's loop counters are daemon-wide,
    so the probe's before/after deltas cover every connection. *)
-let sweep ~counts ~depths ~idle ~ops =
+let sweep ~counts ~depths ~idle ~ops ~repeats =
   let path = Filename.temp_file "fdserved-bench" ".sock" in
   Sys.remove path;
   let daemon_pid = spawn [| "service-daemon"; path |] in
@@ -224,11 +226,20 @@ let sweep ~counts ~depths ~idle ~ops =
         ~finally:(fun () -> Servsim.Remote.close probe)
         (fun () ->
           let point ~clients ~depth ~idle =
-            let ops_s, p50, p95, p99, spo = run_round ~path ~probe ~clients ~depth ~idle ~ops in
+            let rounds =
+              List.init repeats (fun rep -> run_round ~path ~probe ~clients ~depth ~idle ~ops ~rep)
+            in
+            let col f = List.map f rounds in
+            let ops_s = col (fun (x, _, _, _, _) -> x)
+            and p50 = col (fun (_, x, _, _, _) -> x)
+            and p95 = col (fun (_, _, x, _, _) -> x)
+            and p99 = col (fun (_, _, _, x, _) -> x)
+            and spo = col (fun (_, _, _, _, x) -> x) in
+            let med xs = Stats.Summary.median (Array.of_list xs) in
             Printf.printf
               "  %2d client(s) x depth %2d + %4d idle x %d ops: %8.0f ops/s   \
                p50 %5.0f us   p99 %5.0f us   %5.2f syscalls/op\n%!"
-              clients depth idle ops ops_s p50 p99 spo;
+              clients depth idle ops (med ops_s) (med p50) (med p99) (med spo);
             (clients, depth, idle, ops_s, p50, p95, p99, spo)
           in
           let busy =
@@ -250,28 +261,36 @@ let run (opts : Bench_util.opts) =
   let counts = if opts.full then [ 1; 2; 4; 8; 16 ] else if opts.smoke then [ 1; 2 ] else [ 1; 4; 16 ] in
   let depths = [ 1; 8 ] in
   let idle = if opts.smoke then 16 else idle_full in
-  let series = sweep ~counts ~depths ~idle ~ops in
+  let repeats = if opts.smoke then 1 else 5 in
+  Printf.printf "  each point: median of %d round(s)\n%!" repeats;
+  let series = sweep ~counts ~depths ~idle ~ops ~repeats in
+  let spread = Bench_util.json_spread ~fmt:(Printf.sprintf "%.0f") in
   Bench_util.write_bench_json opts "BENCH_service.json" (fun oc ->
       Printf.fprintf oc
         "{\n\
-        \  \"schema\": \"sfdd-bench-service/5\",\n\
+        \  \"schema\": \"sfdd-bench-service/6\",\n\
         \  \"smoke\": %b,\n\
         \  \"git_rev\": %S,\n\
         \  \"transport\": \"unix-domain socket\",\n\
         \  \"host_cores\": %d,\n\
         \  \"domains\": 1,\n\
         \  \"ops_per_client\": %d,\n\
+        \  \"repeats\": %d,\n\
         \  \"series\": [\n"
         opts.smoke git_rev
         (Domain.recommended_domain_count ())
-        ops;
+        ops repeats;
       List.iteri
         (fun i (clients, depth, idle, ops_s, p50, p95, p99, spo) ->
           Printf.fprintf oc
-            "    { \"clients\": %d, \"pipeline_depth\": %d, \"idle_conns\": %d, \
-             \"ops_per_s\": %.0f, \"p50_us\": %.0f, \"p95_us\": %.0f, \"p99_us\": %.0f, \
-             \"syscalls_per_op\": %.3f }%s\n"
-            clients depth idle ops_s p50 p95 p99 spo
+            "    { \"clients\": %d, \"pipeline_depth\": %d, \"idle_conns\": %d,\n\
+            \      \"ops_per_s\": %s,\n\
+            \      \"p50_us\": %s,\n\
+            \      \"p95_us\": %s,\n\
+            \      \"p99_us\": %s,\n\
+            \      \"syscalls_per_op\": %s }%s\n"
+            clients depth idle (spread ops_s) (spread p50) (spread p95) (spread p99)
+            (Bench_util.json_spread ~fmt:(Printf.sprintf "%.3f") spo)
             (if i = List.length series - 1 then "" else ","))
         series;
       Printf.fprintf oc "  ]\n}\n")

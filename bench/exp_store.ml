@@ -10,9 +10,11 @@
    recovery replay — is server-side disk traffic; the socket hop is kept
    so the request path is the production one.
 
-   Emits BENCH_store.json (schema v2): steady-state ops/s, per-op
+   Emits BENCH_store.json (schema v3): steady-state ops/s, per-op
    service latency percentiles, and the cold-attach (rehydration)
-   latency distribution, stamped with [git_rev] and [host_cores]. *)
+   latency distribution, each the median, quartiles and extremes over
+   [repeats] runs (5; 1 in a smoke run) of a fresh daemon and data
+   directory, stamped with [git_rev] and [host_cores]. *)
 
 let block_len = 64
 let block = String.make block_len '\xCD'
@@ -75,16 +77,10 @@ let visit ~path ~ns ~blocks ~ops_per_visit =
   Servsim.Remote.close conn;
   (attach_s, Array.to_list lats)
 
-let run (opts : Bench_util.opts) =
-  Bench_util.header "STORE: disk-backed tenants, working set 10x resident cache";
-  (* Read before a full run rewrites BENCH_store.json, which would mark
-     the checkout dirty. *)
-  let git_rev = Bench_util.git_rev () in
-  let max_resident = if opts.full then 16 else 4 in
-  let tenants = 10 * max_resident in
-  let blocks = if opts.full then 64 else 32 in
-  let rounds = if opts.full then 5 else 2 in
-  let ops_per_visit = 16 in
+(* One run: a fresh data directory and daemon, seeded, then [rounds]
+   cold visits to every tenant.  Returns ops/s and the op and attach
+   latency percentiles. *)
+let once ~max_resident ~tenants ~blocks ~rounds ~ops_per_visit =
   let data_dir = tmp_dir "sfdd-bench-store" in
   Fun.protect
     ~finally:(fun () -> rm_rf data_dir)
@@ -111,42 +107,65 @@ let run (opts : Bench_util.opts) =
             done;
             Unix.gettimeofday () -. t0)
       in
-      let visits = rounds * tenants in
-      let total_ops = visits * ops_per_visit in
-      let p50, p95, p99 = Service.Metrics.percentiles !op_lats in
-      let a50, a95, a99 = Service.Metrics.percentiles !attach_lats in
-      let us x = x *. 1e6 in
-      Printf.printf
-        "  %d tenants / %d resident x %d rounds: %8.0f ops/s   op p50 %5.0f us  p99 \
-         %5.0f us   cold attach p50 %6.0f us  p99 %6.0f us\n\
-         %!"
-        tenants max_resident rounds
-        (float_of_int total_ops /. wall)
-        (us p50) (us p99) (us a50) (us a99);
-      Bench_util.write_bench_json opts "BENCH_store.json" (fun oc ->
-          Printf.fprintf oc
-            "{\n\
-            \  \"schema\": \"sfdd-bench-store/2\",\n\
-            \  \"smoke\": %b,\n\
-            \  \"git_rev\": %S,\n\
-            \  \"host_cores\": %d,\n\
-            \  \"transport\": \"unix-domain socket\",\n\
-            \  \"tenants\": %d,\n\
-            \  \"max_resident\": %d,\n\
-            \  \"blocks_per_tenant\": %d,\n\
-            \  \"block_bytes\": %d,\n\
-            \  \"rounds\": %d,\n\
-            \  \"ops_per_visit\": %d,\n\
-            \  \"ops_per_s\": %.0f,\n\
-            \  \"op_p50_us\": %.0f,\n\
-            \  \"op_p95_us\": %.0f,\n\
-            \  \"op_p99_us\": %.0f,\n\
-            \  \"cold_attach_p50_us\": %.0f,\n\
-            \  \"cold_attach_p95_us\": %.0f,\n\
-            \  \"cold_attach_p99_us\": %.0f\n\
-             }\n"
-            opts.smoke git_rev
-            (Domain.recommended_domain_count ())
-            tenants max_resident blocks block_len rounds ops_per_visit
-            (float_of_int total_ops /. wall)
-            (us p50) (us p95) (us p99) (us a50) (us a95) (us a99)))
+      let total_ops = rounds * tenants * ops_per_visit in
+      ( float_of_int total_ops /. wall,
+        Service.Metrics.percentiles !op_lats,
+        Service.Metrics.percentiles !attach_lats ))
+
+let run (opts : Bench_util.opts) =
+  Bench_util.header "STORE: disk-backed tenants, working set 10x resident cache";
+  (* Read before a full run rewrites BENCH_store.json, which would mark
+     the checkout dirty. *)
+  let git_rev = Bench_util.git_rev () in
+  let max_resident = if opts.full then 16 else 4 in
+  let tenants = 10 * max_resident in
+  let blocks = if opts.full then 64 else 32 in
+  let rounds = if opts.full then 5 else 2 in
+  let ops_per_visit = 16 in
+  let repeats = if opts.smoke then 1 else 5 in
+  let runs =
+    List.init repeats (fun _ -> once ~max_resident ~tenants ~blocks ~rounds ~ops_per_visit)
+  in
+  let col f = List.map f runs in
+  let us f = col (fun r -> f r *. 1e6) in
+  let rates = col (fun (r, _, _) -> r)
+  and p50 = us (fun (_, (p, _, _), _) -> p)
+  and p95 = us (fun (_, (_, p, _), _) -> p)
+  and p99 = us (fun (_, (_, _, p), _) -> p)
+  and a50 = us (fun (_, _, (p, _, _)) -> p)
+  and a95 = us (fun (_, _, (_, p, _)) -> p)
+  and a99 = us (fun (_, _, (_, _, p)) -> p) in
+  let med xs = Stats.Summary.median (Array.of_list xs) in
+  Printf.printf
+    "  %d tenants / %d resident x %d rounds, median of %d run(s): %8.0f ops/s   op p50 %5.0f \
+     us  p99 %5.0f us   cold attach p50 %6.0f us  p99 %6.0f us\n\
+     %!"
+    tenants max_resident rounds repeats (med rates) (med p50) (med p99) (med a50) (med a99);
+  let spread = Bench_util.json_spread ~fmt:(Printf.sprintf "%.0f") in
+  Bench_util.write_bench_json opts "BENCH_store.json" (fun oc ->
+      Printf.fprintf oc
+        "{\n\
+        \  \"schema\": \"sfdd-bench-store/3\",\n\
+        \  \"smoke\": %b,\n\
+        \  \"git_rev\": %S,\n\
+        \  \"host_cores\": %d,\n\
+        \  \"transport\": \"unix-domain socket\",\n\
+        \  \"repeats\": %d,\n\
+        \  \"tenants\": %d,\n\
+        \  \"max_resident\": %d,\n\
+        \  \"blocks_per_tenant\": %d,\n\
+        \  \"block_bytes\": %d,\n\
+        \  \"rounds\": %d,\n\
+        \  \"ops_per_visit\": %d,\n\
+        \  \"ops_per_s\": %s,\n\
+        \  \"op_p50_us\": %s,\n\
+        \  \"op_p95_us\": %s,\n\
+        \  \"op_p99_us\": %s,\n\
+        \  \"cold_attach_p50_us\": %s,\n\
+        \  \"cold_attach_p95_us\": %s,\n\
+        \  \"cold_attach_p99_us\": %s\n\
+         }\n"
+        opts.smoke git_rev
+        (Domain.recommended_domain_count ())
+        repeats tenants max_resident blocks block_len rounds ops_per_visit (spread rates)
+        (spread p50) (spread p95) (spread p99) (spread a50) (spread a95) (spread a99))

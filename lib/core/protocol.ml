@@ -48,10 +48,10 @@ let finish session (result : Fdbase.Lattice.result) ~t0 =
     step_bytes = bytes_moved cost;
   }
 
-let discover ?seed ?max_lhs ?keep_events ?remote method_ table =
+let discover ?seed ?max_lhs ?remote method_ table =
   let n = Table.rows table and m = Table.cols table in
   Log.info (fun f -> f "discover: method=%s n=%d m=%d" (method_name method_) n m);
-  let session = Session.create ?seed ?keep_events ?remote ~n ~m () in
+  let session = Session.create ?seed ?remote ~n ~m () in
   let db = Enc_db.outsource session table in
   let check = Set_level.check session in
   let t0 = now () in

@@ -52,7 +52,6 @@ val modeled_network_seconds : ?rtt_s:float -> ?gbps:float -> report -> float
 val discover :
   ?seed:int ->
   ?max_lhs:int ->
-  ?keep_events:bool ->
   ?remote:Servsim.Remote.t ->
   method_ ->
   Table.t ->

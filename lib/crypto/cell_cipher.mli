@@ -19,7 +19,7 @@ type t
 val create : ?iv_rng:(Bytes.t -> unit) -> (string[@secret]) -> t
 (** [create raw_key] builds a cipher from a 16-byte key.  [iv_rng] supplies
     IV randomness (defaults to a splitmix64 generator seeded from the key);
-    pass an AES-CTR source for cryptographic-strength IVs. *)
+    pass a cryptographic generator for cryptographic-strength IVs. *)
 
 val encrypt : t -> string -> string [@@lint.declassify "ciphertext under CBC$ with fresh IVs is public by IND-CPA; it reveals only its length, i.e. Size(DB)"]
 (** [encrypt t plaintext] is [iv || cbc_encrypt plaintext] under a fresh IV.

@@ -1,11 +1,12 @@
 (** Seeded pseudo-random number generator (splitmix64).
 
     Used for everything that needs {e reproducible} randomness in the
-    simulation: dataset generation, workload sampling, and — through the
-    common interface shared with {!Ctr_prg} — ORAM leaf selection and
-    encryption IVs.  Splitmix64 is not cryptographically secure; protocol
-    components that model cryptographic randomness accept any
-    [unit -> int64] source so the AES-CTR generator can be plugged in. *)
+    simulation: dataset generation, workload sampling, ORAM leaf
+    selection and encryption IVs.  Splitmix64 is not cryptographically
+    secure; protocol components that model cryptographic randomness take
+    their source as a function ([int -> int] for ORAM leaves, a
+    [Bytes.t] filler for cell IVs), so a cryptographic generator can be
+    plugged in. *)
 
 type t
 

@@ -24,8 +24,8 @@ type config = {
 val setup : name:string -> config -> Servsim.Server.t -> Crypto.Cell_cipher.t -> (int -> int) -> t
 (** [setup ~name cfg server cipher rand_int] builds the encrypted tree on
     [server] in a fresh store [name].  [rand_int bound] must return a
-    uniform integer in [[0, bound)] — pass {!Crypto.Rng.int} or
-    {!Crypto.Ctr_prg.int} partially applied. *)
+    uniform integer in [[0, bound)] — e.g. {!Crypto.Rng.int} partially
+    applied. *)
 
 (** {2 Accesses}
 

@@ -118,29 +118,24 @@ let refuse t msg =
   ignore (respond t (Wire.Error msg));
   t.phase <- Closing
 
+(* The session's own figures ({!Handler.stats}) overlaid with what only
+   the serving loop measures. *)
 let build_stats ctx (tenant : Session.tenant) =
-  let c = Cost.snapshot (Handler.cost tenant.Session.handler) in
-  let inserts, deletes, revalidates = Handler.dyn_counters tenant.Session.handler in
-  let summ = Metrics.ns_summary ctx.metrics tenant.Session.namespace in
+  let p50, p95, p99 = Metrics.Reservoir.percentiles tenant.Session.latency in
   let sys = Metrics.syscalls ctx.metrics in
   let us s = min 0xFFFFFFFF (int_of_float (s *. 1e6)) in
   Wire.Stats_reply
     {
+      (Handler.stats tenant.Session.handler) with
       uptime_us = Int64.of_float (Metrics.uptime_s ctx.metrics *. 1e6);
       sessions = ctx.live_sessions ();
-      frames = c.Cost.round_trips;
-      bytes_in = c.Cost.bytes_to_server;
-      bytes_out = c.Cost.bytes_to_client;
-      p50_us = us summ.Metrics.p50_s;
-      p95_us = us summ.Metrics.p95_s;
-      p99_us = us summ.Metrics.p99_s;
+      p50_us = us p50;
+      p95_us = us p95;
+      p99_us = us p99;
       loop_reads = sys.Metrics.reads;
       loop_writes = sys.Metrics.writes;
       loop_wakeups = sys.Metrics.wakeups;
       loop_rounds = sys.Metrics.rounds;
-      inserts;
-      deletes;
-      revalidates;
       dyn_sessions = Session.dyn_resident ctx.registry;
     }
 
@@ -160,16 +155,14 @@ let handle_request ctx t tenant req ~req_bytes =
   in
   let before = pending_output t in
   let after = respond t resp in
-  let resp_bytes = after - before in
   if counted then begin
-    (* Journal after dispatch so a request the handler rejected mid-way
-       is still recorded exactly as served: replay reproduces the same
-       dispatch, the same response, the same accounting. *)
+    (* Account the response, then journal: an auto-snapshot taken inside
+       the append must hold this frame whole.  Journaling after dispatch
+       records a request the handler rejected mid-way exactly as served:
+       replay reproduces the same dispatch, response and accounting. *)
+    Handler.account_response h ~bytes:(after - before);
     Session.journal ctx.registry tenant req;
-    Handler.account_response h ~bytes:resp_bytes;
-    Metrics.record ctx.metrics ~namespace:tenant.Session.namespace ~bytes_in:req_bytes
-      ~bytes_out:resp_bytes
-      ~latency_s:(Unix.gettimeofday () -. t0)
+    Metrics.Reservoir.add tenant.Session.latency (Unix.gettimeofday () -. t0)
   end
 
 let rec drain_requests ctx t =

@@ -113,25 +113,23 @@ let create cfg =
   let ev = Evloop.create () in
   Evloop.set ev stop_r ~read:true ~write:false;
   List.iter (fun fd -> Evloop.set ev fd ~read:true ~write:false) !listeners;
-  let metrics = Metrics.create () in
-  (* Evicting a tenant also folds away its metrics entry, so tenant
-     churn cannot grow the per-namespace table without bound. *)
   let registry =
     Session.create
       ~config:
-        {
-          Session.default_config with
-          data_dir = cfg.data_dir;
-          max_resident = cfg.max_resident;
-          on_evict = Metrics.evict_ns metrics;
-        }
+        { Session.default_config with data_dir = cfg.data_dir; max_resident = cfg.max_resident }
       ()
   in
   let live = Atomic.make 0 in
   {
     cfg;
     ev;
-    ctx = { Conn.registry; metrics; live_sessions = (fun () -> Atomic.get live); log = cfg.log };
+    ctx =
+      {
+        Conn.registry;
+        metrics = Metrics.create ();
+        live_sessions = (fun () -> Atomic.get live);
+        log = cfg.log;
+      };
     conns = Hashtbl.create 32;
     live;
     listeners = !listeners;
@@ -145,8 +143,6 @@ let create cfg =
     read_buf = Bytes.create 65536;
   }
 
-let metrics t = t.ctx.Conn.metrics
-let ns_summary t ns = Metrics.ns_summary (metrics t) ns
 let tcp_port t = t.tcp_port
 let live_conns t = Atomic.get t.live
 
@@ -207,7 +203,6 @@ let close_conn t conn reason =
     Evloop.remove t.ev fd;
     (try Unix.close fd with Unix.Unix_error _ -> ());
     Atomic.decr t.live;
-    Metrics.on_close t.ctx.metrics;
     Option.iter (Session.release t.ctx.registry) (Conn.tenant conn);
     logf t "conn %s closed (%s)" (Conn.peer conn) reason
   end
@@ -305,7 +300,6 @@ let accept_all t lfd ~now =
           (* Over the cap: turn the connection away before it can speak.
              The client sees EOF during its version handshake. *)
           (try Unix.close fd with Unix.Unix_error _ -> ());
-          Metrics.on_reject t.ctx.metrics;
           logf t "conn %s rejected (cap %d)" (peer_string addr) t.cfg.max_conns
         end
         else begin
@@ -314,7 +308,6 @@ let accept_all t lfd ~now =
           Hashtbl.replace t.conns fd conn;
           Evloop.set t.ev fd ~read:true ~write:false;
           Atomic.incr t.live;
-          Metrics.on_accept t.ctx.metrics;
           logf t "conn %s accepted (#%d, %d live)" (peer_string addr) t.next_id
             (Atomic.get t.live)
         end;
@@ -352,7 +345,6 @@ let step t =
     let n = Evloop.wait t.ev ~timeout:(timeout_of_deadline (nearest_deadline t) ~now) in
     if n > 0 then begin
       Metrics.sys_wakeup m;
-      let frames0 = Metrics.total_frames m in
       let now = Unix.gettimeofday () in
       for i = 0 to n - 1 do
         let fd = Evloop.ready_fd t.ev i in
@@ -371,8 +363,7 @@ let step t =
           match Hashtbl.find_opt t.conns fd with
           | Some conn -> flush_conn t conn
           | None -> ()
-      done;
-      Metrics.record_wake_frames m (Metrics.total_frames m - frames0)
+      done
     end
   end
 

@@ -96,14 +96,6 @@ val stop : t -> unit
 val install_stop_signals : t -> unit
 (** Route SIGTERM and SIGINT to {!stop}. *)
 
-val metrics : t -> Metrics.t
-(** The daemon's metrics: accepts, rejects, uptime, per-namespace frame
-    and byte counters, latency reservoirs and loop syscall counters.
-    Owned by the serving loop: read it only once {!run} has returned. *)
-
-val ns_summary : t -> string -> Metrics.summary
-(** One namespace's metrics ({!Metrics.ns_summary} of {!metrics}). *)
-
 val tcp_port : t -> int option
 (** The actually-bound TCP port (useful with port 0). *)
 

@@ -4,16 +4,16 @@ type tenant = {
   persist : Store.Tenant.t option;
   mutable pins : int; (* live connections currently serving this tenant *)
   mutable stamp : int; (* LRU clock value at last activity *)
+  latency : Metrics.Reservoir.t;
 }
 
 type config = {
   data_dir : string option;
   max_resident : int;
   snapshot_every : int;
-  on_evict : string -> unit;
 }
 
-let default_config = { data_dir = None; max_resident = 0; snapshot_every = 1024; on_evict = ignore }
+let default_config = { data_dir = None; max_resident = 0; snapshot_every = 1024 }
 
 type registry = {
   cfg : config;
@@ -56,7 +56,6 @@ let evict_one reg =
   | Some t ->
       persist_out t;
       Hashtbl.remove reg.tbl t.namespace;
-      reg.cfg.on_evict t.namespace;
       true
 
 let enforce_cap reg =
@@ -81,7 +80,9 @@ let attach reg namespace =
               in
               (Some p, h)
         in
-        let tenant = { namespace; handler; persist; pins = 0; stamp = 0 } in
+        let tenant =
+          { namespace; handler; persist; pins = 0; stamp = 0; latency = Metrics.Reservoir.create () }
+        in
         Hashtbl.replace reg.tbl namespace tenant;
         tenant
   in

@@ -27,6 +27,9 @@ type tenant = {
       (** live connections serving this tenant; pinned tenants are never
           evicted *)
   mutable stamp : int;  (** LRU clock value at last activity *)
+  latency : Metrics.Reservoir.t;
+      (** service latencies of this tenant's counted frames since it
+          became resident; eviction drops them with the tenant *)
 }
 
 type config = {
@@ -35,14 +38,10 @@ type config = {
       (** LRU-evict beyond this many in-memory tenants; [<= 0] disables
           eviction (only meaningful with [data_dir] set) *)
   snapshot_every : int;  (** see {!Store.Tenant.open_} *)
-  on_evict : string -> unit;
-      (** called with the namespace after each eviction (the daemon
-          hooks {!Metrics.evict_ns} here) *)
 }
 
 val default_config : config
-(** In-memory only: no data dir, no cap, [snapshot_every = 1024],
-    no-op [on_evict]. *)
+(** In-memory only: no data dir, no cap, [snapshot_every = 1024]. *)
 
 type registry
 

@@ -54,7 +54,6 @@ let dynamic_verb = function
   | _ -> false
 
 let has_dyn st = Option.is_some st.dyn
-let dyn_counters st = (st.inserts, st.deletes, st.revalidates)
 let export_dyn st = List.rev st.dyn_history
 
 let release_dyn st =
@@ -90,32 +89,30 @@ let find st name =
 
 let out_of_bounds s i = i < 0 || i >= Array.length s.blocks
 
-(* [Stats] answer from the session alone, for dispatch without a serving
-   loop (journal replay): the ledger is exact; latency and event-loop
-   counters are the daemon's to measure, so they are zero here.  The
-   reply is fixed-width, so replay charges the same bytes whatever the
-   daemon answered on the wire. *)
-let basic_stats st =
+(* The session's own [Stats] figures: the ledger is exact; latency and
+   event-loop counters are the daemon's to measure, so they are zero
+   here.  The reply is fixed-width, so replay charges the same bytes
+   whatever the daemon answered on the wire. *)
+let stats st : Wire.stats =
   let c = Cost.snapshot st.cost in
-  Wire.Stats_reply
-    {
-      uptime_us = Int64.of_float ((Unix.gettimeofday () -. st.started) *. 1e6);
-      sessions = 1;
-      frames = c.Cost.round_trips;
-      bytes_in = c.Cost.bytes_to_server;
-      bytes_out = c.Cost.bytes_to_client;
-      p50_us = 0;
-      p95_us = 0;
-      p99_us = 0;
-      loop_reads = 0;
-      loop_writes = 0;
-      loop_wakeups = 0;
-      loop_rounds = 0;
-      inserts = st.inserts;
-      deletes = st.deletes;
-      revalidates = st.revalidates;
-      dyn_sessions = (if Option.is_some st.dyn then 1 else 0);
-    }
+  {
+    uptime_us = Int64.of_float ((Unix.gettimeofday () -. st.started) *. 1e6);
+    sessions = 1;
+    frames = c.Cost.round_trips;
+    bytes_in = c.Cost.bytes_to_server;
+    bytes_out = c.Cost.bytes_to_client;
+    p50_us = 0;
+    p95_us = 0;
+    p99_us = 0;
+    loop_reads = 0;
+    loop_writes = 0;
+    loop_wakeups = 0;
+    loop_rounds = 0;
+    inserts = st.inserts;
+    deletes = st.deletes;
+    revalidates = st.revalidates;
+    dyn_sessions = (if Option.is_some st.dyn then 1 else 0);
+  }
 
 let handle st = function
   | Wire.Create_store (name, n) ->
@@ -199,7 +196,7 @@ let handle st = function
   | Wire.Total_bytes -> Wire.Bytes_total st.bytes
   | Wire.Hello _ -> Wire.Ok
   | Wire.Ping -> Wire.Pong
-  | Wire.Stats -> basic_stats st
+  | Wire.Stats -> Wire.Stats_reply (stats st)
   | Wire.Bye -> Wire.Ok
 
 (* Re-dispatch one journaled request with exactly the accounting the

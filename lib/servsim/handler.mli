@@ -44,10 +44,6 @@ val dynamic_verb : Wire.request -> bool
 val has_dyn : state -> bool
 (** Does this session currently hold a live dynamic session? *)
 
-val dyn_counters : state -> int * int * int
-(** [(inserts, deletes, revalidates)] served to this session, erroring
-    dispatches included. *)
-
 val export_dyn : state -> Wire.request list
 (** The session's dynamic update history in service order — the
     successful [Begin_dynamic] followed by every [Insert_row]/
@@ -66,12 +62,18 @@ val handle : state -> Wire.request -> Wire.response
 (** Dispatch one request against this session's stores.  Store ops,
     [Digest] and [Total_bytes] are served from the session state;
     [Ping] answers [Pong]; [Hello] and [Bye] answer [Ok] (connection
-    lifecycle is the serving loop's job); [Stats] answers the session
-    ledger with zero latency percentiles and loop counters — the daemon
-    intercepts [Stats] and answers from its per-namespace metrics
-    instead, so only {!replay} sees this answer.
+    lifecycle is the serving loop's job); [Stats] answers {!stats} —
+    the daemon intercepts [Stats] and overlays its own figures, so only
+    {!replay} sees this answer.
     @raise Wire.Protocol_error e.g. on access to a store that does not
     exist (serving loops turn this into an [Error] response). *)
+
+val stats : state -> Wire.stats
+(** The session's own [Stats] figures: its cost ledger ([frames],
+    [bytes_in], [bytes_out]), its update counters (erroring dispatches
+    included), and 1 or 0 in
+    [dyn_sessions]; [sessions] is 1, uptime counts from the state's
+    creation, and the latency percentiles and loop counters are 0. *)
 
 val counted : Wire.request -> bool
 (** Whether the frame counts toward the session's round-trip ledger.

@@ -180,19 +180,6 @@ let test_cell_cipher_lengths () =
         (String.length ct))
     [ 0; 1; 15; 16; 24; 32 ]
 
-let test_ctr_prg_deterministic () =
-  let a = Ctr_prg.create (String.make 16 's') in
-  let b = Ctr_prg.create (String.make 16 's') in
-  for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Ctr_prg.next64 a) (Ctr_prg.next64 b)
-  done;
-  let c = Ctr_prg.create (String.make 16 't') in
-  let differs = ref false in
-  for _ = 1 to 10 do
-    if not (Int64.equal (Ctr_prg.next64 a) (Ctr_prg.next64 c)) then differs := true
-  done;
-  Alcotest.(check bool) "different seed differs" true !differs
-
 let test_rng_range () =
   let rng = Rng.create 7 in
   for _ = 1 to 1000 do
@@ -550,7 +537,6 @@ let suite =
       test_cell_decrypt_rejects_malformed;
     Alcotest.test_case "cell cipher semantic security shape" `Quick test_cell_cipher_semantic;
     Alcotest.test_case "cell cipher length prediction" `Quick test_cell_cipher_lengths;
-    Alcotest.test_case "CTR PRG determinism" `Quick test_ctr_prg_deterministic;
     Alcotest.test_case "rng range" `Quick test_rng_range;
     Alcotest.test_case "rng split independence" `Quick test_rng_split_independent;
     Alcotest.test_case "rng coarse uniformity" `Quick test_rng_uniformity_coarse;
