@@ -12,14 +12,23 @@ type opts = {
   smoke : bool; (* tiny sizes: exercise every harness path in seconds *)
 }
 
-(* The checkout's commit for BENCH_*.json stamps; "unknown" outside git. *)
+(* The checkout's commit for BENCH_*.json stamps; "unknown" outside git.
+   It is "<rev>-dirty" only when a tracked file other than a top-level
+   BENCH_*.json differs from HEAD: a full run rewrites those files, and
+   one harness's results must not mark every later harness's stamp. *)
 let git_rev () =
-  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
   | exception Unix.Unix_error _ -> "unknown"
   | ic -> (
       let line = In_channel.input_line ic in
       match (Unix.close_process_in ic, line) with
-      | Unix.WEXITED 0, Some rev when rev <> "" -> rev
+      | Unix.WEXITED 0, Some rev when rev <> "" ->
+          let clean =
+            Sys.command
+              "git diff --quiet HEAD -- ':(top)' ':(top,exclude)BENCH_*.json' 2>/dev/null"
+            = 0
+          in
+          if clean then rev else rev ^ "-dirty"
       | _ -> "unknown")
 
 (* Write a harness's BENCH_*.json through [emit].  A full run rewrites

@@ -38,11 +38,6 @@ let usage () =
 (* Hidden re-exec entry points: the service harness runs its daemon and
    load clients as child processes of this same binary, because
    [Unix.fork] is unavailable once OCaml 5 domains have run. *)
-(* Link the dynamic-FD engine into the request handler, as fdserved
-   does: the service and dynamic harnesses run daemons in this
-   process (or re-exec'd children of it). *)
-let () = Dynserve.install ()
-
 let () =
   match Array.to_list Sys.argv with
   | _ :: "service-daemon" :: path :: _ -> exit (Exp_service.daemon_main path)

@@ -6,7 +6,6 @@ type handle = {
   klf : Oram.Path_oram.t; (* key_X -> (label_X, fre_X) *)
   ikl : Oram.Path_oram.t; (* r[ID]  -> (key_X, label_X) *)
   mutable card : int;
-  mutable live : int;
   (* Label allocator: labels of fully-deleted keys return to [free_labels]
      and are reused before [next_label] grows, so every label stays below
      the peak number of concurrently-live distinct keys — and therefore
@@ -23,7 +22,6 @@ type handle = {
 
 let attrs h = h.attrs
 let cardinality h = h.card
-let live_records h = h.live
 
 (* Payload codecs. *)
 let klf_payload ~label ~fre = Codec.encode_int label ^ Codec.encode_int fre
@@ -56,7 +54,6 @@ let create session x ~capacity =
     klf;
     ikl;
     card = 0;
-    live = 0;
     next_label = 0;
     free_labels = [];
     key_len;
@@ -84,7 +81,6 @@ let count h prev =
         h.card <- h.card + 1;
         (alloc_label h, 0)
   in
-  h.live <- h.live + 1;
   (label, klf_payload ~label ~fre:(fre + 1))
 
 (* Algorithm 4's inner step, fused: the O^KLF read and O^KLF write are
@@ -209,7 +205,6 @@ let delete hs ~row =
      dummy one. *)
   let klf_access h = function
     | Some p ->
-        h.live <- h.live - 1;
         Oram.Path_oram.fetch h.klf ~key:(fst (ikl_decode ~key_len:h.key_len p)) (decrement h)
     | None -> Oram.Path_oram.fetch_dummy h.klf
   in

@@ -20,9 +20,6 @@ type handle
 
 val attrs : handle -> Attrset.t
 val cardinality : handle -> int
-val live_records : handle -> int
-(** Number of records currently contained (n after setup, changes with
-    insert/delete). *)
 
 val create : Session.t -> Attrset.t -> capacity:int -> handle
 (** Empty structure able to hold up to [capacity] records — insertion

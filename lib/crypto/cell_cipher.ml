@@ -21,35 +21,10 @@ let create ?iv_rng raw_key =
 
 let ciphertext_len ~plaintext_len = 16 + (plaintext_len / 16 * 16) + 16
 
-(* The whole cell — IV, body, padding — is assembled in [dst] and encrypted
-   in place: the only per-cell allocation left is the output itself. *)
-let encrypt_to t plaintext dst dst_off =
-  let n = String.length plaintext in
-  let padded = (n / 16 * 16) + 16 in
-  if dst_off < 0 || dst_off + 16 + padded > Bytes.length dst then
-    invalid_arg "Cell_cipher.encrypt_to: output range out of bounds";
-  t.iv_rng t.iv;
-  Bytes.blit t.iv 0 dst dst_off 16;
-  Bytes.blit_string plaintext 0 dst (dst_off + 16) n;
-  Bytes.fill dst (dst_off + 16 + n) (padded - n) (Char.unsafe_chr (padded - n));
-  Cbc.encrypt_blocks
-    (t.key
-     [@lint.declassify
-       "client-local AES: constant-time AES-NI, or on hosts without it the T-table \
-        fallback, whose table timing is not in the server trace L(DB)"])
-    (dst [@lint.declassify "plaintext enters client-local AES here by design; only the ciphertext leaves the client"])
-    ~iv_off:dst_off ~off:(dst_off + 16) ~nblocks:(padded / 16);
-  16 + padded
-
-let encrypt t plaintext =
-  let out = Bytes.create (ciphertext_len ~plaintext_len:(String.length plaintext)) in
-  let _ = encrypt_to t plaintext out 0 in
-  Bytes.unsafe_to_string out
-
-(* Same cell layout and IV stream as {!encrypt_to}, but the plaintext is
-   a [Bytes] region instead of a string — the ORAM path codec encodes
-   blocks into a reused path buffer and encrypts straight out of it, so
-   the ciphertext cell is the only allocation per block. *)
+(* The whole cell — IV, body, padding — is assembled in [dst] and
+   encrypted in place.  The ORAM path codec encodes blocks into a reused
+   path buffer and encrypts straight out of it, so the ciphertext cell
+   is the only allocation per block. *)
 let encrypt_from t src ~off ~len dst dst_off =
   if off < 0 || len < 0 || off + len > Bytes.length src then
     invalid_arg "Cell_cipher.encrypt_from: source range out of bounds";
@@ -68,6 +43,14 @@ let encrypt_from t src ~off ~len dst dst_off =
     (dst [@lint.declassify "plaintext enters client-local AES here by design; only the ciphertext leaves the client"])
     ~iv_off:dst_off ~off:(dst_off + 16) ~nblocks:(padded / 16);
   16 + padded
+
+(* [encrypt_from] only reads its source, so the plaintext string is
+   lent to it without a copy: the ciphertext is the one allocation. *)
+let encrypt t plaintext =
+  let n = String.length plaintext in
+  let out = Bytes.create (ciphertext_len ~plaintext_len:n) in
+  let _ = encrypt_from t (Bytes.unsafe_of_string plaintext) ~off:0 ~len:n out 0 in
+  Bytes.unsafe_to_string out
 
 let check_ct ciphertext =
   let len = String.length ciphertext in

@@ -30,20 +30,15 @@ val decrypt : t -> string -> string [@@secret]
     secret-flow source for R11.  @raise Invalid_argument on malformed
     input. *)
 
-val encrypt_to : t -> string -> Bytes.t -> int -> int [@@lint.declassify "ciphertext under CBC$ with fresh IVs is public by IND-CPA; it reveals only its length, i.e. Size(DB)"]
-(** [encrypt_to t plaintext dst dst_off] writes the whole cell (IV ‖
-    CBC body ‖ padding, encrypted in place) into [dst] at [dst_off] and
-    returns its length, [ciphertext_len ~plaintext_len].  Consumes the same
-    IV randomness as {!encrypt} and produces identical bytes.
-    @raise Invalid_argument if the output range is out of bounds. *)
-
 val encrypt_from : t -> Bytes.t -> off:int -> len:int -> Bytes.t -> int -> int [@@lint.declassify "ciphertext under CBC$ with fresh IVs is public by IND-CPA; it reveals only its length, i.e. Size(DB)"]
-(** [encrypt_from t src ~off ~len dst dst_off] is {!encrypt_to} with the
-    plaintext taken from the [Bytes] region [src.(off .. off+len-1)]
-    instead of a string: same cell layout, same IV stream, identical
-    ciphertext bytes for identical plaintext bytes.  Lets callers that
-    assemble plaintexts in a reused buffer (the ORAM path codec) encrypt
-    without per-block plaintext allocations.
+(** [encrypt_from t src ~off ~len dst dst_off] encrypts the plaintext
+    [src.(off .. off+len-1)], writing the whole cell (IV ‖ CBC body ‖
+    padding, encrypted in place) into [dst] at [dst_off], and returns its
+    length, [ciphertext_len ~plaintext_len:len].  {!encrypt} is this on a
+    fresh buffer: same IV stream, identical ciphertext bytes for
+    identical plaintext bytes.  Lets callers that assemble plaintexts in
+    a reused buffer (the ORAM path codec) encrypt without per-block
+    plaintext allocations.
     @raise Invalid_argument if either range is out of bounds. *)
 
 val decrypt_to : t -> string -> Bytes.t -> int -> int

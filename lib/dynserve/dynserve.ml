@@ -1,17 +1,14 @@
 open Relation
 module Wire = Servsim.Wire
-module Handler = Servsim.Handler
 module Trace = Servsim.Trace
 
-(* The engine side of the daemon's dynamic FD sessions: adapts
-   [Core.Dynamic] to the closure interface [Servsim.Handler] dispatches
-   through.  Servsim sits below core in the library graph (the engine's
-   block stores are servsim stores), so this glue lives in its own
-   library and registers itself at executable startup ({!install}).
+(* The engine side of the daemon's dynamic FD sessions: translates the
+   protocol-v5 verbs that [Store.Handler] serves into [Core.Dynamic]
+   calls and their results back into wire responses.
 
    Determinism is the load-bearing property here: [Store.Tenant]
    persists a dynamic session as its update history alone and rebuilds
-   it by re-dispatching that history through a fresh provider, so every
+   it by re-dispatching that history through a fresh handler, so every
    response — errors included — and every trace event must be a pure
    function of the [Begin_dynamic] request and the updates after it.
    [Core.Dynamic] gives us that: all client randomness derives from the
@@ -94,15 +91,9 @@ let begin_dynamic req =
                   Core.Dynamic.start ~seed:(Int64.to_int seed) ?capacity ?max_lhs table
                 with
                 | dyn ->
-                    let d =
-                      {
-                        Handler.dyn_dispatch = dispatch dyn;
-                        dyn_release = (fun () -> Core.Dynamic.release dyn);
-                      }
-                    in
                     let initial = List.map (fun fd -> (fd, true)) (Core.Dynamic.fds dyn) in
-                    Result.Ok (d, fds_reply dyn initial)
+                    Result.Ok (dyn, fds_reply dyn initial)
                 | exception Invalid_argument msg -> Result.Error msg)))
   | _ -> Result.Error "not a Begin_dynamic request"
 
-let install () = Handler.set_dyn_provider begin_dynamic
+let install () = ()

@@ -7,14 +7,10 @@ type config = {
 type t = {
   cfg : config;
   store : Servsim.Block_store.t;
-  server : Servsim.Server.t;
-  name : string;
   cipher : Crypto.Cell_cipher.t;
   sbuf : Bytes.t; [@secret]
       (* reused plaintext scan buffer, [capacity] blocks wide: every access
          decrypts the whole array into it and re-encrypts out of it *)
-  mutable live : int;
-  mutable accesses : int;
 }
 
 let block_pt_len cfg = 1 + cfg.key_len + cfg.payload_len
@@ -32,12 +28,8 @@ let setup ~name cfg server cipher _rand =
   {
     cfg;
     store;
-    server;
-    name;
     cipher;
     sbuf = Bytes.create (cfg.capacity * slot_stride cfg);
-    live = 0;
-    accesses = 0;
   }
 
 (* One full scan: decrypt every slot into the reused buffer, apply the
@@ -105,7 +97,6 @@ let access t ~key update =
             then free := i
           done;
           if !free < 0 then failwith "Linear_oram: capacity exceeded";
-          t.live <- t.live + 1;
           !free
         end
       in
@@ -114,10 +105,7 @@ let access t ~key update =
       Bytes.blit_string key 0 t.sbuf (off + 1) t.cfg.key_len;
       Bytes.blit_string v 0 t.sbuf (off + 1 + t.cfg.key_len) t.cfg.payload_len
   | None ->
-      if !found_at >= 0 then begin
-        Bytes.fill t.sbuf (!found_at * stride) pt_len '\000';
-        t.live <- t.live - 1
-      end);
+      if !found_at >= 0 then Bytes.fill t.sbuf (!found_at * stride) pt_len '\000');
   let ct_len = Crypto.Cell_cipher.ciphertext_len ~plaintext_len:pt_len in
   Servsim.Block_store.write_many t.store
     (List.init n (fun i ->
@@ -126,20 +114,10 @@ let access t ~key update =
          (* [ct] is freshly allocated and never written again: freezing it
             avoids one copy per block. *)
          (i, (Bytes.unsafe_to_string ct [@lint.allow "R2:bytes-unsafe"]))));
-  t.accesses <- t.accesses + 1;
   !found
-
-let dummy_access t =
-  (* A scan keyed on a reserved key no caller can use (wrong length is not
-     allowed, so use all-0xff, which value codecs never produce). *)
-  ignore (access t ~key:(String.make t.cfg.key_len '\xff') (fun old -> old))
 
 let read t ~key = access t ~key (fun old -> old)
 let write t ~key v = ignore (access t ~key (fun _ -> Some v))
 let remove t ~key = ignore (access t ~key (fun _ -> None))
 
-let live_blocks t = t.live
 let client_state_bytes _ = 0
-let access_count t = t.accesses
-
-let destroy t = Servsim.Server.drop_store t.server t.name

@@ -19,12 +19,8 @@ val setup : name:string -> config -> Servsim.Server.t -> Crypto.Cell_cipher.t ->
     [setup] and unused. *)
 
 val access : t -> key:string -> (string option -> string option) -> string option [@@lint.declassify "ORAM boundary: the server-visible trace is independent of key and payload (audited in the implementation); results are the trusted client's own plaintext"]
-val dummy_access : t -> unit
 val read : t -> key:string -> string option [@@lint.declassify "ORAM boundary: the server-visible trace is independent of key and payload (audited in the implementation); results are the trusted client's own plaintext"]
 val write : t -> key:string -> string -> unit [@@lint.declassify "ORAM boundary: the server-visible trace is independent of key and payload (audited in the implementation); results are the trusted client's own plaintext"]
 val remove : t -> key:string -> unit [@@lint.declassify "ORAM boundary: the server-visible trace is independent of key and payload (audited in the implementation); results are the trusted client's own plaintext"]
 
-val live_blocks : t -> int
 val client_state_bytes : t -> int
-val access_count : t -> int
-val destroy : t -> unit

@@ -354,8 +354,6 @@ let size t = t.size
 
 let client_state_bytes t = t.backing.client_bytes () + 24 + (8 * List.length t.free)
 
-let accesses_per_op t = delete_budget t
-
 let check_invariants t =
   let ok = ref true in
   let rec walk id lo hi =

@@ -58,9 +58,6 @@ val delete : t -> string -> unit [@@lint.declassify "ORAM boundary: the server-v
 val size : t -> int
 val client_state_bytes : t -> int
 
-val accesses_per_op : t -> int
-(** The fixed per-operation ORAM access budget (padding target). *)
-
 val check_invariants : t -> bool
 (** Walks the whole tree (test use): BST order, AVL balance, size. *)
 

@@ -19,7 +19,6 @@ type t = {
   pos : (string, int) Hashtbl.t; (* key -> leaf *)
   mutable max_stash : int;
   mutable overflows : int;
-  mutable accesses : int;
 }
 
 let stash_limit t = 7 * Oram_tree.levels t.tree
@@ -48,7 +47,7 @@ let setup ~name cfg server cipher rand_int =
     }
   in
   let tree = Oram_tree.create server cipher ~name ~capacity:cfg.capacity ~stash_size:64 codec in
-  { cfg; tree; server; name; rand_int; pos; max_stash = 0; overflows = 0; accesses = 0 }
+  { cfg; tree; server; name; rand_int; pos; max_stash = 0; overflows = 0 }
 
 (* The answer to the access of [accessed] (its key and update, or
    [None] for a dummy) along the path to [leaf]. *)
@@ -82,7 +81,6 @@ let complete t ~leaf accessed blocks =
   let occupancy = Hashtbl.length (Oram_tree.stash t.tree) in
   if occupancy > t.max_stash then t.max_stash <- occupancy;
   if occupancy > stash_limit t then t.overflows <- t.overflows + 1;
-  t.accesses <- t.accesses + 1;
   sync_client_cost t;
   (old, [ (Oram_tree.store t.tree, writes) ])
 
@@ -122,7 +120,6 @@ let live_blocks t = Hashtbl.length t.pos
 let levels t = Oram_tree.levels t.tree
 let max_stash_seen t = t.max_stash
 let stash_overflows t = t.overflows
-let access_count t = t.accesses
 
 let destroy t =
   Servsim.Server.drop_store t.server t.name;

@@ -86,7 +86,3 @@ val stash_limit : t -> int
 val stash_overflows : t -> int
 (** Number of accesses after which the stash exceeded {!stash_limit}. *)
 
-val access_count : t -> int
-(** Physical accesses so far: one per answered {!fetch} or
-    {!fetch_dummy} (so one per {!access} and per {!dummy_access} call).
-    Setup writes are not counted. *)

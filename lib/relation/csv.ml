@@ -84,8 +84,3 @@ let to_string t =
       (Array.to_list (Table.row t i) |> List.map Value.to_string)
   done;
   Buffer.contents buf
-
-let save path t =
-  let oc = open_out_bin path in
-  output_string oc (to_string t);
-  close_out oc

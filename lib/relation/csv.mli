@@ -14,4 +14,3 @@ val load : string -> Table.t
 (** Read a CSV file from disk. *)
 
 val to_string : Table.t -> string
-val save : string -> Table.t -> unit

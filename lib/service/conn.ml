@@ -1,4 +1,5 @@
 open Servsim
+module Handler = Store.Handler
 
 type phase =
   | Handshake (* awaiting the client's version byte *)

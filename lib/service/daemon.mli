@@ -85,8 +85,7 @@ val with_local : ?config:config -> (string -> t -> 'a) -> 'a
 
     Running the daemon in a domain beside its caller is safe because
     the only module-level mutable state in [lib] is the [Aes128]
-    T-tables, filled at module initialisation, and
-    [Servsim.Handler]'s dynamic-engine provider, set before serving. *)
+    T-tables, filled at module initialisation. *)
 
 val stop : t -> unit
 (** Request a graceful drain.  Async-signal-safe, and safe from any

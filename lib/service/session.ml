@@ -1,6 +1,6 @@
 type tenant = {
   namespace : string;
-  handler : Servsim.Handler.state;
+  handler : Store.Handler.state;
   persist : Store.Tenant.t option;
   mutable pins : int; (* live connections currently serving this tenant *)
   mutable stamp : int; (* LRU clock value at last activity *)
@@ -36,7 +36,7 @@ let persist_out tenant =
   (* Free the dynamic engine's retained ORAM structures eagerly: the
      handler state is about to be dropped, and rehydration rebuilds the
      session from the update history just snapshotted. *)
-  Servsim.Handler.release_dyn tenant.handler
+  Store.Handler.release_dyn tenant.handler
 
 (* Evict the least-recently-active unpinned tenant.  Only reached when a
    data dir is configured, so every candidate has a persistent image to
@@ -73,7 +73,7 @@ let attach reg namespace =
     | None ->
         let persist, handler =
           match reg.cfg.data_dir with
-          | None -> (None, Servsim.Handler.create_state ())
+          | None -> (None, Store.Handler.create_state ())
           | Some data_dir ->
               let p, h =
                 Store.Tenant.open_ ~data_dir ~snapshot_every:reg.cfg.snapshot_every namespace
@@ -109,5 +109,5 @@ let find reg namespace = Hashtbl.find_opt reg.tbl namespace
 let count reg = Hashtbl.length reg.tbl
 
 let dyn_resident reg =
-  Hashtbl.fold (fun _ t n -> if Servsim.Handler.has_dyn t.handler then n + 1 else n) reg.tbl 0
+  Hashtbl.fold (fun _ t n -> if Store.Handler.has_dyn t.handler then n + 1 else n) reg.tbl 0
 let namespaces reg = Hashtbl.fold (fun k _ acc -> k :: acc) reg.tbl [] |> List.sort compare

@@ -2,7 +2,7 @@
     disk-backed with LRU eviction of cold tenants.
 
     A [Hello ns] binds a connection to the tenant named [ns].  Each
-    tenant owns one {!Servsim.Handler.state} — its ciphertext stores,
+    tenant owns one {!Store.Handler.state} — its ciphertext stores,
     its access-pattern trace, and its cost ledger — so nothing an
     adversarial or buggy tenant does can perturb another tenant's
     digests or accounting.  Tenant state survives disconnects: a client
@@ -20,7 +20,7 @@
 
 type tenant = {
   namespace : string;
-  handler : Servsim.Handler.state;
+  handler : Store.Handler.state;
   persist : Store.Tenant.t option;
       (** durable image; [None] when the registry has no data dir *)
   mutable pins : int;

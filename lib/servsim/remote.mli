@@ -81,8 +81,7 @@ val exchange :
 (** {2 Dynamic FD sessions (protocol v5)}
 
     Drivers for the streaming update verbs.  Cells travel as
-    [Relation.Codec]-encoded strings (see [Dynserve.encode_row]); the
-    server must have a dynamic engine installed. *)
+    [Relation.Codec]-encoded strings (see [Dynserve.encode_row]). *)
 
 val begin_dynamic :
   t -> ?capacity:int -> ?max_lhs:int -> seed:int64 -> cols:int -> string list list -> Wire.dyn_fds

@@ -32,7 +32,3 @@ let min a =
 let max a =
   check a;
   Array.fold_left Float.max a.(0) a
-
-let pp_series ppf a =
-  Format.fprintf ppf "mean=%.4g sd=%.4g med=%.4g min=%.4g max=%.4g" (mean a) (stddev a)
-    (median a) (min a) (max a)

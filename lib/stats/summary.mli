@@ -9,4 +9,3 @@ val quantile : float array -> float -> float
 val median : float array -> float
 val min : float array -> float
 val max : float array -> float
-val pp_series : Format.formatter -> float array -> unit

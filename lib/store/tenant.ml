@@ -163,15 +163,6 @@ let apply_reconstruction state req =
   | _ -> corruptf "snapshot reconstruction: unexpected response"
   | exception Wire.Protocol_error e -> corruptf "snapshot reconstruction failed: %s" e
 
-(* A durable image that records dynamic-session verbs can only be
-   rebuilt by a process with the engine linked in; loading it without
-   one would silently produce a tenant whose state has forked from its
-   journal. *)
-let check_dyn_available ~what req =
-  if Handler.dynamic_verb req && not (Handler.dynamic_available ()) then
-    corruptf "%s: dynamic session recorded but no dynamic engine is installed in this process"
-      what
-
 (* Rebuild a dynamic session by re-dispatching its recorded update
    history.  Unlike store reconstruction this goes through the normal
    dispatcher (the engine rebuilds its own ORAM state and trace from
@@ -203,7 +194,6 @@ let load_snapshot ~dir state =
           List.iter
             (fun payload ->
               let req = decode_req ~what:"snapshot" payload in
-              check_dyn_available ~what:"snapshot" req;
               if Handler.dynamic_verb req then apply_dyn state req
               else apply_reconstruction state req)
             reqs;
@@ -216,9 +206,7 @@ let replay_wal ~dir ~gen state =
   let scan = Segment.read (wal_path ~dir ~gen) in
   List.iter
     (fun payload ->
-      let req = decode_req ~what:"journal" payload in
-      check_dyn_available ~what:"journal" req;
-      Handler.replay state req)
+      Handler.replay state (decode_req ~what:"journal" payload))
     scan.Segment.records;
   scan
 

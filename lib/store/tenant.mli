@@ -6,7 +6,7 @@
     served since that snapshot — reads included, because the trace
     digests fold read accesses.  {!open_} recovers by rebuilding the
     stores from the snapshot, restoring the saved digest and ledger
-    words, then replaying the journal through {!Servsim.Handler.replay};
+    words, then replaying the journal through {!Handler.replay};
     the recovered session is bit-identical (stores, trace digests, cost
     ledger) to the uninterrupted one.
 
@@ -19,13 +19,10 @@
     A tenant's dynamic FD session (protocol v5) is persisted as its
     update history: the snapshot embeds, after the store records, the
     successful [Begin_dynamic] and every update dispatched to the live
-    session ({!Servsim.Handler.export_dyn}), and the journal carries the
+    session ({!Handler.export_dyn}), and the journal carries the
     updates since — both replayed through the normal dispatcher on
     open, which deterministically rebuilds the engine's ORAM state and
-    trace digests (no engine state is ever serialised).  Opening an
-    image that records dynamic verbs in a process without the engine
-    installed ({!Servsim.Handler.dynamic_available}) raises {!Corrupt}
-    rather than silently forking the tenant's state from its journal. *)
+    trace digests (no engine state is ever serialised). *)
 
 type t
 
@@ -36,19 +33,19 @@ exception Corrupt of string
     request the handler rejects.  The tenant directory needs operator
     attention; opening it must not silently serve wrong state. *)
 
-val open_ : data_dir:string -> snapshot_every:int -> string -> t * Servsim.Handler.state
+val open_ : data_dir:string -> snapshot_every:int -> string -> t * Handler.state
 (** [open_ ~data_dir ~snapshot_every ns] opens (creating on first use)
     the durable image of namespace [ns] and returns the journal handle
     plus the fully recovered session state.  [snapshot_every <= 0]
     disables automatic snapshots (journal grows until {!snapshot}).
     @raise Corrupt on non-recoverable damage (see {!Corrupt}). *)
 
-val journal : t -> state:Servsim.Handler.state -> Servsim.Wire.request -> unit
+val journal : t -> state:Handler.state -> Servsim.Wire.request -> unit
 (** Append one served request to the journal (call once per counted
     frame, in service order).  Every [snapshot_every] appends the
     journal is folded into a fresh snapshot automatically. *)
 
-val snapshot : t -> Servsim.Handler.state -> unit
+val snapshot : t -> Handler.state -> unit
 (** Write a fresh snapshot of [state] (atomic replace), retire the
     journal it supersedes and start the next generation's.  Called on
     tenant eviction and daemon shutdown so rehydration is snapshot-speed

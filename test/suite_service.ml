@@ -110,7 +110,12 @@ let test_frames_match_session_ledger () =
             (Servsim.Remote.frames conn) stats2.Servsim.Wire.frames;
           Alcotest.(check bool) "sampled latency percentiles are ordered" true
             (stats2.Servsim.Wire.p50_us <= stats2.Servsim.Wire.p95_us
-            && stats2.Servsim.Wire.p95_us <= stats2.Servsim.Wire.p99_us)))
+            && stats2.Servsim.Wire.p95_us <= stats2.Servsim.Wire.p99_us);
+          (* [sessions] is the daemon's live connection count. *)
+          Alcotest.(check int) "one live session" 1 stats2.Servsim.Wire.sessions;
+          with_client ~namespace:"ledger-peer" path (fun _ ->
+              Alcotest.(check int) "two live sessions while a second tenant is connected" 2
+                (Servsim.Remote.stats conn).Servsim.Wire.sessions)))
 
 (* {2 Fault isolation} *)
 

@@ -6,7 +6,7 @@
    ledger as a session that was never interrupted. *)
 
 module Wire = Servsim.Wire
-module Handler = Servsim.Handler
+module Handler = Store.Handler
 module Trace = Servsim.Trace
 module Cost = Servsim.Cost
 
@@ -426,8 +426,8 @@ let with_daemon ?data_dir ?(max_resident = 0) f =
     ~config:{ Service.Daemon.default_config with data_dir; max_resident }
     (fun path _ -> f path)
 
-let with_client ?namespace path f =
-  let conn = Servsim.Remote.connect_unix ?namespace path in
+let with_client ?namespace ?depth path f =
+  let conn = Servsim.Remote.connect_unix ?namespace ?depth path in
   Fun.protect
     ~finally:(fun () ->
       ((try Servsim.Remote.close conn with _ -> ()) [@lint.allow "exception-hygiene"]))
@@ -641,15 +641,22 @@ let test_session_dyn_evict_rehydrate () =
       Service.Session.release reg back;
       Service.Session.shutdown reg)
 
+(* Run on a [~depth:8] connection, so the insert burst before the
+   restart is pipelined. *)
 let dyn_client_a conn =
-  ignore
-    (Servsim.Remote.begin_dynamic conn ~capacity:64 ~seed:7L ~cols:3
-       (List.map enc_row [ [ 1; 10; 100 ]; [ 1; 10; 200 ]; [ 2; 20; 100 ]; [ 3; 20; 200 ] ]));
-  ignore (Servsim.Remote.insert_rows conn [ enc_row [ 2; 3; 1 ]; enc_row [ 3; 1; 1 ] ]);
+  let r0 =
+    Servsim.Remote.begin_dynamic conn ~capacity:64 ~seed:7L ~cols:3
+      (List.map enc_row [ [ 1; 10; 100 ]; [ 1; 10; 200 ]; [ 2; 20; 100 ]; [ 3; 20; 200 ] ])
+  in
+  Alcotest.(check bool) "initial FDs all valid" true
+    (List.for_all (fun s -> s.Wire.fd_valid) r0.Wire.fds);
+  Alcotest.(check (list int)) "pipelined inserts assign sequential ids" [ 4; 5 ]
+    (Servsim.Remote.insert_rows conn [ enc_row [ 2; 3; 1 ]; enc_row [ 3; 1; 1 ] ]);
   Servsim.Remote.delete_row conn ~id:2
 
 let dyn_client_b conn =
-  ignore (Servsim.Remote.insert_rows conn [ enc_row [ 9; 9; 9 ] ]);
+  Alcotest.(check (list int)) "ids continue after the delete" [ 6 ]
+    (Servsim.Remote.insert_rows conn [ enc_row [ 9; 9; 9 ] ]);
   let r = Servsim.Remote.revalidate conn in
   let st = Servsim.Remote.stats conn in
   (r, st.Wire.inserts, st.Wire.deletes, st.Wire.revalidates)
@@ -658,13 +665,13 @@ let test_daemon_dyn_restart_bit_identical () =
   (* Reference: one daemon, no restart, same two-connection shape. *)
   let expected =
     with_daemon (fun path ->
-        with_client ~namespace:"dphoenix" path dyn_client_a;
+        with_client ~namespace:"dphoenix" ~depth:8 path dyn_client_a;
         with_client ~namespace:"dphoenix" path dyn_client_b)
   in
   with_tmp_dir "sfdd-store" (fun data_dir ->
       let recovered =
         with_daemon ~data_dir (fun path ->
-            with_client ~namespace:"dphoenix" path dyn_client_a);
+            with_client ~namespace:"dphoenix" ~depth:8 path dyn_client_a);
         (* Daemon killed mid-update-stream; a fresh one picks the session
            up from disk and the stream continues. *)
         with_daemon ~data_dir (fun path ->

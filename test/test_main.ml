@@ -1,6 +1,4 @@
 let () =
-  (* Link the dynamic-FD engine into the handler, as the daemon does. *)
-  Dynserve.install ();
   Alcotest.run "sfdd"
     [
       ("crypto", Suite_crypto.suite);
