@@ -8,10 +8,10 @@
    each variant holds.  Everything is written to BENCH_oram.json.
 
    Two allocation bars are asserted, not just reported, so `--smoke` on
-   every `dune runtest` catches regressions: decoding a block into the
-   reused path buffer allocates nothing, and a whole path access stays
-   under 40 minor words per block (the outgoing ciphertext freeze is the
-   only per-block client allocation left). *)
+   every `dune runtest` catches regressions: decoding a bucket cell into
+   the reused path buffer allocates nothing, and a whole path access at
+   n = 64 stays under 1,100 minor words (the outgoing ciphertext freeze
+   is the only per-bucket client allocation left). *)
 
 let cipher = lazy (Crypto.Cell_cipher.create (String.make 16 'K'))
 
@@ -179,15 +179,15 @@ let run (opts : Bench_util.opts) =
   in
   List.iter print_row rows;
 
-  (* Allocation bars.  First the codec primitive itself: decrypting a
-     block into the reused path buffer and reading its header fields
-     must allocate nothing (the old codec paid a String.sub pair plus
-     re-encoded strings per block). *)
+  (* Allocation bars.  First the codec primitive itself: decrypting one
+     bucket cell (Z = 4 slots of flag, 8-byte key, 8-byte payload: the
+     path rows' layout) into the reused path buffer and reading its
+     header fields must allocate nothing. *)
   let decode_words =
     let c = Lazy.force cipher in
-    let pt = String.make 17 'x' in
+    let pt = String.make (4 * 17) 'x' in
     let ct = Crypto.Cell_cipher.encrypt c pt in
-    let buf = Bytes.create 32 in
+    let buf = Bytes.create (String.length ct - 16) in
     let iters = 10_000 in
     let sink = ref 0 in
     let w0 = Gc.minor_words () in
@@ -198,31 +198,34 @@ let run (opts : Bench_util.opts) =
     ignore (Sys.opaque_identity !sink);
     (Gc.minor_words () -. w0) /. float_of_int iters
   in
-  Printf.printf "\n  block decode: %.3f minor words/block (bar: < 1 — allocation-free)\n%!"
+  Printf.printf "\n  bucket decode: %.3f minor words/bucket (bar: < 1 — allocation-free)\n%!"
     decode_words;
   assert (decode_words < 1.0);
   (* Then the whole access pipeline (client codec + in-process server
-     emulation + trace events), as a regression guard: the only real
-     per-block client allocation left is the outgoing ciphertext
-     freeze. *)
+     emulation + trace events) at n = 64, as a regression guard: the
+     only real per-bucket client allocation left is the outgoing
+     ciphertext freeze; the live slots entering the stash decode into
+     fresh key and payload strings. *)
   let p = List.hd rows in
-  let words_per_block = p.minor_words_per_access /. p.blocks_per_access in
-  Printf.printf "  path access pipeline: %.1f minor words/block (bar: < 40)\n%!" words_per_block;
-  assert (words_per_block < 40.0);
+  assert (p.variant = "path" && p.capacity = 64);
+  let words_per_access = p.minor_words_per_access in
+  Printf.printf "  path access pipeline (n = 64): %.0f minor words/access (bar: < 1100)\n%!"
+    words_per_access;
+  assert (words_per_access < 1100.0);
 
   Bench_util.write_bench_json opts "BENCH_oram.json" (fun oc ->
       Printf.fprintf oc
         "{\n\
-        \  \"schema\": \"sfdd-bench-oram/3\",\n\
+        \  \"schema\": \"sfdd-bench-oram/4\",\n\
         \  \"smoke\": %b,\n\
         \  \"git_rev\": %S,\n\
         \  \"host_cores\": %d,\n\
         \  \"workload\": \"2/3 writes, 1/3 reads, uniform keys, warm tree\",\n\
-        \  \"block_decode_minor_words_per_block\": %.3f,\n\
-        \  \"path_access_minor_words_per_block\": %.2f,\n\
+        \  \"bucket_decode_minor_words\": %.3f,\n\
+        \  \"path64_access_minor_words\": %.1f,\n\
         \  \"rows\": [\n"
         opts.Bench_util.smoke git_rev
         (Domain.recommended_domain_count ())
-        decode_words words_per_block;
+        decode_words words_per_access;
       List.iteri (fun i r -> json_row oc r ~last:(i = List.length rows - 1)) rows;
       Printf.fprintf oc "  ]\n}\n")

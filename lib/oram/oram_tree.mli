@@ -1,7 +1,7 @@
-(** One PathORAM tree: the bucket layout (Z = 4 slots per bucket, heap
-    order in one block store), the stash, the reused plaintext path
-    buffer, path fetch and greedy eviction.  A fetch is two steps,
-    {!path_slots} and {!absorb}, so that a caller can carry the read in
+(** One PathORAM tree: the bucket layout (Z = 4 slots per bucket, one
+    ciphertext block per bucket, heap order in one block store), the
+    stash, the reused plaintext path buffer, path fetch and greedy
+    eviction.  A fetch is two steps, {!path_buckets} and {!absorb}, so that a caller can carry the read in
     a frame of its own; {!evict} only computes the writes.  Private to
     the [oram] library: {!Path_oram} is one tree plus a client position
     map, {!Recursive_path_oram} an array of trees each holding the
@@ -11,7 +11,9 @@
     out and says which leaf each resident is assigned to. *)
 
 type ('k, 'v) codec = {
-  body_len : int;  (** fixed body width; a slot's plaintext is [flag | body] *)
+  body_len : int;
+      (** fixed body width; a slot's plaintext is [flag | body], and a
+          bucket's is its Z slots side by side *)
   encode : Bytes.t -> int -> 'k -> 'v -> unit;  (** write a body at an offset *)
   decode : Bytes.t -> int -> 'k * 'v;  (** read a body back *)
   leaf : 'k -> 'v -> int;  (** a resident's assigned leaf, or -1 if it has none *)
@@ -28,8 +30,10 @@ val create :
   ('k, 'v) codec ->
   ('k, 'v) t
 (** [create server cipher ~name ~capacity ~stash_size codec] builds a
-    tree of [max 1 ⌈log2 capacity⌉] levels in a fresh store [name], every
-    slot an encrypted dummy.
+    tree of [max 1 ⌈log2 capacity⌉] levels in a fresh store [name] of
+    2^(L+1)-1 blocks, every bucket an encrypted all-dummy bucket.  Every
+    block of the store is one cell of Z·(1 + [body_len]) plaintext
+    bytes, so all have one length.
 
     [stash_size] is the stash table's initial size.  Eviction visits the
     stash in [Hashtbl] order, so this size decides which residents each
@@ -48,16 +52,16 @@ val stash : ('k, 'v) t -> ('k, 'v) Hashtbl.t [@@secret]
 val resident_bytes : ('k, 'v) t -> int
 (** Client bytes of the stash: [body_len] per entry. *)
 
-val path_slots : ('k, 'v) t -> int -> int list
-(** [path_slots t leaf]: the (L+1)·Z slots of the path to [leaf], root
+val path_buckets : ('k, 'v) t -> int -> int list
+(** [path_buckets t leaf]: the L+1 buckets of the path to [leaf], root
     to leaf, in the order {!absorb} expects their blocks.  Planning an
-    access is choosing the leaf; these are the slots it fetches. *)
+    access is choosing the leaf; these are the blocks it fetches. *)
 
 val absorb : ('k, 'v) t -> string list -> unit
-(** [absorb t blocks] moves every resident of a fetched path (its blocks
-    in {!path_slots} order) into the stash.  Raises [Invalid_argument] on
-    a list that is not one path long or on a block that does not decrypt
-    to a well-formed slot. *)
+(** [absorb t blocks] moves every resident of a fetched path (its bucket
+    blocks in {!path_buckets} order) into the stash.  Raises
+    [Invalid_argument] on a list that is not one path long or on a block
+    that does not decrypt to exactly Z·(1 + [body_len]) bytes. *)
 
 val fetch : ('k, 'v) t -> int -> unit
 (** [fetch t leaf] is {!absorb} of the path to [leaf], read in one
@@ -65,5 +69,6 @@ val fetch : ('k, 'v) t -> int -> unit
 
 val evict : ('k, 'v) t -> int -> (int * string) list
 (** [evict t leaf] refills the path to [leaf] greedily, deepest bucket
-    first, from the stash, and returns the path's slots as
-    (slot, ciphertext) writes, leaf to root, for the caller to send. *)
+    first, from the stash, and returns the path's buckets as
+    (bucket, ciphertext) writes, leaf to root, one fresh ciphertext per
+    bucket, for the caller to send. *)

@@ -86,7 +86,7 @@ let complete t ~leaf accessed blocks =
 
 let path_read t ~leaf accessed =
   {
-    Servsim.Frame.gets = [ (Oram_tree.store t.tree, Oram_tree.path_slots t.tree leaf) ];
+    Servsim.Frame.gets = [ (Oram_tree.store t.tree, Oram_tree.path_buckets t.tree leaf) ];
     finish = complete t ~leaf accessed;
   }
 

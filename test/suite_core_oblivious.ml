@@ -162,27 +162,37 @@ let test_ex_oram_insert_delete_shape () =
 
 (* --- Per-store projection: the row schedule packs accesses to many
    trees into one frame, but each ORAM store, on its own, must still see
-   a dummy-filled tree, then accesses that each read one whole
-   root-to-leaf path, (L+1)·Z slots, and write the same slots back
-   before the next access begins. --- *)
+   a dummy-filled tree of 2^(L+1)-1 bucket blocks, then accesses that
+   each read one whole root-to-leaf path, the root and then one child
+   per level, and write the same buckets back before the next access
+   begins.  Every block a store ever holds is one cell of one length:
+   Z slots of [flag | key | payload] under one encryption. --- *)
 
 let z = 4
 
-let is_oram name =
-  List.exists (fun p -> String.starts_with ~prefix:p name) [ "or-kl-"; "or-il-"; "ex-klf-"; "ex-ikl-" ]
+let oram_kinds = [ "or-kl-"; "or-il-"; "ex-klf-"; "ex-ikl-" ]
+let is_oram name = List.exists (fun p -> String.starts_with ~prefix:p name) oram_kinds
 
-(* The slots of a root-to-leaf path, root first, Z per bucket. *)
-let is_path slots =
-  let buckets = List.length slots / z in
-  let rec go b k = function
-    | [] -> k = buckets
-    | s :: _ as rest ->
-        let bucket = s / z in
-        let ok = if k = 0 then bucket = 0 else bucket = (2 * b) + 1 || bucket = (2 * b) + 2 in
-        let own, rest = List.partition (fun x -> x / z = bucket) rest in
-        ok && own = List.init z (fun i -> (bucket * z) + i) && go bucket (k + 1) rest
-  in
-  List.length slots mod z = 0 && go 0 0 slots
+(* The bucket cell lengths a store of each kind may use: its key is a
+   single attribute's value or a combined set's label. *)
+let bucket_lens name =
+  let cell body = Crypto.Cell_cipher.ciphertext_len ~plaintext_len:(z * (1 + body)) in
+  let by_key body = List.map (fun k -> cell (body k)) Compression.[ single_key_len; multi_key_len ] in
+  if String.starts_with ~prefix:"or-kl-" name then by_key (fun k -> k + 8)
+  else if String.starts_with ~prefix:"or-il-" name then [ cell 16 ]
+  else if String.starts_with ~prefix:"ex-klf-" name then by_key (fun k -> k + 16)
+  else by_key (fun k -> 8 + k + 8)
+
+(* The buckets of a root-to-leaf path, root first: bucket 0, then a
+   child of the bucket before at each level. *)
+let is_path = function
+  | 0 :: rest ->
+      let rec go parent = function
+        | [] -> true
+        | b :: rest -> (b = (2 * parent) + 1 || b = (2 * parent) + 2) && go b rest
+      in
+      go 0 rest
+  | _ -> false
 
 (* The events of [events] on each ORAM store, in order; asserts the
    closed form on each and returns the total number of accesses.
@@ -198,31 +208,44 @@ let project ~created events =
   Hashtbl.fold
     (fun store evs total ->
       let evs = List.rev evs in
+      (match List.sort_uniq compare (List.map (fun (e : Servsim.Trace.event) -> e.len) evs) with
+      | [ len ] when List.mem len (bucket_lens store) -> ()
+      | lens ->
+          Alcotest.failf "%s: block lengths [%s], expected one bucket cell length" store
+            (String.concat "; " (List.map string_of_int lens)));
       let rec split_run op acc = function
         | (e : Servsim.Trace.event) :: rest when e.op = op -> split_run op (e.addr :: acc) rest
         | rest -> (List.rev acc, rest)
       in
-      let evs =
+      let depth, evs =
         if created store then begin
           let setup, rest = split_run Servsim.Trace.Write [] evs in
-          let buckets = List.length setup / z in
+          let buckets = List.length setup in
           Alcotest.(check bool) (store ^ ": dummy upload fills the tree") true
-            (setup = List.init (buckets * z) Fun.id && (buckets + 1) land buckets = 0);
-          rest
+            (buckets > 0 && setup = List.init buckets Fun.id && (buckets + 1) land buckets = 0);
+          (* 2^(L+1) - 1 buckets: a path is L+1 of them. *)
+          let rec log2 k = if k <= 1 then 0 else 1 + log2 (k / 2) in
+          (Some (log2 (buckets + 1)), rest)
         end
-        else evs
+        else (None, evs)
       in
-      let rec accesses n = function
+      let rec accesses depth n = function
         | [] -> n
         | evs ->
             let reads, rest = split_run Servsim.Trace.Read [] evs in
             let writes, rest = split_run Servsim.Trace.Write [] rest in
             if not (is_path reads) then Alcotest.failf "%s: access %d does not read one path" store n;
+            let len = List.length reads in
+            (match depth with
+            | Some d when d <> len ->
+                Alcotest.failf "%s: access %d reads %d buckets, the tree has %d levels" store n
+                  len d
+            | _ -> ());
             if List.sort compare writes <> List.sort compare reads then
               Alcotest.failf "%s: access %d does not write back the path it read" store n;
-            accesses (n + 1) rest
+            accesses (Some len) (n + 1) rest
       in
-      total + accesses 0 evs)
+      total + accesses depth 0 evs)
     by_store 0
 
 let traced_db table =

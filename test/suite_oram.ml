@@ -148,7 +148,8 @@ let test_trace_shape_counts_accesses () =
     (Int64.equal (trace_shape_of_ops ops1) (trace_shape_of_ops ops2))
 
 let test_access_touches_one_path () =
-  (* Each access reads and writes exactly (L+1)*Z slots. *)
+  (* Each access reads and writes exactly the L+1 buckets of one path,
+     one block per bucket. *)
   let server = Servsim.Server.create ~keep_events:true () in
   let cipher = Crypto.Cell_cipher.create (String.make 16 'K') in
   let rng = Crypto.Rng.create 29 in
@@ -160,7 +161,7 @@ let test_access_touches_one_path () =
   Oram.Path_oram.write o ~key:(enc_key 1) (enc_val 1);
   let after = Servsim.Trace.count (Servsim.Server.trace server) in
   let levels = Oram.Path_oram.levels o in
-  Alcotest.(check int) "2*(L+1)*Z slot accesses" (2 * (levels + 1) * 4) (after - before)
+  Alcotest.(check int) "2*(L+1) bucket accesses" (2 * (levels + 1)) (after - before)
 
 let test_dummy_access_indistinguishable_shape () =
   let run use_dummy =
@@ -194,17 +195,16 @@ let test_leaf_uniformity () =
   done;
   let levels = Oram.Path_oram.levels o in
   let leaves = 1 lsl levels in
-  let leaf_base = 4 * (leaves - 1) in
-  (* Leaf-level slots have addresses >= leaf_base. *)
+  let leaf_base = leaves - 1 in
+  (* Leaf buckets have addresses >= leaf_base, one block each. *)
   let counts = Array.make leaves 0 in
   List.iter
     (fun { Servsim.Trace.op; addr; _ } ->
-      if op = Servsim.Trace.Read && addr >= leaf_base then begin
-        let leaf = (addr - leaf_base) / 4 in
-        if (addr - leaf_base) mod 4 = 0 then counts.(leaf) <- counts.(leaf) + 1
-      end)
+      if op = Servsim.Trace.Read && addr >= leaf_base then
+        counts.(addr - leaf_base) <- counts.(addr - leaf_base) + 1)
     (Servsim.Trace.events (Servsim.Server.trace server));
   let total = Array.fold_left ( + ) 0 counts in
+  Alcotest.(check int) "one leaf bucket read per access" (trials + 1) total;
   let expect = float_of_int total /. float_of_int leaves in
   Array.iteri
     (fun i c ->
@@ -282,11 +282,13 @@ let qcheck_path_oram_model =
         ops)
 
 (* {1 Bit-identity pins}: digests, byte counters, round trips and
-   ciphertext contents of fixed workloads.  Every value below predates
-   the shared tree core; changing any of them means the wire behaviour
-   of an ORAM changed, except the round trips, which count one
-   [Create_store] frame per store.  {!check_golden} is also the pin
-   helper of suite core-methods. *)
+   ciphertext contents of fixed workloads.  Changing any of them means
+   the wire behaviour of an ORAM changed.  The tree values were last
+   moved by storing one ciphertext per bucket instead of one per slot:
+   event counts fell by Z = 4 and bytes, digests and contents moved,
+   while the round trips (one [Create_store] frame per store, then the
+   accesses' frames) and the linear ORAM's values did not.
+   {!check_golden} is also the pin helper of suite core-methods. *)
 
 let cipher () = Crypto.Cell_cipher.create (String.make 16 'K')
 
@@ -330,9 +332,9 @@ let test_golden_path () =
     ignore (Oram.Path_oram.read o ~key:(enc_key i))
   done;
   Oram.Path_oram.remove o ~key:(enc_key 5);
-  check_golden server ~full:0x78fae49dc16d03c1L ~shape:0x329acab8edb94975L ~count:2804
-    ~to_server:79488 ~to_client:55104 ~trips:84
-    ~content:"5c6c0c3c0693ded1abe7146b86d4d952"
+  check_golden server ~full:0xd391adc94d1931fcL ~shape:0xf9eae8ea0e969ba3L ~count:701
+    ~to_server:39744 ~to_client:27552 ~trips:84
+    ~content:"a4e4f39c59569841cdbb7c341fce03eb"
 
 let test_golden_recursive () =
   let pad24 i =
@@ -357,9 +359,9 @@ let test_golden_recursive () =
   Oram.Recursive_path_oram.remove o ~key:5;
   Alcotest.(check int) "client bytes (top map only)" 64
     (Oram.Recursive_path_oram.client_state_bytes o);
-  check_golden server ~full:0x50d73f26870f433dL ~shape:0x4d1d65557d0ff665L ~count:5016
-    ~to_server:275264 ~to_client:199424 ~trips:168
-    ~content:"ccc7569fd66c1527445f5969a089c5c5"
+  check_golden server ~full:0x0a67520980273164L ~shape:0x913dc7f5df228138L ~count:1254
+    ~to_server:220768 ~to_client:162688 ~trips:168
+    ~content:"615f5bd24573882c6cbf84016abdd5f9"
 
 let test_golden_linear () =
   let server = Servsim.Server.create () in
@@ -381,8 +383,9 @@ let test_golden_linear () =
 (* {2 Heavy-workload pins}: the goldens above are too light for eviction
       to choose among more than Z eligible stash residents.  Here 60 live
       blocks in a capacity-128 tree make the greedy choice — and so the
-      stash iteration order — decide every ciphertext.  Values captured
-      before both PathORAM variants moved onto one tree core. *)
+      stash iteration order — decide every ciphertext.  The round trips
+      and client bytes predate the shared tree core; the rest moved with
+      the one-ciphertext-per-bucket layout. *)
 
 let heavy_key i = (i * 37) mod 128
 
@@ -597,13 +600,13 @@ let suite =
       Alcotest.test_case "golden recursive digests" `Quick test_golden_recursive;
       Alcotest.test_case "golden linear digests" `Quick test_golden_linear;
       Alcotest.test_case "heavy path pins" `Quick
-        (test_heavy_path ~full:0xadae205eda86d139L ~shape:0x7f73e62c7b303845L ~count:8828
-           ~to_server:236352 ~to_client:187392 ~trips:246 ~client:944
-           ~content:"423b290160a23ca078c820de62ef1f84");
+        (test_heavy_path ~full:0x43241e1156caa0d8L ~shape:0xdca452737f1bc577L ~count:2207
+           ~to_server:118176 ~to_client:93696 ~trips:246 ~client:944
+           ~content:"0aa80ef18df6261fd64eac62b9ad2191");
       Alcotest.test_case "heavy recursive pins" `Quick
-        (test_heavy_recursive ~full:0xa1119b5ff217d989L ~shape:0x10f4b3bb60c856cdL
-           ~count:15676 ~to_server:629504 ~to_client:565312 ~trips:732 ~client:16
-           ~content:"1ebc664d8586dd172531b6b746003185");
+        (test_heavy_recursive ~full:0x129b3c46cfc742c8L ~shape:0xb7fbbf5ef599e99fL
+           ~count:3919 ~to_server:466656 ~to_client:422048 ~trips:732 ~client:16
+           ~content:"9ea1847cd359842f0b38eb50c9b2d97f");
       Alcotest.test_case "path ledger" `Quick test_path_ledger;
       Alcotest.test_case "recursive ledger syncs and clears" `Quick test_recursive_ledger;
       Alcotest.test_case "remote Exchange parity" `Quick test_remote_exchange_parity;
