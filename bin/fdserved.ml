@@ -49,6 +49,8 @@ let run unix_path tcp max_conns idle_timeout drain_grace data_dir max_resident v
   try
     if unix_path = None && tcp = None then
       `Error (true, "need at least one of --unix / --tcp")
+    else if max_resident > 0 && data_dir = None then
+      `Error (true, "--max-resident needs --data-dir: without it no tenant is ever evicted")
     else
       serve unix_path tcp max_conns idle_timeout drain_grace data_dir max_resident verbose
   with
@@ -86,7 +88,8 @@ let cmd =
   let max_resident =
     Arg.(value & opt int 0 & info [ "max-resident" ] ~docv:"N"
          ~doc:"With --data-dir: keep at most $(docv) tenants in memory daemon-wide, \
-               LRU-evicting cold ones to disk (0 disables eviction).")
+               LRU-evicting cold ones to disk (0 disables eviction).  A positive \
+               $(docv) without --data-dir is a usage error.")
   in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log connection events.") in
   let info_ =

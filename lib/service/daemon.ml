@@ -95,6 +95,8 @@ let create cfg =
   if cfg.unix_path = None && cfg.tcp = None then
     invalid_arg "Daemon.create: need at least one of unix_path / tcp";
   if cfg.domains <> 1 then invalid_arg "Daemon.create: domains must be 1";
+  if cfg.max_resident > 0 && cfg.data_dir = None then
+    invalid_arg "Daemon.create: max_resident needs a data_dir to evict tenants to";
   let listeners = ref [] in
   let tcp_port = ref None in
   (match cfg.unix_path with

@@ -48,7 +48,9 @@ type config = {
           (snapshot to disk, drop from memory) beyond this many resident
           daemon-wide; the next [Hello] rehydrates transparently with
           bit-identical digests and ledgers.  [<= 0] (the default)
-          disables eviction. *)
+          disables eviction.  A positive value needs [data_dir]:
+          {!create} rejects it without one, since an in-memory tenant
+          has nowhere to be evicted to. *)
   log : string -> unit;
       (** receives one line per connection event, from the domain
           running {!run} (and from {!stop}'s caller on a stop-pipe

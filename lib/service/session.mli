@@ -16,7 +16,9 @@
     the least-recently-active tenant with no live connections
     (snapshot, close, drop) and the next [Hello] for it rehydrates from
     disk — with trace digests and cost ledgers bit-identical to never
-    having been evicted. *)
+    having been evicted.  Without a data dir there is nowhere to evict
+    to: the registry keeps every tenant it has attached, whatever
+    [max_resident] says, for the life of the daemon. *)
 
 type tenant = {
   namespace : string;
@@ -36,7 +38,8 @@ type config = {
   data_dir : string option;  (** root of per-namespace durable images *)
   max_resident : int;
       (** LRU-evict beyond this many in-memory tenants; [<= 0] disables
-          eviction (only meaningful with [data_dir] set) *)
+          eviction.  Ignored without [data_dir] (the daemon refuses that
+          combination) *)
   snapshot_every : int;  (** see {!Store.Tenant.open_} *)
 }
 

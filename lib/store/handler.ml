@@ -46,7 +46,6 @@ let release_dyn st =
 
 let trace st = st.trace
 let cost st = st.cost
-let started st = st.started
 
 (* Session-level frames ([Hello] before the session exists, and the
    version byte) are connection setup, not served requests: the client's

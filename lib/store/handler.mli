@@ -89,6 +89,3 @@ val export_stores : state -> (string * string array) list
 
 val trace : state -> Trace.t
 val cost : state -> Cost.t
-
-val started : state -> float
-(** [Unix.gettimeofday] at session creation. *)

@@ -681,6 +681,44 @@ let test_daemon_dyn_restart_bit_identical () =
         "FD statuses, digests and verb counters survive a daemon restart" true
         (recovered = expected))
 
+(* An LRU cap needs somewhere to evict to: the daemon refuses
+   [max_resident] without a data dir before it binds a socket, and
+   fdserved reports the flags as a usage error.  The binary is
+   ../bin/fdserved.exe when run by [dune runtest]. *)
+let fdserved_exe = Filename.concat (Filename.concat ".." "bin") "fdserved.exe"
+
+let test_cap_needs_data_dir () =
+  with_tmp_dir "sfdd-cap" (fun dir ->
+      let sock = Filename.concat dir "d.sock" in
+      Alcotest.(check bool) "Daemon.create refuses the cap" true
+        (match
+           Service.Daemon.create
+             { Service.Daemon.default_config with unix_path = Some sock; max_resident = 1 }
+         with
+        | exception Invalid_argument _ -> true
+        | _ -> false);
+      Alcotest.(check bool) "no socket bound" false (Sys.file_exists sock);
+      if Sys.file_exists fdserved_exe then begin
+        let err = Filename.concat dir "stderr" in
+        (* [timeout] only bounds the run should the flags be accepted. *)
+        let code =
+          Sys.command
+            (Filename.quote_command "timeout"
+               [ "10"; fdserved_exe; "--unix"; sock; "--max-resident"; "1" ]
+               ~stdout:Filename.null ~stderr:err)
+        in
+        let msg = In_channel.with_open_bin err In_channel.input_all in
+        let has sub =
+          let n = String.length sub in
+          let rec go i = i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1)) in
+          go 0
+        in
+        Alcotest.(check int) "fdserved exits with a usage error" 124 code;
+        Alcotest.(check bool) "names both flags" true (has "--max-resident needs --data-dir");
+        Alcotest.(check bool) "prints the usage" true (has "Usage:");
+        Alcotest.(check bool) "fdserved bound no socket" false (Sys.file_exists sock)
+      end)
+
 let suite =
   [
     Alcotest.test_case "crc32 known answers and streaming" `Quick test_crc32_kat;
@@ -701,6 +739,7 @@ let suite =
     Alcotest.test_case "serving-path crash recovery" `Quick test_conn_crash_recovery;
     Alcotest.test_case "daemon restart bit-identical" `Quick
       test_daemon_restart_bit_identical;
+    Alcotest.test_case "max resident needs a data dir" `Quick test_cap_needs_data_dir;
     Alcotest.test_case "daemon refuses a corrupt tenant" `Quick
       test_daemon_refuses_corrupt_tenant;
     Alcotest.test_case "daemon eviction churn bit-identical" `Quick
