@@ -161,7 +161,7 @@ let remote_frames_report ~accesses () =
       let v1_frames = 2 * (Oram.Path_oram.levels o + 1) * 4 (* Z = 4 *) in
       Printf.printf
         "  remote PathORAM (n = 256): %.1f wire frames per access, %s/access\n\
-        \  (protocol v1 sent %d frames per access — one per path block)\n%!"
+        \  (protocol v1, with a cell per slot, sent %d frames per access — one per path slot)\n%!"
         (float_of_int frames /. float_of_int accesses)
         (Bench_util.pretty_time (dt /. float_of_int accesses))
         v1_frames)
@@ -247,11 +247,12 @@ let crypto_report (opts : Bench_util.opts) ~git_rev ~repeats =
     sample ~repeats ~iters:(it 200_000) (fun () ->
         ignore (Crypto.Cell_cipher.decrypt cell (Crypto.Cell_cipher.encrypt cell cell_pt)))
   in
-  (* Bulk path: one PathORAM path at n = 256 is Z*(L+1) = 36 cells of 48
-     ciphertext bytes; encrypt_many + decrypt_many of the whole batch. *)
+  (* Bulk path: 36 cells of 48 ciphertext bytes, the slots of one
+     PathORAM path at n = 256 (Z*(L+1)) when each slot was its own cell;
+     encrypt_many + decrypt_many of the whole batch. *)
   let path_cells = 36 in
   let path_pt_len = 17 in
-  (* 1 + 8 + 8, the ORAM block layout at key_len = payload_len = 8 *)
+  (* 1 + 8 + 8, one ORAM slot at key_len = payload_len = 8 *)
   let path_pts = List.init path_cells (fun i -> String.make path_pt_len (Char.chr (i land 0xff))) in
   let path_s =
     sample ~repeats ~iters:(it 20_000) (fun () ->

@@ -3,11 +3,13 @@
     and the client-side stash capped at 7·⌈log2 n⌉ blocks for reporting
     purposes (the paper's setting, §VII-A).
 
-    The server holds a complete binary tree of buckets in one block store;
-    every bucket slot always contains a ciphertext of the same length, and
-    every access reads and rewrites exactly one root-to-leaf path, so the
-    server's view of an access is (path ciphertexts, fresh re-encryptions)
-    for a uniformly random leaf — independent of the key and operation.
+    The server holds a complete binary tree of buckets in one block store,
+    one block per bucket: every bucket always holds one ciphertext of its
+    Z slots (resident or dummy) under a fresh IV, all of the same length,
+    and every access reads and rewrites exactly one root-to-leaf path, so
+    the server's view of an access is (path ciphertexts, fresh
+    re-encryptions) for a uniformly random leaf — independent of the key
+    and operation.
 
     The client holds the position map and the stash; their byte sizes are
     charged to the cost ledger (this is the O(n) client memory of the
