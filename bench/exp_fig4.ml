@@ -12,9 +12,10 @@ open Relation
    EXPERIMENTS.md).  Sort runs ~(n/4) log^2 n compare-exchanges per
    network, W = 32 of them per frame (a chunk's write batch rides in the
    next chunk's read frame), so a call costs about n log^2 n / 64 frames
-   against the ORAM methods' n + 2 (one per row).  Sort's modeled time
-   so grows fastest and passes the ORAM methods' from n ~ 2^7-2^8
-   (|X| = 1) and 2^9-2^10 (|X| >= 2); the paper's crossover, past
+   against the ORAM methods' n + 2 (one per row), each moving one
+   ciphertext per bucket of a path.  Sort's modeled time so grows
+   fastest and passes the ORAM methods' from n ~ 2^6-2^8 (|X| = 1) and
+   2^7-2^8 (|X| >= 2); the paper's crossover, past
    n ~ 2^11, came from one message pair per comparator, which the
    chunks remove without changing what the server sees. *)
 
@@ -54,8 +55,8 @@ let run (opts : Bench_util.opts) =
      Expected shape (paper Fig. 4, the 'net' columns): Sort grows fastest\n\
      (O(n log^2 n) round trips vs the ORAM methods' O(n)); with W = 32\n\
      comparators per frame for Sort and one frame per row for the ORAM\n\
-     methods, the ORAM methods drop below Sort from n ~ 2^7-2^8 (|X| = 1)\n\
-     and 2^9-2^10 (|X| >= 2), where the paper, messaging every comparator\n\
+     methods, the ORAM methods drop below Sort from n ~ 2^6-2^8 (|X| = 1)\n\
+     and 2^7-2^8 (|X| >= 2), where the paper, messaging every comparator\n\
      and every access, has them below past n ~ 2^11; Ex-ORAM costs more\n\
      than Or-ORAM (bigger payloads); the ORAM methods pay extra in the\n\
      |X| >= 2 case for the generator O^IL lookups.\n%!"
