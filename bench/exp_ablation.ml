@@ -157,9 +157,8 @@ let run_bucket_sort (opts : Bench_util.opts) =
       let t_bitonic =
         Bench_util.time_unit (fun () ->
             let b = Array.copy a in
-            Osort.Driver.run (Osort.Network.bitonic n)
-              ~exchange:
-                (Array.iter (fun { Osort.Network.i; j; up } ->
+            Array.iter
+              (Array.iter (fun { Osort.Network.i; j; up } ->
                      let lo, hi = if b.(i) <= b.(j) then (b.(i), b.(j)) else (b.(j), b.(i)) in
                      if up then begin
                        b.(i) <- lo;
@@ -168,7 +167,8 @@ let run_bucket_sort (opts : Bench_util.opts) =
                      else begin
                        b.(i) <- hi;
                        b.(j) <- lo
-                     end)))
+                     end))
+              (Osort.Network.bitonic n).Osort.Network.stages)
       in
       let t_bucket =
         Bench_util.time_unit (fun () ->

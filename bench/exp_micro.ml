@@ -18,17 +18,20 @@ let oram_fixture =
 
 let sort_fixture =
   lazy
-    (let session = Core.Session.create ~n:256 ~m:1 () in
+    (let session = Core.Session.create ~n:64 ~m:1 () in
      Servsim.Trace.set_enabled (Core.Session.trace session) false;
-     let b = Core.Sort_backend.encrypted session ~n:256 in
+     let b = Core.Sort_backend.encrypted session ~n:64 in
      Servsim.Frame.send
        (b.Core.Sort_backend.io.write
-          (List.init 256 (fun i -> (i, { Core.Sort_backend.key = Core.Sort_backend.L i; id = i }))));
+          (List.init 64 (fun i -> (i, { Core.Sort_backend.key = Core.Sort_backend.L i; id = i }))));
      b)
 
-(* One chunk of W comparators out of a bitonic stage at n = 256. *)
-let sort_chunk =
-  Array.sub (Osort.Network.bitonic 256).Osort.Network.stages.(0) 0 Core.Sort_backend.chunk_width
+(* One frame of a network pass: the bitonic network at n = 64 is one
+   pass whose one component is all 64 slots, its 21 stages run in the
+   client's buffer. *)
+let sort_pass =
+  (Osort.Network.passes (Osort.Network.bitonic 64) ~block:Core.Sort_backend.buffer_slots).(0)
+    .Osort.Network.components
 
 let partition_fixture =
   lazy
@@ -69,16 +72,16 @@ let tests =
            let o = Lazy.force oram_fixture in
            Oram.Path_oram.write o ~key:(Relation.Codec.encode_int 7)
              (Relation.Codec.encode_int 7)));
-    (* Fig. 4/6 Sort curve: one encrypted chunk of W compare-exchanges,
+    (* Fig. 4/6 Sort curve: one encrypted pass frame of B = 64 slots,
        the unit Sort runs, in a write-behind batch of its own: one frame
-       that reads the chunk, then its write batch, encrypted and sent
-       in a puts-only frame. *)
+       that reads the slots, the pass's 21 stages in the buffer, then
+       its write batch, encrypted and sent in a puts-only frame. *)
     Test.make ~name:"fig4-fig6/sort-compare-exchange"
       (Staged.stage (fun () ->
            let b = Lazy.force sort_fixture in
            Servsim.Frame.with_batch (fun frames ->
                Core.Sort_method.exchange ~compare:Core.Sort_backend.compare_by_key
-                 b.Core.Sort_backend.io frames sort_chunk)));
+                 b.Core.Sort_backend.io frames sort_pass)));
     (* Fig. 5 storage accounting driver: partition product (plaintext). *)
     Test.make ~name:"fig5/partition-product"
       (Staged.stage (fun () ->
@@ -87,7 +90,9 @@ let tests =
     (* Fig. 6(b): enclave-side comparator network execution, n = 256. *)
     Test.make ~name:"fig6b/enclave-sort-n256"
       (Staged.stage
-         (let net = Osort.Network.bitonic 256 in
+         (let passes =
+            Osort.Network.passes (Osort.Network.bitonic 256) ~block:Core.Sort_backend.buffer_slots
+          in
           fun () ->
             let io = (Core.Sort_backend.enclave ~n:256).Core.Sort_backend.io in
             Servsim.Frame.send
@@ -95,7 +100,7 @@ let tests =
                  (List.init 256 (fun i ->
                       (i, { Core.Sort_backend.key = Core.Sort_backend.L (255 - i); id = i }))));
             Servsim.Frame.with_batch (fun frames ->
-                Osort.Driver.run net
+                Osort.Driver.run passes
                   ~exchange:
                     (Core.Sort_method.exchange ~compare:Core.Sort_backend.compare_by_key io frames))));
     (* Fig. 7: one Ex-ORAM insert+delete pair. *)
@@ -247,12 +252,12 @@ let crypto_report (opts : Bench_util.opts) ~git_rev ~repeats =
     sample ~repeats ~iters:(it 200_000) (fun () ->
         ignore (Crypto.Cell_cipher.decrypt cell (Crypto.Cell_cipher.encrypt cell cell_pt)))
   in
-  (* Bulk path: 36 cells of 48 ciphertext bytes, the slots of one
-     PathORAM path at n = 256 (Z*(L+1)) when each slot was its own cell;
+  (* Bulk path: one PathORAM path at n = 256 as the ORAM moves it, its
+     L + 1 = 9 buckets of one cell each, a bucket's Z = 4 slots of
+     1 + 8 + 8 bytes side by side (key_len = payload_len = 8);
      encrypt_many + decrypt_many of the whole batch. *)
-  let path_cells = 36 in
-  let path_pt_len = 17 in
-  (* 1 + 8 + 8, one ORAM slot at key_len = payload_len = 8 *)
+  let path_cells = 9 in
+  let path_pt_len = 4 * 17 in
   let path_pts = List.init path_cells (fun i -> String.make path_pt_len (Char.chr (i land 0xff))) in
   let path_s =
     sample ~repeats ~iters:(it 20_000) (fun () ->
@@ -274,7 +279,7 @@ let crypto_report (opts : Bench_util.opts) ~git_rev ~repeats =
     (mb_per_s ~bytes:(2 * cell_ct_bytes) cell_s.median)
     cell_s.words;
   Printf.printf "  %-42s %10.1f ns/cell   %8.1f MB/s\n"
-    (Printf.sprintf "bulk-path/%d-cell enc+dec" path_cells)
+    (Printf.sprintf "bulk-path/%d-bucket enc+dec" path_cells)
     (per_cell path_s.median)
     (mb_per_s ~bytes:(2 * path_ct_bytes) path_s.median);
   fun oc ->

@@ -35,19 +35,20 @@ val elt_width : int
 (** Bytes of one encoded element: every element has this width. *)
 
 val chunk_width : int
-(** W = 32: the most comparators of one network stage that Sort runs as
-    one read batch and one write batch.  A fixed constant, not a knob:
-    it fixes the frame sequence, hence every trace digest. *)
+(** W = 32: the rows {!Sort_method.combine} reads per frame, a label of
+    each generator per row.  A fixed constant, not a knob: it fixes the
+    frame sequence, hence every trace digest. *)
 
 val buffer_slots : int
 (** B = 2W: the most decrypted elements the client holds at once per
-    working domain — a chunk of comparators, a chunk of the relabelling
-    scan, of a label read or of an initial load.  Constant, so client
-    memory stays O(1) (§IV-D(c)). *)
+    working domain — a frame of a network pass (the block of
+    {!Osort.Network.passes}), a chunk of the relabelling scan, of a label
+    read or of an initial load.  Constant, so client memory stays O(1)
+    (§IV-D(c)). *)
 
 (** Batched access to the array, in the frames of a caller's
-    {!Servsim.Frame.t}.  A chunk of W comparators reads its 2W slots with one
-    [fetch] and writes them back with one [write].  On the encrypted
+    {!Servsim.Frame.t}.  A frame of a network pass reads its at most B
+    slots with one [fetch] and writes them back with one [write].  On the encrypted
     backend, [write] encrypts at once and returns the batch, which the
     caller sends as the puts of its next frame, ahead of that frame's
     gets: a Sort call so costs one frame per read batch plus a puts-only

@@ -30,37 +30,63 @@ let iter_chunks ~width len f =
     lo := hi
   done
 
-(* A slice of a network stage, W comparators at a time.  A chunk's
-   comparators touch disjoint slots, so all of their slots are fetched in
-   one read batch and all rewritten in one write batch — both slots of
-   every comparator, swapped or not, so the server cannot tell which.
-   The write-back goes in comparator order (i1, j1, i2, j2, ...), so the
-   cipher's IV stream follows the network schedule whatever the chunk
-   width.  The write batch is encrypted here and put in [frames]: a
-   write-behind batch sends it in the frame of the next read. *)
-let exchange ~compare (io : io) frames slice =
-  iter_chunks ~width:chunk_width (Array.length slice) (fun start stop ->
-      let chunk = List.init (stop - start) (fun k -> slice.(start + k)) in
-      let slots = List.concat_map (fun { Osort.Network.i; j; _ } -> [ i; j ]) chunk in
-      let elts = Array.of_list (Frame.read frames (io.fetch slots)) in
-      Frame.put frames
-        (io.write
-           (List.concat
-              (List.mapi
-                 (fun k { Osort.Network.i; j; up } ->
-                   let a = elts.(2 * k) and b = elts.((2 * k) + 1) in
-                   let lo, hi = if compare a b <= 0 then (a, b) else (b, a) in
-                   if up then [ (i, lo); (j, hi) ] else [ (i, hi); (j, lo) ])
-                 chunk))))
+(* Position of [slot] in a component's ascending [slots]. *)
+let index_of slots slot =
+  let rec go lo hi =
+    let mid = (lo + hi) / 2 in
+    if slots.(mid) < slot then go (mid + 1) hi else if slots.(mid) > slot then go lo mid else mid
+  in
+  go 0 (Array.length slots)
 
-(* A parallel worker holds a batch of its own for each slice of a
-   stage and sends its last write before the stage barrier.  The
-   call's held batch is sent before any worker starts. *)
-let oblivious_sort ?(domains = 1) net backend frames ~compare =
-  if domains <= 1 then Osort.Driver.run net ~exchange:(exchange ~compare backend.io frames)
+(* A slice of a pass, whole components packed in order into frames of at
+   most B slots.  A frame's slots are fetched in one read batch and all
+   rewritten in one write batch, swapped or not, so the server cannot
+   tell which, in the order they were read (each component's slots
+   ascending).  In between, each component's comparators run in stage
+   order on the decrypted buffer.  The write batch is encrypted here
+   and put in [frames]: a write-behind batch sends it in the frame of
+   the next read. *)
+let exchange ~compare (io : io) frames components =
+  let run group =
+    let slots = List.concat_map (fun c -> Array.to_list c.Osort.Network.slots) group in
+    let buf = Array.of_list (Frame.read frames (io.fetch slots)) in
+    ignore
+      (List.fold_left
+         (fun base { Osort.Network.slots; comparators } ->
+           Array.iter
+             (fun { Osort.Network.i; j; up } ->
+               let pi = base + index_of slots i and pj = base + index_of slots j in
+               let a = buf.(pi) and b = buf.(pj) in
+               let lo, hi = if compare a b <= 0 then (a, b) else (b, a) in
+               buf.(pi) <- (if up then lo else hi);
+               buf.(pj) <- (if up then hi else lo))
+             comparators;
+           base + Array.length slots)
+         0 group);
+    Frame.put frames (io.write (List.mapi (fun k slot -> (slot, buf.(k))) slots))
+  in
+  let group, _ =
+    Array.fold_left
+      (fun (group, size) c ->
+        let k = Array.length c.Osort.Network.slots in
+        if k > buffer_slots then invalid_arg "Sort_method.exchange: component exceeds B slots";
+        if size + k > buffer_slots then begin
+          run (List.rev group);
+          ([ c ], k)
+        end
+        else (c :: group, size + k))
+      ([], 0) components
+  in
+  if group <> [] then run (List.rev group)
+
+(* A parallel worker holds a batch of its own for each slice of a pass
+   and sends its last write before the pass barrier.  The call's held
+   batch is sent before any worker starts. *)
+let oblivious_sort ?(domains = 1) passes backend frames ~compare =
+  if domains <= 1 then Osort.Driver.run passes ~exchange:(exchange ~compare backend.io frames)
   else begin
     Frame.flush frames;
-    Osort.Driver.run_parallel net ~domains ~make_exchange:(fun w ->
+    Osort.Driver.run_parallel passes ~domains ~make_exchange:(fun w ->
         let io = backend.worker w in
         fun slice -> Frame.with_batch (fun frames -> exchange ~compare io frames slice))
   end
@@ -76,9 +102,9 @@ let with_buffers ?(domains = 1) backend f =
 
 (* Algorithm 3, its writes held in [frames]. *)
 let sort_and_label ?(network = Bitonic) ?domains backend frames x =
-  let net = network_for network backend.length in
+  let passes = Osort.Network.passes (network_for network backend.length) ~block:buffer_slots in
   (* 1. Sort by key_X: equal keys become consecutive. *)
-  oblivious_sort ?domains net backend frames ~compare:compare_by_key;
+  oblivious_sort ?domains passes backend frames ~compare:compare_by_key;
   (* 2. Linear pass: replace key_X by its run index (the label), B slots
      per read batch and per write batch — O(1) client memory, per
      §IV-D(c).  The previous key carries across chunk boundaries. *)
@@ -100,7 +126,7 @@ let sort_and_label ?(network = Bitonic) ?domains backend frames x =
       Frame.put frames
         (backend.io.write (List.init (hi - lo) (fun k -> relabel (lo + k) elts.(k)))));
   (* 3. Sort back by r[ID]. *)
-  oblivious_sort ?domains net backend frames ~compare:compare_by_id;
+  oblivious_sort ?domains passes backend frames ~compare:compare_by_id;
   { attrs = x; backend; card = !card + 1 }
 
 let compute ?network ?domains backend x =

@@ -11,13 +11,17 @@
     server's view is bit-identical for any two databases of the same size
     (the strongest form of Definition 2; tested via full trace digests).
 
-    Every step moves data in fixed chunks: a network stage runs
-    {!Sort_backend.chunk_width} (W) comparators per read batch and write
-    batch, and the initial load, the relabelling scan and the label
-    reads move at most {!Sort_backend.buffer_slots} (B = 2W) slots per
-    batch.  The client so holds at most B decrypted elements per working
-    domain — O(1) client memory (§IV-D(c)) — and a call charges exactly
-    that to the session's cost ledger while it runs.
+    Every step moves data in fixed chunks.  A network runs pass by
+    pass ({!Osort.Network.passes} with [block] = {!Sort_backend.buffer_slots},
+    B): whole components of a pass, packed into frames of at most B
+    slots, are read in one batch, run through every stage of the pass
+    on the decrypted buffer and written back in one batch.  The initial
+    load, the relabelling scan and the label reads move at most B slots
+    per batch.  The client so holds at most B decrypted elements per
+    working domain — O(1) client memory (§IV-D(c)) — and a call charges
+    exactly that to the session's cost ledger while it runs.  For
+    bitonic, a network over [length] slots costs ⌈length/B⌉ read frames
+    per pass: 1 pass at [length] ≤ 64, 4 at 256, 9 at 2048.
 
     A call holds each write batch, encrypted, and sends it as the puts
     of its next frame, ahead of that frame's gets (a {!Servsim.Frame.t} per
@@ -28,12 +32,12 @@
     Nothing is in flight between calls.
 
     [domains] > 1 exercises the paper's parallel mode (Fig. 6a): network
-    stages are executed by that many OCaml domains, each through its own
+    passes are executed by that many OCaml domains, each through its own
     {!Sort_backend.t.worker} access path.  On the encrypted backend this
     needs the session's trace off (see {!Servsim.Trace.set_enabled}) and
     a local server: a traced or remote session raises [Invalid_argument]
     before any worker starts.  Each worker holds its own write batch per
-    slice of a stage and sends the last one before the stage barrier;
+    slice of a pass and sends the last one before the pass barrier;
     the call's held batch is sent before the workers start. *)
 
 open Relation
@@ -49,15 +53,19 @@ val cardinality : handle -> int
 
 val exchange :
   compare:(Sort_backend.elt -> Sort_backend.elt -> int) -> Sort_backend.io -> Servsim.Frame.t ->
-  Osort.Network.comparator array -> unit
+  Osort.Network.component array -> unit
 (** [exchange ~compare io frames slice] runs a slice of one network
-    stage (pairwise-disjoint comparators, as {!Osort.Driver} hands them
-    over) in chunks of {!Sort_backend.chunk_width} (W) comparators: per
-    chunk, one frame of [frames] reads all its slots (and carries
-    whatever [frames] held), then a write batch that rewrites every one
-    of them, swapped or not, so the server cannot tell which, is put in
-    [frames].  The writes are listed in comparator order
-    (i1, j1, i2, j2, ...). *)
+    pass (consecutive components, as {!Osort.Driver} hands them over).
+    It packs whole components, in order, into frames of at most
+    {!Sort_backend.buffer_slots} (B) slots: per frame, one frame of
+    [frames] reads all its slots (and carries whatever [frames] held),
+    each component's comparators run in stage order on the decrypted
+    buffer, then a write batch that rewrites every slot read, swapped or
+    not, so the server cannot tell which, is put in [frames].  Reads and
+    writes list the slots component by component, each ascending: a
+    one-stage pass of 2-slot components is read and written in
+    comparator order (i1, j1, i2, j2, ...), W = B/2 comparators a frame.
+    @raise Invalid_argument if a component holds more than B slots. *)
 
 val compute : ?network:network -> ?domains:int -> Sort_backend.t -> Attrset.t -> handle
 (** Run Algorithm 3 over a backend already filled with (key, id) pairs,

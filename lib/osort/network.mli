@@ -22,6 +22,34 @@ type t = {
   stages : comparator array array;
 }
 
+(** A connected group of slots within a pass: the slots its comparators
+    link, directly or through one another. *)
+type component = {
+  slots : int array;  (** ascending *)
+  comparators : comparator array;  (** in stage order, each stage's in its own order *)
+}
+
+(** Consecutive stages that an exchanger with room for [block] slots can
+    run component by component: no component holds more than [block]
+    slots, and distinct components share none. *)
+type pass = {
+  first : int;  (** index of the pass's first stage *)
+  count : int;  (** number of stages, at least one *)
+  components : component array;
+      (** ordered by smallest slot; a slot that no comparator of the
+          pass touches is in none *)
+}
+
+val passes : t -> block:int -> pass array
+(** [passes net ~block] cuts [net]'s stages greedily into passes: a
+    pass takes the next stage as long as every connected component of
+    its comparators (union-find over slots) keeps at most [block]
+    slots.  Running a pass's components one after another, each
+    comparator in stage order, is running its stages.  A function of
+    the network alone, hence of [n]: for bitonic at [block = 64] it
+    gives 1 pass at n = 2^6 (21 stages), 4 at 2^8 (36), 9 at 2^11 (66).
+    @raise Invalid_argument if [block < 2]. *)
+
 val bitonic : int -> t
 (** [bitonic n] is Batcher's bitonic sorting network for [n] a power of
     two; O(n log^2 n) comparators in (log n)(log n + 1)/2 stages.
