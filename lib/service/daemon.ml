@@ -95,8 +95,13 @@ let create cfg =
   if cfg.unix_path = None && cfg.tcp = None then
     invalid_arg "Daemon.create: need at least one of unix_path / tcp";
   if cfg.domains <> 1 then invalid_arg "Daemon.create: domains must be 1";
-  if cfg.max_resident > 0 && cfg.data_dir = None then
-    invalid_arg "Daemon.create: max_resident needs a data_dir to evict tenants to";
+  (* Refuses a cap without a data dir, before anything is bound. *)
+  let registry =
+    Session.create
+      ~config:
+        { Session.default_config with data_dir = cfg.data_dir; max_resident = cfg.max_resident }
+      ()
+  in
   let listeners = ref [] in
   let tcp_port = ref None in
   (match cfg.unix_path with
@@ -115,12 +120,6 @@ let create cfg =
   let ev = Evloop.create () in
   Evloop.set ev stop_r ~read:true ~write:false;
   List.iter (fun fd -> Evloop.set ev fd ~read:true ~write:false) !listeners;
-  let registry =
-    Session.create
-      ~config:
-        { Session.default_config with data_dir = cfg.data_dir; max_resident = cfg.max_resident }
-      ()
-  in
   let live = Atomic.make 0 in
   {
     cfg;

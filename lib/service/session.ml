@@ -21,7 +21,10 @@ type registry = {
   mutable clock : int; (* monotonic LRU clock; bumped on attach/journal *)
 }
 
-let create ?(config = default_config) () = { cfg = config; tbl = Hashtbl.create 16; clock = 0 }
+let create ?(config = default_config) () =
+  if config.max_resident > 0 && config.data_dir = None then
+    invalid_arg "Session.create: max_resident needs a data_dir to evict tenants to";
+  { cfg = config; tbl = Hashtbl.create 16; clock = 0 }
 
 let touch reg tenant =
   reg.clock <- reg.clock + 1;

@@ -17,8 +17,8 @@
     (snapshot, close, drop) and the next [Hello] for it rehydrates from
     disk — with trace digests and cost ledgers bit-identical to never
     having been evicted.  Without a data dir there is nowhere to evict
-    to: the registry keeps every tenant it has attached, whatever
-    [max_resident] says, for the life of the daemon. *)
+    to: the registry keeps every tenant it has attached for the life of
+    the daemon, and {!create} refuses a [max_resident] cap. *)
 
 type tenant = {
   namespace : string;
@@ -38,8 +38,7 @@ type config = {
   data_dir : string option;  (** root of per-namespace durable images *)
   max_resident : int;
       (** LRU-evict beyond this many in-memory tenants; [<= 0] disables
-          eviction.  Ignored without [data_dir] (the daemon refuses that
-          combination) *)
+          eviction.  A cap needs [data_dir] ({!create} refuses it without) *)
   snapshot_every : int;  (** see {!Store.Tenant.open_} *)
 }
 
@@ -49,6 +48,7 @@ val default_config : config
 type registry
 
 val create : ?config:config -> unit -> registry
+(** @raise Invalid_argument if [max_resident > 0] without a [data_dir]. *)
 
 val attach : registry -> string -> tenant
 (** Find the tenant — creating it on first [Hello], or rehydrating it

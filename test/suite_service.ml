@@ -771,8 +771,26 @@ let test_latency_reservoir () =
     (Service.Metrics.percentiles (fresh @ List.filteri (fun i _ -> i >= 100) old))
     (R.percentiles r)
 
+(* A tenant cap needs somewhere to evict to: the registry refuses one
+   without a data dir instead of keeping every tenant regardless. *)
+let test_session_cap_needs_data_dir () =
+  let create data_dir max_resident =
+    match
+      Service.Session.create
+        ~config:{ Service.Session.default_config with data_dir; max_resident }
+        ()
+    with
+    | _ -> true
+    | exception Invalid_argument _ -> false
+  in
+  Alcotest.(check bool) "cap without a data dir refused" false (create None 1);
+  Alcotest.(check bool) "no cap, no data dir" true (create None 0);
+  Alcotest.(check bool) "cap with a data dir" true
+    (create (Some (Filename.concat (Filename.get_temp_dir_name ()) "sfdd-unused")) 1)
+
 let suite =
   [
+    Alcotest.test_case "session cap needs a data dir" `Quick test_session_cap_needs_data_dir;
     Alcotest.test_case "concurrent tenants match single-client digests" `Quick
       test_concurrent_tenants_match_single_client;
     Alcotest.test_case "mid-frame disconnect isolated" `Quick
