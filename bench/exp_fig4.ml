@@ -53,10 +53,10 @@ let run (opts : Bench_util.opts) =
   Printf.printf
     "\n\
      Expected shape (paper Fig. 4, the 'net' columns): Sort grows fastest\n\
-     (O(n log^2 n) round trips vs the ORAM methods' O(n)); with W = 32\n\
-     comparators per frame for Sort and one frame per row for the ORAM\n\
-     methods, the ORAM methods drop below Sort from n ~ 2^6-2^8 (|X| = 1)\n\
-     and 2^7-2^8 (|X| >= 2), where the paper, messaging every comparator\n\
-     and every access, has them below past n ~ 2^11; Ex-ORAM costs more\n\
+     (O(n log^2 n) comparators vs the ORAM methods' O(n) accesses); with\n\
+     Sort running whole network passes in 64-slot frames and one frame\n\
+     per row for the ORAM methods, Sort stays below the ORAM methods up\n\
+     to n = 2^11 (at 2^11 under half of Or-ORAM), as in the paper, which\n\
+     has the ORAM methods below only past n ~ 2^11; Ex-ORAM costs more\n\
      than Or-ORAM (bigger payloads); the ORAM methods pay extra in the\n\
      |X| >= 2 case for the generator O^IL lookups.\n%!"
